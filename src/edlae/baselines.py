@@ -1,68 +1,45 @@
 """Closed-form unconstrained linear-AE baseline (plain ridge, no diagonal
-constraint), projected to rank k by the same teacher-student machinery.
+constraint): the ridge row of the closed-form pipeline in ``closed_form``.
 
-The teacher here is the full-rank ridge optimum B = (G + Lambda)^-1 G; the
-rank-k solution follows from residual orthogonality plus nesting exactly as
-for the zero-diagonal model, with V the top-k eigenvectors of
-B^T (G + Lambda) B and U = B V.  Unlike the denoising model this projection
-is exact (no diagonal is removed from the fit), which the tests verify
-against a gradient-descent oracle rather than assume.
+The teacher is the full-rank ridge optimum B = (G + Lambda)^-1 G, computed
+as I - C Lambda with C = (G + Lambda)^-1; the rank-k model takes V as the
+top-k eigenvectors of the student Gram B^T (G + Lambda) B, evaluated in
+closed form as G - Lambda + Lambda C Lambda, and U = B V.  Unlike the
+denoising model this projection is exact (no diagonal is removed from the
+fit), which the tests verify against a gradient-descent oracle rather than
+assume.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .closed_form import EdlaeConfig, LowRankModel, _as_dense_rows, _check_square_match, _model_matrix
-from .errors import DimensionMismatch
-from .linalg import sym_inverse, top_k_eig
+from .closed_form import (
+    EdlaeConfig,
+    LowRankModel,
+    edlae_objective,
+    full_rank_teacher,
+    student_gram,
+    student_projection,
+)
+
+# The objective keeps or removes the diagonal by the model's family, so the
+# ridge objective || X - X B ||_F^2 + || Lambda^(1/2) B ||_F^2 is the same
+# function applied to a ridge model.
+ridge_objective = edlae_objective
 
 
 def ridge_full_rank(g: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
     """Full-rank ridge optimum (G + Lambda)^-1 G."""
-    g, lam_diag = _check_square_match(g, lam_diag)
-    c = sym_inverse(g + np.diag(lam_diag))
-    return c @ g
+    return full_rank_teacher(g, lam_diag, "ridge").b
 
 
 def ridge_low_rank(g: np.ndarray, lam_diag: np.ndarray, k: int,
                    config: EdlaeConfig | None = None) -> LowRankModel:
     """Rank-k ridge model: V = top-k eigenvectors of B^T (G + Lambda) B,
     U = B V, for the ridge teacher B."""
-    g, lam_diag = _check_square_match(g, lam_diag)
-    n = g.shape[0]
-    if not 1 <= k <= n:
-        raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
-    b = ridge_full_rank(g, lam_diag)
-    zz = g + np.diag(lam_diag)
-    m = b.T @ zz @ b
-    m = 0.5 * (m + m.T)
-    eig = top_k_eig(m, k)
-    v = eig.eigenvectors
-    return LowRankModel(u=b @ v, v=v, rank=k, config=config, kind="ridge")
-
-
-def ridge_objective(x, lam_diag: np.ndarray, model) -> float:
-    """Ridge training objective || X - X B ||_F^2 + || Lambda^(1/2) B ||_F^2
-    (the model's diagonal is kept, unlike the denoising objective)."""
-    x = _as_dense_rows(x)
-    lam_diag = np.asarray(lam_diag, dtype=np.float64)
-    b = _model_matrix(model)
-    n = b.shape[0]
-    if x.shape[1] != n or lam_diag.shape != (n,):
-        raise DimensionMismatch(
-            f"inconsistent shapes: X {x.shape}, model {b.shape}, Lambda {lam_diag.shape}"
-        )
-    resid = x - x @ b
-    penalty = np.sqrt(lam_diag)[:, None] * b
-    return float(np.sum(resid * resid) + np.sum(penalty * penalty))
-
-
-def ridge_objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model) -> float:
-    """Ridge objective evaluated from the Gram matrix alone."""
-    g, lam_diag = _check_square_match(g, lam_diag)
-    b = _model_matrix(model)
-    if b.shape != g.shape:
-        raise DimensionMismatch(f"model has shape {b.shape}, Gram has {g.shape}")
-    zz = g + np.diag(lam_diag)
-    return float(np.trace(g) - 2.0 * np.sum(g * b.T) + np.sum(b * (zz @ b)))
+    teacher = full_rank_teacher(g, lam_diag, "ridge")
+    model = student_projection(teacher, student_gram(teacher, g, lam_diag), k)
+    return replace(model, config=config)

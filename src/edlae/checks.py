@@ -3,8 +3,9 @@
 Each check exercises an identity the closed-form trainer relies on: the
 teacher's zero diagonal, the vanishing cross-term and additive objective
 decomposition, optimality of the eigenvector projection against a dense SVD
-oracle, and the fast student-Gram identity against the direct triple
-product.  Checks return results; they never raise on a failed bound.
+oracle, and the closed-form student Grams of both families against the
+direct triple product.  Checks return results; they never raise on a failed
+bound.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import (
+    ZERO_DIAGONAL,
     edlae_objective,
     full_rank_teacher,
     regularizer,
@@ -68,17 +70,18 @@ def check_zero_diagonal(trials: int = 50, sizes=(10, 50, 200), lams=(0.1, 1.0, 1
 
 
 def check_efficiency_identity(trials: int = 20, n: int = 30, seed: int = 1) -> CheckResult:
-    """Fast student-Gram identity vs the direct triple product."""
+    """Closed-form student Grams of both families vs the direct triple product."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         _, g, lam_diag = _random_instance(rng, 3 * n, n)
-        teacher = full_rank_teacher(g, lam_diag)
-        fast = student_gram(teacher, g, lam_diag)
-        direct = student_gram(teacher, g, lam_diag, direct=True)
-        rel = float(np.linalg.norm(fast - direct) / max(np.linalg.norm(direct), 1e-300))
-        worst = max(worst, rel)
-    return CheckResult("student-gram identity", worst <= 1e-10, worst, 1e-10)
+        for kind in ZERO_DIAGONAL:
+            teacher = full_rank_teacher(g, lam_diag, kind)
+            fast = student_gram(teacher, g, lam_diag)
+            direct = teacher.b.T @ (g + np.diag(lam_diag)) @ teacher.b
+            rel = float(np.linalg.norm(fast - direct) / max(np.linalg.norm(direct), 1e-300))
+            worst = max(worst, rel)
+    return CheckResult("student-gram identities", worst <= 1e-10, worst, 1e-10)
 
 
 def check_projection_optimality(trials: int = 20, n: int = 24, seed: int = 2) -> CheckResult:

@@ -1,7 +1,8 @@
 """Command-line entry point: ingest, train, eval, verify, bench.
 
 Every command records its resolved configuration into the output directory
-and refuses to silently overwrite a previous run (pass --force).  Options
+once its artifacts are written, and refuses to silently overwrite a previous
+run (pass --force); a failed run leaves no record and can be rerun.  Options
 may come from a `key = value` config file (--config) with command-line flags
 taking precedence.  Exit codes: 0 success, 1 validation error, 2 numerical
 failure.
@@ -17,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import baselines, checks, closed_form, dataset, deepae, evaluate, serialize
+from . import checks, closed_form, dataset, deepae, evaluate, serialize
 from .errors import (
     ConfigError,
     Divergence,
@@ -87,19 +88,22 @@ def _bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _prepare_out_dir(out, force, resolved_pairs):
+def _prepare_out_dir(out, force):
     if out is None:
         raise ConfigError("an output directory is required (--out)")
-    marker = os.path.join(out, RESOLVED_CONFIG)
-    if os.path.exists(marker) and not force:
+    if os.path.exists(os.path.join(out, RESOLVED_CONFIG)) and not force:
         raise ConfigError(
             f"{out} already holds a run ({RESOLVED_CONFIG} present); rerun with --force to overwrite"
         )
     os.makedirs(out, exist_ok=True)
-    lines = [f"{key} = {value}" for key, value in resolved_pairs]
-    with open(marker, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
     return out
+
+
+def _record_run(out, resolved_pairs):
+    """Mark ``out`` as holding a finished run; written after its artifacts."""
+    lines = [f"{key} = {value}" for key, value in resolved_pairs]
+    with open(os.path.join(out, RESOLVED_CONFIG), "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _fmt(value):
@@ -124,41 +128,25 @@ def cmd_ingest(args):
         foldin_fraction=float(_resolve(args, "foldin_fraction", 0.8, float)),
         seed=int(_resolve(args, "seed", 0, int)),
     )
-    out = _prepare_out_dir(
-        _resolve(args, "out"), args.force,
-        [
-            ("command", "ingest"),
-            ("data", data),
-            ("format", fmt),
-            ("binarize", _fmt(binarize)),
-            ("validation_fraction", _fmt(spec.validation_fraction)),
-            ("test_fraction", _fmt(spec.test_fraction)),
-            ("foldin_fraction", _fmt(spec.foldin_fraction)),
-            ("seed", spec.seed),
-        ],
-    )
+    out = _prepare_out_dir(_resolve(args, "out"), args.force)
     matrix, user_ids, item_ids = dataset.load_interactions(data, fmt=fmt, binarize=binarize)
     split = dataset.split_strong_generalization(matrix, spec)
     dataset.save_split_artifacts(out, split, user_ids, item_ids, spec)
+    _record_run(out, [
+        ("command", "ingest"),
+        ("data", data),
+        ("format", fmt),
+        ("binarize", _fmt(binarize)),
+        ("validation_fraction", _fmt(spec.validation_fraction)),
+        ("test_fraction", _fmt(spec.test_fraction)),
+        ("foldin_fraction", _fmt(spec.foldin_fraction)),
+        ("seed", spec.seed),
+    ])
     print(
         f"ingest: wrote split for {matrix.num_users} users x {matrix.num_items} items "
         f"({matrix.nnz} interactions) to {out}"
     )
     return 0
-
-
-def _train_one(family, g, cfg):
-    if family == "edlae":
-        return closed_form.train_closed_form(g, cfg)
-    lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-    return baselines.ridge_low_rank(g, lam_diag, cfg.rank, config=cfg)
-
-
-def _objective(family, g, cfg, model):
-    lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-    if family == "edlae":
-        return closed_form.objective_from_gram(g, lam_diag, model)
-    return baselines.ridge_objective_from_gram(g, lam_diag, model)
 
 
 def cmd_train(args):
@@ -176,41 +164,31 @@ def cmd_train(args):
     for k in ks:
         if not 1 <= k <= n:
             raise ConfigError(f"rank {k} outside [1, {n}] for this split")
-    out = _prepare_out_dir(
-        _resolve(args, "out"), args.force,
-        [
-            ("command", "train"),
-            ("split", split_dir),
-            ("family", family),
-            ("ks", _fmt(ks)),
-            ("lambdas", _fmt(lambdas)),
-            ("ps", _fmt(ps)),
-        ],
-    )
+    grid = {k: [closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=k)
+                for lam in lambdas for p in ps] for k in ks}
+    out = _prepare_out_dir(_resolve(args, "out"), args.force)
     g = dataset.gram(split.train)
     families = ["edlae", "ridge"] if family == "both" else [family]
     log_rows = []
     for fam in families:
         for k in ks:
             best = None
-            for lam in lambdas:
-                for p in ps:
-                    cfg = closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=k)
-                    model = _train_one(fam, g, cfg)
-                    scores = evaluate.score_users(model, split.validation_foldin)
-                    ndcg = evaluate.ndcg_at_k(scores, split.validation_holdout, 100)
-                    objective = _objective(fam, g, cfg, model)
-                    row = {
-                        "family": fam,
-                        "k": k,
-                        "lambda": lam,
-                        "p": p,
-                        "objective": objective,
-                        "val_ndcg100": ndcg.mean,
-                    }
-                    log_rows.append(row)
-                    if best is None or ndcg.mean > best[0]:
-                        best = (ndcg.mean, row, model)
+            for cfg in grid[k]:
+                model = closed_form.train_closed_form(g, cfg, fam)
+                scores = evaluate.score_users(model, split.validation_foldin)
+                ndcg = evaluate.ndcg_at_k(scores, split.validation_holdout, 100)
+                lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
+                row = {
+                    "family": fam,
+                    "k": k,
+                    "lambda": cfg.lam,
+                    "p": cfg.dropout_p,
+                    "objective": closed_form.objective_from_gram(g, lam_diag, model),
+                    "val_ndcg100": ndcg.mean,
+                }
+                log_rows.append(row)
+                if best is None or ndcg.mean > best[0]:
+                    best = (ndcg.mean, row, model)
             best[1]["selected"] = True
             path = os.path.join(out, f"{fam}_k{k}.model")
             serialize.save_model(path, best[2])
@@ -226,6 +204,14 @@ def cmd_train(args):
                 f"{_fmt(row['objective'])}\t{_fmt(row['val_ndcg100'])}\t"
                 f"{'yes' if row.get('selected') else 'no'}\n"
             )
+    _record_run(out, [
+        ("command", "train"),
+        ("split", split_dir),
+        ("family", family),
+        ("ks", _fmt(ks)),
+        ("lambdas", _fmt(lambdas)),
+        ("ps", _fmt(ps)),
+    ])
     return 0
 
 
@@ -234,10 +220,7 @@ def cmd_eval(args):
     models = getattr(args, "models", None) or []
     if split_dir is None or not models:
         raise ConfigError("eval requires --split and at least one --models file")
-    out = _prepare_out_dir(
-        _resolve(args, "out"), args.force,
-        [("command", "eval"), ("split", split_dir), ("models", ",".join(models))],
-    )
+    out = _prepare_out_dir(_resolve(args, "out"), args.force)
     split, _, _ = dataset.load_split_artifacts(split_dir)
     rows = []
     for path in models:
@@ -273,6 +256,7 @@ def cmd_eval(args):
     with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
+    _record_run(out, [("command", "eval"), ("split", split_dir), ("models", ",".join(models))])
     return 0
 
 
@@ -290,14 +274,7 @@ def cmd_verify(args):
             raise ConfigError(f"k={k} must be below min(m, n)={min(m, n)}")
     out = _resolve(args, "out")
     if out is not None:
-        out = _prepare_out_dir(
-            out, args.force,
-            [
-                ("command", "verify"),
-                ("m", m), ("n", n), ("ks", _fmt(ks)), ("trials", trials),
-                ("steps", steps), ("restarts", restarts), ("lr", _fmt(lr)), ("seed", seed),
-            ],
-        )
+        out = _prepare_out_dir(out, args.force)
 
     suite = checks.run_invariant_checks(seed=seed)
     for result in suite:
@@ -317,6 +294,11 @@ def cmd_verify(args):
         with open(os.path.join(out, "invariant_checks.txt"), "w", encoding="utf-8") as handle:
             for result in suite:
                 handle.write(result.line() + "\n")
+        _record_run(out, [
+            ("command", "verify"),
+            ("m", m), ("n", n), ("ks", _fmt(ks)), ("trials", trials),
+            ("steps", steps), ("restarts", restarts), ("lr", _fmt(lr)), ("seed", seed),
+        ])
     all_passed = report.passed and all(r.passed for r in suite)
     return 0 if all_passed else 2
 
@@ -331,10 +313,7 @@ def cmd_bench(args):
             raise ConfigError(f"rank {k} outside [1, {n}]")
     out = _resolve(args, "out")
     if out is not None:
-        out = _prepare_out_dir(
-            out, args.force,
-            [("command", "bench"), ("n", n), ("ks", _fmt(ks)), ("repeats", repeats), ("seed", seed)],
-        )
+        out = _prepare_out_dir(out, args.force)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2 * n, n))
     raw = a.T @ a
@@ -373,6 +352,8 @@ def cmd_bench(args):
     if out is not None:
         with open(os.path.join(out, "bench.txt"), "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+        _record_run(out, [("command", "bench"), ("n", n), ("ks", _fmt(ks)), ("repeats", repeats),
+                          ("seed", seed)])
     return 0
 
 

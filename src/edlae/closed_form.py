@@ -1,21 +1,24 @@
-"""Closed-form training of the low-rank zero-diagonal denoising linear AE.
+"""Closed-form training of low-rank linear autoencoders from the Gram matrix.
 
-Training is a two-step teacher-student pipeline over the item-item Gram
-matrix G = X^T X:
+Both model families are one teacher-student pipeline over the item-item Gram
+matrix G = X^T X, with C = (G + Lambda)^-1:
 
-1. Teacher: the full-rank least-squares optimum with its diagonal removed
-   from the fit, B = I - C @ diagM(1 / diag(C)) with C = (G + Lambda)^-1.
-   Its diagonal is exactly zero, which stops the model from scoring an item
-   by its own presence.
+1. Teacher: the full-rank least-squares optimum B = I - C S for a diagonal
+   column scale S that is the only thing the families disagree on:
+   - edlae (the denoising model) constrains diag B to zero, which gives
+     S = diagM(1 / diag C) and stops the model from scoring an item by its
+     own presence;
+   - ridge (the unconstrained baseline) leaves it free, which gives
+     S = Lambda, so B = C G.
 2. Student: the best rank-k factorization of the teacher's predictions,
-   obtained from the top-k eigenvectors Q of B^T (G + Lambda) B as V = Q,
-   U = B @ Q.  The diagonal of U V^T is left free, which is what makes the
+   V = top-k eigenvectors Q of the student Gram M = B^T (G + Lambda) B and
+   U = B @ Q.  For edlae the diagonal of U V^T is left free, which makes the
    projection a (highly accurate) approximation rather than exact.
 
-The student Gram B^T (G + Lambda) B is evaluated through the identity
-B^T (G + Lambda) B = (G + Lambda) - diagM(1 / diag(C)) @ (I + B), which
-avoids one dense product; the direct triple product stays available behind
-a debug flag since the identity itself is worth validating.
+Expanding B^T (G + Lambda) B with C (G + Lambda) = I gives, for either
+family, the O(n^2) form M = (G + Lambda) - S (I + B): for edlae
+(G + Lambda) - diagM(1 / diag C) (I + B), for ridge G - Lambda + Lambda C
+Lambda.
 """
 
 from __future__ import annotations
@@ -26,44 +29,49 @@ import numpy as np
 
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, InvalidDropout
-from .linalg import SymEigResult, sym_inverse, top_k_eig
+from .linalg import sym_inverse, top_k_eig
+
+# The family table: whether a family constrains (and its objective removes)
+# the model's diagonal.  Everything else follows from it.
+ZERO_DIAGONAL = {"edlae": True, "ridge": False}
+
+
+def _check_lam(lam):
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and non-negative, got {lam}")
 
 
 @dataclass(frozen=True)
 class EdlaeConfig:
-    """Hyperparameters of one training run.
-
-    ``beta_diagonal`` is the surrogate value assumed for diag(U V^T) during
-    the student projection; it is fixed to zero (any reasonable value works
-    when the item count is large, and zero keeps the solver closed-form).
-    """
+    """Hyperparameters of one training run."""
 
     lam: float
     dropout_p: float
     rank: int
-    beta_diagonal: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_p < 1.0:
             raise InvalidDropout(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        _check_lam(self.lam)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.beta_diagonal != 0.0:
-            raise ValueError("only beta_diagonal == 0 is supported")
 
 
 @dataclass(frozen=True)
 class FullRankModel:
-    """Full-rank teacher: dense item-item weights with exactly zero diagonal.
+    """Full-rank teacher B = I - C S of one family.
 
-    ``c_diag`` keeps diag((G + Lambda)^-1), needed by the fast student-Gram
-    identity.
+    ``c_diag`` keeps diag((G + Lambda)^-1) and ``scale`` the diagonal of S,
+    which the student-Gram closed form needs.
     """
 
     b: np.ndarray
     c_diag: np.ndarray
+    scale: np.ndarray
+    kind: str = "edlae"
+
+    def matrix(self) -> np.ndarray:
+        return self.b
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,7 @@ def regularizer(gram_diag: np.ndarray, lam: float, p: float) -> np.ndarray:
     """
     if not 0.0 <= p < 1.0:
         raise InvalidDropout(f"dropout probability must be in [0, 1), got {p}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    _check_lam(lam)
     gram_diag = np.asarray(gram_diag, dtype=np.float64)
     if gram_diag.ndim != 1:
         raise DimensionMismatch("gram_diag must be 1-d")
@@ -113,39 +120,33 @@ def _check_square_match(g, lam_diag):
     return g, lam_diag
 
 
-def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray) -> FullRankModel:
-    """Exact full-rank solution with the diagonal constrained to zero.
+def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") -> FullRankModel:
+    """Exact full-rank optimum of family ``kind`` (a key of ZERO_DIAGONAL).
 
     Raises NotPositiveDefinite when G + Lambda cannot be factorized, which
     signals the regularizer is too small.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
-    c = sym_inverse(g + np.diag(lam_diag))
-    c_diag = np.diag(c).copy()
-    b = -c * (1.0 / c_diag)[None, :]
-    np.fill_diagonal(b, 0.0)
-    return FullRankModel(b=b, c_diag=c_diag)
+    zero_diagonal = ZERO_DIAGONAL[kind]
+    b = sym_inverse(g + np.diag(lam_diag))
+    c_diag = np.diag(b).copy()
+    scale = 1.0 / c_diag if zero_diagonal else lam_diag
+    b *= -scale[None, :]
+    np.fill_diagonal(b, 0.0 if zero_diagonal else 1.0 - c_diag * scale)
+    return FullRankModel(b=b, c_diag=c_diag, scale=scale, kind=kind)
 
 
-def student_gram(model: FullRankModel, g: np.ndarray, lam_diag: np.ndarray,
-                 direct: bool = False) -> np.ndarray:
+def student_gram(model: FullRankModel, g: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
     """Regularized Gram of the teacher's predictions, B^T (G + Lambda) B.
 
-    Computed via the cheap diagonal-cancellation identity by default;
-    ``direct=True`` forms the triple product instead (debug / validation
-    path).  The result is symmetrized since the identity's right-hand side
-    is symmetric only analytically.
+    Evaluated through the closed form (G + Lambda) - S (I + B).  The result
+    is symmetrized since that form is symmetric only analytically.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
     n = g.shape[0]
     if model.b.shape != (n, n):
         raise DimensionMismatch(f"teacher has shape {model.b.shape}, Gram has {g.shape}")
-    zz = g + np.diag(lam_diag)
-    if direct:
-        m = model.b.T @ zz @ model.b
-    else:
-        d = 1.0 / model.c_diag
-        m = zz - d[:, None] * (np.eye(n) + model.b)
+    m = g + np.diag(lam_diag) - model.scale[:, None] * (np.eye(n) + model.b)
     return 0.5 * (m + m.T)
 
 
@@ -155,57 +156,46 @@ def student_projection(model: FullRankModel, m_student: np.ndarray, k: int) -> L
     n = model.b.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
-    eig: SymEigResult = top_k_eig(m_student, k)
-    v = eig.eigenvectors
-    u = model.b @ v
-    return LowRankModel(u=u, v=v, rank=k, config=None, kind="edlae")
+    v = top_k_eig(m_student, k).eigenvectors
+    return LowRankModel(u=model.b @ v, v=v, rank=k, config=None, kind=model.kind)
 
 
-def train_closed_form(g: np.ndarray, cfg: EdlaeConfig) -> LowRankModel:
-    """Train a rank-k model from the Gram matrix alone.
+def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> LowRankModel:
+    """Train a rank-k model of family ``kind`` from the Gram matrix alone.
 
     Composition: regularizer -> full-rank teacher -> student Gram -> top-k
     projection.  Raw interactions are never needed past the Gram matrix.
     """
     lam_diag = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-    teacher = full_rank_teacher(g, lam_diag)
-    m = student_gram(teacher, g, lam_diag)
-    model = student_projection(teacher, m, cfg.rank)
+    teacher = full_rank_teacher(g, lam_diag, kind)
+    model = student_projection(teacher, student_gram(teacher, g, lam_diag), cfg.rank)
     return replace(model, config=cfg)
 
 
-def _model_matrix(model):
-    if isinstance(model, LowRankModel):
-        return model.matrix()
-    if isinstance(model, FullRankModel):
-        return model.b
-    return np.asarray(model, dtype=np.float64)
-
-
-def _as_dense_rows(x):
-    if isinstance(x, InteractionMatrix):
-        return x.to_dense()
-    return np.asarray(x, dtype=np.float64)
+def _objective_matrix(model, n, lam_diag):
+    """The model's dense matrix D, with its diagonal removed when its family
+    constrains it, after checking it against n items and Lambda."""
+    d = model.matrix()
+    if d.shape != (n, n) or lam_diag.shape != (n,):
+        raise DimensionMismatch(
+            f"inconsistent shapes: {n} items, model {d.shape}, Lambda {lam_diag.shape}"
+        )
+    if ZERO_DIAGONAL[model.kind]:
+        d = d - np.diag(np.diag(d))
+    return d
 
 
 def edlae_objective(x, lam_diag: np.ndarray, model) -> float:
-    """Exact training objective with the model's diagonal removed before
-    scoring:
+    """Exact training objective of the model's family:
 
-        || X - X (B - diagM(diag B)) ||_F^2
-            + || Lambda^(1/2) (B - diagM(diag B)) ||_F^2
+        || X - X D ||_F^2 + || Lambda^(1/2) D ||_F^2
 
-    where B is the model's dense matrix (U V^T for low-rank models).
+    where D is the model's dense matrix (U V^T for low-rank models) with its
+    diagonal removed for the zero-diagonal family and kept for ridge.
     """
-    x = _as_dense_rows(x)
+    x = x.to_dense() if isinstance(x, InteractionMatrix) else np.asarray(x, dtype=np.float64)
     lam_diag = np.asarray(lam_diag, dtype=np.float64)
-    b = _model_matrix(model)
-    n = b.shape[0]
-    if x.shape[1] != n or lam_diag.shape != (n,):
-        raise DimensionMismatch(
-            f"inconsistent shapes: X {x.shape}, model {b.shape}, Lambda {lam_diag.shape}"
-        )
-    d = b - np.diag(np.diag(b))
+    d = _objective_matrix(model, x.shape[1], lam_diag)
     resid = x - x @ d
     penalty = np.sqrt(lam_diag)[:, None] * d
     return float(np.sum(resid * resid) + np.sum(penalty * penalty))
@@ -214,12 +204,9 @@ def edlae_objective(x, lam_diag: np.ndarray, model) -> float:
 def objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model) -> float:
     """Same objective evaluated from the Gram matrix (no raw X needed):
 
-        tr(G) - 2 tr(G D) + tr(D^T (G + Lambda) D),  D = B - diagM(diag B).
+        tr(G) - 2 tr(G D) + tr(D^T (G + Lambda) D).
     """
     g, lam_diag = _check_square_match(g, lam_diag)
-    b = _model_matrix(model)
-    if b.shape != g.shape:
-        raise DimensionMismatch(f"model has shape {b.shape}, Gram has {g.shape}")
-    d = b - np.diag(np.diag(b))
+    d = _objective_matrix(model, g.shape[0], lam_diag)
     zz = g + np.diag(lam_diag)
     return float(np.trace(g) - 2.0 * np.sum(g * d.T) + np.sum(d * (zz @ d)))

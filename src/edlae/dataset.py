@@ -100,14 +100,16 @@ def _looks_like_header(fields):
 def load_interactions(path, fmt: str = "csv", binarize: bool = True):
     """Stream a user,item[,count] file into an InteractionMatrix.
 
-    Ids are arbitrary strings, mapped to dense indices in order of first
+    Ids are arbitrary strings without a comma or a tab (the split files use
+    both as separators), mapped to dense indices in order of first
     appearance.  Duplicate pairs are merged by summing counts (then clamped
     to 1 when binarizing).  Returns (matrix, user_ids, item_ids) where the id
     lists map index -> original string.
     """
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
-    delim = "," if fmt == "csv" else "\t"
+    # A field can not hold ``delim``; ids holding ``other`` are rejected.
+    delim, other = (",", "\t") if fmt == "csv" else ("\t", ",")
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     merged: dict[tuple[int, int], float] = {}
@@ -127,6 +129,8 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
             user, item = fields[0].strip(), fields[1].strip()
             if not user or not item:
                 raise ParseError(f"empty user or item id in {line!r}", line=lineno)
+            if other in user or other in item:
+                raise ParseError(f"user or item id contains {other!r} in {line!r}", line=lineno)
             if len(fields) == 3:
                 try:
                     value = float(fields[2])

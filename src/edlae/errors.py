@@ -14,11 +14,7 @@ class NotPositiveDefinite(EdlaeError):
 
 
 class NoConvergence(EdlaeError):
-    """An iterative solver stalled before reaching the requested tolerance."""
-
-    def __init__(self, message, iterations):
-        super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
+    """The symmetric eigensolver failed to converge."""
 
 
 class OracleCapExceeded(EdlaeError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import FullRankModel, LowRankModel
+from .closed_form import LowRankModel
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, EmptyHoldout
 
@@ -28,31 +28,17 @@ class MetricResult:
     per_user: np.ndarray
 
 
-def score_users(model, foldin: InteractionMatrix) -> np.ndarray:
+def score_users(model: LowRankModel, foldin: InteractionMatrix) -> np.ndarray:
     """Score all items for each held-out user from their fold-in row.
 
-    ``model`` may be a LowRankModel, a FullRankModel, or a dense item-item
-    matrix.  Fold-in positions are masked to -inf afterwards.
+    Fold-in positions are masked to -inf afterwards.
     """
-    if isinstance(model, LowRankModel):
-        item_dim = model.u.shape[0]
-    elif isinstance(model, FullRankModel):
-        item_dim = model.b.shape[0]
-    else:
-        model = np.asarray(model, dtype=np.float64)
-        item_dim = model.shape[0]
+    item_dim = model.u.shape[0]
     if item_dim != foldin.num_items:
         raise DimensionMismatch(
             f"model covers {item_dim} items, fold-in matrix has {foldin.num_items}"
         )
-    xf = foldin.to_csr()
-    if isinstance(model, LowRankModel):
-        scores = model.predict(xf)
-    elif isinstance(model, FullRankModel):
-        scores = np.asarray(xf @ model.b)
-    else:
-        scores = np.asarray(xf @ model)
-    scores = scores.astype(np.float64, copy=False)
+    scores = model.predict(foldin.to_csr()).astype(np.float64, copy=False)
     scores[foldin.users, foldin.items] = -np.inf
     return scores
 

@@ -4,11 +4,6 @@ Positive-definite inversion, top-k symmetric eigendecomposition, and a dense
 SVD oracle used by the verification suites.  All arithmetic is 64-bit; every
 routine is a pure function over immutable inputs and safe to call from
 multiple threads.
-
-Eigensolver strategy: instances with ``n <= DENSE_EIG_LIMIT`` go through the
-dense LAPACK decomposition and are exact; larger instances use a Lanczos
-iteration with full reorthogonalization and a fixed-seed start vector, whose
-cost scales as O(k n^2) for small k.
 """
 
 from __future__ import annotations
@@ -20,16 +15,11 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
 
-# Instances at or below this order are decomposed densely; above it the
-# iterative path is used.
-DENSE_EIG_LIMIT = 512
-
 # dense_svd is a verification oracle, not a production path; refuse instances
 # whose smaller dimension exceeds this cap.  Module-level so callers can
 # raise it deliberately.
 SVD_ORACLE_CAP = 512
 
-_LANCZOS_SEED = 20260808
 _SYMMETRY_TOL = 1e-10
 
 
@@ -105,99 +95,23 @@ def sym_inverse(a: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def top_k_eig(a: np.ndarray, k: int, tol: float = 1e-9, method: str = "auto") -> SymEigResult:
+def top_k_eig(a: np.ndarray, k: int) -> SymEigResult:
     """Return the k largest-eigenvalue pairs of a symmetric matrix.
 
-    ``method`` is "auto" (dense at or below DENSE_EIG_LIMIT, Lanczos above),
-    "dense", or "lanczos".  The Lanczos path verifies the per-pair residual
-    ``||A v - lambda v||_2 <= tol * ||A||_F`` and raises NoConvergence if the
-    bound cannot be met; the dense path relies on the backward stability of
-    the LAPACK decomposition.
+    Only the requested pairs are computed (LAPACK ``?syevr`` through
+    ``scipy.linalg.eigh``), which is backward stable, so every residual
+    ``||A v - lambda v||_2`` is of the order of machine precision times
+    ``||A||``.  Raises NoConvergence if LAPACK reports a failure.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must be in [1, {n}], got {k}")
-    if method == "auto":
-        method = "dense" if n <= DENSE_EIG_LIMIT else "lanczos"
-    if method == "dense":
-        vals, vecs = np.linalg.eigh(a)
-        vals = vals[::-1][:k].copy()
-        vecs = vecs[:, ::-1][:, :k].copy()
-        return SymEigResult(vals, _fix_column_signs(vecs))
-    if method == "lanczos":
-        return _lanczos_top_k(a, k, tol)
-    raise ValueError(f"unknown eigensolver method {method!r}")
-
-
-def _lanczos_top_k(a, k, tol, seed=_LANCZOS_SEED):
-    """Lanczos iteration with full reorthogonalization and subspace growth.
-
-    The Krylov basis is expanded until every requested Ritz pair meets the
-    residual bound; a basis of size n reproduces the dense decomposition, so
-    failure to converge at that point raises NoConvergence.
-    """
-    n = a.shape[0]
-    fro = float(np.linalg.norm(a))
-    rng = np.random.default_rng(seed)
-
-    if fro == 0.0:
-        vecs = np.eye(n, k)
-        return SymEigResult(np.zeros(k), vecs)
-
-    basis = np.empty((n, n))
-    alphas = np.empty(n)
-    betas = np.zeros(n)  # betas[j] couples vector j to j+1; 0 marks a restart
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis[:, 0] = q
-    j = 0
-    matvecs = 0
-    target = min(n, max(2 * k + 10, 32))
-
-    while True:
-        while j < target:
-            u = a @ basis[:, j]
-            matvecs += 1
-            alphas[j] = basis[:, j] @ u
-            r = u - alphas[j] * basis[:, j]
-            if j > 0 and betas[j - 1] != 0.0:
-                r -= betas[j - 1] * basis[:, j - 1]
-            # Full reorthogonalization, applied twice to restore orthogonality
-            # lost to rounding.
-            for _ in range(2):
-                r -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ r)
-            beta = np.linalg.norm(r)
-            if j + 1 == n:
-                j += 1
-                break
-            if beta <= 1e-13 * fro:
-                # Invariant subspace found: restart with a fresh direction.
-                r = rng.standard_normal(n)
-                for _ in range(2):
-                    r -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ r)
-                betas[j] = 0.0
-                r /= np.linalg.norm(r)
-            else:
-                betas[j] = beta
-                r /= beta
-            basis[:, j + 1] = r
-            j += 1
-
-        t_vals, t_vecs = scipy.linalg.eigh_tridiagonal(alphas[:j], betas[: j - 1])
-        order = np.argsort(t_vals)[::-1][:k]
-        vals = t_vals[order]
-        vecs = basis[:, :j] @ t_vecs[:, order]
-        residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-        matvecs += k
-        if np.all(residuals <= tol * fro):
-            return SymEigResult(vals.copy(), _fix_column_signs(np.ascontiguousarray(vecs)))
-        if j >= n:
-            raise NoConvergence(
-                f"Lanczos residual {residuals.max():.3e} above {tol * fro:.3e}",
-                iterations=matvecs,
-            )
-        target = min(n, max(target + 16, int(1.6 * target)))
+    try:
+        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(n - k, n - 1), check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    return SymEigResult(vals[::-1].copy(), _fix_column_signs(vecs[:, ::-1].copy()))
 
 
 def dense_svd(m: np.ndarray, cap: int | None = None) -> SvdResult:

@@ -125,13 +125,24 @@ def test_cross_term_and_decomposition():
 
 
 def test_efficiency_identity():
-    worst = 0.0
+    # edlae: B^T (G + Lambda) B = (G + Lambda) - diagM(1 / diag C) (I + B);
+    # ridge: B^T (G + Lambda) B = G - Lambda + Lambda C Lambda
+    worst = {"edlae": 0.0, "ridge": 0.0}
     for x, g, lam_diag, teacher in teacher_instances(20, seed=400):
-        fast = student_gram(teacher, g, lam_diag)
-        direct = student_gram(teacher, g, lam_diag, direct=True)
-        worst = max(worst, float(np.linalg.norm(fast - direct) / np.linalg.norm(direct)))
-    assert worst <= 1e-10
-    report(f"student-gram identity vs direct product (worst {worst:.1e})")
+        zz = g + np.diag(lam_diag)
+        ridge = full_rank_teacher(g, lam_diag, "ridge")
+        ridge_b = np.linalg.solve(zz, g)  # (G + Lambda)^-1 G, formed independently
+        for kind, model, b in (("edlae", teacher, teacher.b), ("ridge", ridge, ridge_b)):
+            fast = student_gram(model, g, lam_diag)
+            direct = b.T @ zz @ b
+            rel = float(np.linalg.norm(fast - direct) / np.linalg.norm(direct))
+            worst[kind] = max(worst[kind], rel)
+    assert worst["edlae"] <= 1e-10
+    assert worst["ridge"] <= 1e-10
+    report(
+        f"student-gram identities vs direct product "
+        f"(edlae worst {worst['edlae']:.1e}, ridge worst {worst['ridge']:.1e})"
+    )
 
 
 def test_near_optimality_vs_gradient_descent():

@@ -62,6 +62,13 @@ class TestIngest:
         assert code == 1
         assert "--force" in capsys.readouterr().err
 
+    def test_rejects_separator_in_id(self, tmp_path, capsys):
+        data = tmp_path / "interactions.tsv"
+        data.write_text("u0\ti1\nu0\titem,3\n", encoding="utf-8")
+        out = tmp_path / "s"
+        assert main(["ingest", "--data", str(data), "--format", "tsv", "--out", str(out)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_force_overwrites(self, tmp_path, data_csv):
         out = ingest(tmp_path, data_csv)
         code = main([
@@ -92,6 +99,15 @@ class TestTrain:
         code = main(["train", "--split", str(split), "--out", str(tmp_path / "r"), "--ks", "99"])
         assert code == 1
         assert "rank" in capsys.readouterr().err
+
+    def test_non_finite_lambda_rejected_then_rerun(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        args = ["train", "--split", str(split), "--out", str(tmp_path / "r"), "--ks", "2"]
+        assert main([*args, "--lambdas", "nan"]) == 1
+        assert "lam" in capsys.readouterr().err
+        # the failed run left no record, so the same --out needs no --force
+        assert main([*args, "--lambdas", "1.0"]) == 0
+        assert (tmp_path / "r" / "edlae_k2.model").exists()
 
     def test_rerun_identical_model_bytes(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
@@ -148,6 +164,19 @@ class TestEval:
                      "--models", str(bad)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_failed_run_does_not_block_rerun(self, tmp_path, data_csv):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        main(["train", "--split", str(split), "--out", str(run), "--ks", "2"])
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(b"JUNKJUNKJUNK")
+        out = tmp_path / "m"
+        args = ["eval", "--split", str(split), "--out", str(out), "--models"]
+        assert main([*args, str(bad)]) == 1
+        assert not (out / "config.resolved.txt").exists()
+        assert main([*args, str(run / "edlae_k2.model")]) == 0
+        assert (out / "config.resolved.txt").exists()
 
 
 class TestVerify:

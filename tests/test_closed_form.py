@@ -42,6 +42,13 @@ class TestRegularizer:
         with pytest.raises(ValueError):
             regularizer(np.ones(2), -1.0, 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            regularizer(np.ones(2), lam, 0.0)
+        with pytest.raises(ValueError, match="lam"):
+            EdlaeConfig(lam=lam, dropout_p=0.5, rank=2)
+
 
 class TestFullRankTeacher:
     def test_zero_gram(self):
@@ -103,7 +110,7 @@ class TestStudentGram:
             lam = regularizer(np.diag(g), 2.0, 0.25)
             teacher = full_rank_teacher(g, lam)
             fast = student_gram(teacher, g, lam)
-            direct = student_gram(teacher, g, lam, direct=True)
+            direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
             rel = np.linalg.norm(fast - direct) / np.linalg.norm(direct)
             assert rel <= 1e-10
 

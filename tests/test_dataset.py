@@ -72,6 +72,15 @@ class TestLoadInteractions:
         matrix, _, _ = load_interactions(path, fmt="tsv", binarize=False)
         assert matrix.nnz == 2 and matrix.values.max() == 4.0
 
+    @pytest.mark.parametrize("fmt, text", [("tsv", "u0\ti1\nu0\titem,3\n"),
+                                           ("csv", "u0,i1\nu\t0,i3\n")])
+    def test_separator_in_id(self, tmp_path, fmt, text):
+        # the split files use commas and tabs as separators
+        path = write(tmp_path / f"d.{fmt}", text)
+        with pytest.raises(ParseError) as excinfo:
+            load_interactions(path, fmt=fmt)
+        assert excinfo.value.line == 2
+
 
 class TestGram:
     def test_identity(self):

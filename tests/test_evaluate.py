@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edlae.closed_form import FullRankModel, LowRankModel
+from edlae.closed_form import LowRankModel
 from edlae.dataset import InteractionMatrix
 from edlae.errors import DimensionMismatch, EmptyHoldout
 from edlae.evaluate import ndcg_at_k, recall_at_k, score_users
@@ -28,7 +28,7 @@ class TestScoreUsers:
 
     def test_unit_vector_full_rank(self):
         b = np.array([[0.0, 0.3, 0.7], [0.3, 0.0, 0.1], [0.7, 0.1, 0.0]])
-        model = FullRankModel(b=b, c_diag=np.ones(3))
+        model = LowRankModel(u=b, v=np.eye(3), rank=3)
         foldin = interactions(1, 3, [(0, 1)])  # user row = e_1
         scores = score_users(model, foldin)
         assert scores[0, 1] == -np.inf
@@ -49,8 +49,9 @@ class TestScoreUsers:
         assert np.abs(scores[finite] - direct[finite]).max() <= 1e-12
 
     def test_plain_matrix_model(self):
+        # a plain item-item matrix B is scored as the factor pair (B, I)
         foldin = interactions(1, 3, [(0, 0)])
-        scores = score_users(np.eye(3), foldin)
+        scores = score_users(LowRankModel(u=np.eye(3), v=np.eye(3), rank=3), foldin)
         assert scores[0, 0] == -np.inf
 
     def test_dimension_mismatch(self):
