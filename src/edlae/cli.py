@@ -149,6 +149,19 @@ def cmd_ingest(args):
     return 0
 
 
+def _require_trained_items(train, item_ids):
+    """At lambda = 0, diag(G) + Lambda is 0 for an item no training user
+    touched, so G + Lambda cannot be factorized: name those items up front."""
+    unseen = np.setdiff1d(np.arange(len(item_ids)), train.items)
+    if unseen.size:
+        names = ", ".join(item_ids[i] for i in unseen[:10])
+        more = ", ..." if unseen.size > 10 else ""
+        raise NotPositiveDefinite(
+            f"diag(G) + Lambda is 0 at lambda = 0 for {unseen.size} item(s) that no "
+            f"training user touched: {names}{more}; use lambda > 0"
+        )
+
+
 def cmd_train(args):
     split_dir = _resolve(args, "split")
     if split_dir is None:
@@ -166,6 +179,8 @@ def cmd_train(args):
             raise ConfigError(f"rank {k} outside [1, {n}] for this split")
     grid = {k: [closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=k)
                 for lam in lambdas for p in ps] for k in ks}
+    if 0.0 in lambdas:
+        _require_trained_items(split.train, item_ids)
     out = _prepare_out_dir(_resolve(args, "out"), args.force)
     g = dataset.gram(split.train)
     families = ["edlae", "ridge"] if family == "both" else [family]
@@ -196,14 +211,14 @@ def cmd_train(args):
                 f"train: {fam} k={k} -> lambda={best[1]['lambda']:g} p={best[1]['p']:g} "
                 f"val nDCG@100={best[0]:.4f} ({os.path.basename(path)})"
             )
-    with open(os.path.join(out, "train_log.tsv"), "w", encoding="utf-8") as handle:
-        handle.write("family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n")
-        for row in log_rows:
-            handle.write(
-                f"{row['family']}\t{row['k']}\t{_fmt(row['lambda'])}\t{_fmt(row['p'])}\t"
-                f"{_fmt(row['objective'])}\t{_fmt(row['val_ndcg100'])}\t"
-                f"{'yes' if row.get('selected') else 'no'}\n"
-            )
+    log = ["family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n"]
+    for row in log_rows:
+        log.append(
+            f"{row['family']}\t{row['k']}\t{_fmt(row['lambda'])}\t{_fmt(row['p'])}\t"
+            f"{_fmt(row['objective'])}\t{_fmt(row['val_ndcg100'])}\t"
+            f"{'yes' if row.get('selected') else 'no'}\n"
+        )
+    serialize.write_atomic(os.path.join(out, "train_log.tsv"), "".join(log).encode("utf-8"))
     _record_run(out, [
         ("command", "train"),
         ("split", split_dir),
@@ -251,11 +266,9 @@ def cmd_eval(args):
         )
     text = "\n".join(table)
     print(text)
-    with open(os.path.join(out, "metrics.txt"), "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
+    serialize.write_atomic(os.path.join(out, "metrics.txt"), (text + "\n").encode("utf-8"))
+    jsonl = "".join(json.dumps(row) + "\n" for row in rows)
+    serialize.write_atomic(os.path.join(out, "metrics.jsonl"), jsonl.encode("utf-8"))
     _record_run(out, [("command", "eval"), ("split", split_dir), ("models", ",".join(models))])
     return 0
 

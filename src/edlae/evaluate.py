@@ -1,9 +1,14 @@
 """Fold-in scoring of held-out users and ranking metrics with standard errors.
 
 Scoring feeds each held-out user's fold-in items through the model and masks
-those items to -inf so they can never be recommended back.  Rankings break
-score ties by ascending item index (stable sort), which keeps every metric
-deterministic.
+those items to -inf so they can never be recommended back.
+
+A ranking orders items by descending score, ties by ascending item index,
+which keeps every metric deterministic.  NaN scores are rejected.  Only the
+first ``cutoff`` items of each ranking are formed: rows are processed in
+blocks, argpartition selects each row's top-cutoff candidates, and only those
+are sorted.  A row where an item tied with the cutoff-th score falls outside
+the candidates is fully sorted instead, so the tie rule holds exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ import numpy as np
 from .closed_form import LowRankModel
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, EmptyHoldout
+
+# Rows ranked at a time: bounds the temporaries of the top-list selection.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,8 @@ def _check_eval_inputs(scores, holdout):
             f"scores shape {scores.shape} does not match holdout "
             f"({holdout.num_users}, {holdout.num_items})"
         )
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN, which has no rank; mask items with -inf")
     counts = holdout.user_counts()
     if scores.shape[0] == 0 or counts.min(initial=1) == 0:
         raise EmptyHoldout("every scored user needs at least one holdout item")
@@ -59,9 +69,41 @@ def _check_eval_inputs(scores, holdout):
 
 
 def _top_lists(scores, cutoff):
-    width = min(cutoff, scores.shape[1])
-    # Stable sort of -scores ranks by descending score, ties by item index.
-    return np.argsort(-scores, axis=1, kind="stable")[:, :width]
+    """Each row's first min(cutoff, n) items by descending score, ties by
+    ascending item index: the leading columns of a stable sort of -scores."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    num_users, n = scores.shape
+    width = min(cutoff, n)
+    if width == n:
+        return np.argsort(-scores, axis=1, kind="stable")
+    top = np.empty((num_users, width), dtype=np.intp)
+    for lo in range(0, num_users, _BLOCK_ROWS):
+        top[lo:lo + _BLOCK_ROWS] = _block_top(scores[lo:lo + _BLOCK_ROWS], width)
+    return top
+
+
+def _block_top(block, width):
+    """_top_lists of one row block, for width < n.
+
+    argpartition selects a top-width candidate set per row; sorted by item
+    index and then stably by descending score, it is the row's exact top
+    list unless an item tied with the boundary (the width-th best) score was
+    left out.  Such rows, including rows with fewer than width finite
+    scores, are ranked by a full stable sort instead.
+    """
+    rows = np.arange(block.shape[0])[:, None]
+    cand = np.argpartition(block, block.shape[1] - width, axis=1)[:, -width:]
+    cand.sort(axis=1)
+    cand_scores = block[rows, cand]
+    order = np.argsort(-cand_scores, axis=1, kind="stable")
+    top = cand[rows, order]
+    boundary = cand_scores[rows, order[:, -1:]]
+    ties = np.count_nonzero(block == boundary, axis=1)
+    redo = np.flatnonzero(ties != np.count_nonzero(cand_scores == boundary, axis=1))
+    if redo.size:
+        top[redo] = np.argsort(-block[redo], axis=1, kind="stable")[:, :width]
+    return top
 
 
 def _aggregate(name, cutoff, per_user):

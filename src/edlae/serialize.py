@@ -3,10 +3,14 @@
 Little-endian layout: magic (4 bytes, "EDLR" for the denoising model,
 "RDGR" for the ridge baseline), version u32, n u64, k u64, lambda f64,
 dropout p f64, then U and V as row-major f64 blocks of n*k entries each.
+
+Models, like the CLI's logs and metrics, are written with ``write_atomic``:
+a reader sees the old file or the whole new one, never a partial write.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -31,10 +35,32 @@ def save_model(path, model: LowRankModel) -> None:
         MAGIC_BY_KIND[model.kind], VERSION, n, k,
         model.config.lam, model.config.dropout_p,
     )
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(np.ascontiguousarray(model.u, dtype="<f8").tobytes())
-        handle.write(np.ascontiguousarray(model.v, dtype="<f8").tobytes())
+    write_atomic(
+        path,
+        header,
+        np.ascontiguousarray(model.u, dtype="<f8"),
+        np.ascontiguousarray(model.v, dtype="<f8"),
+    )
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write the concatenated bytes-like chunks to ``path`` through a
+    temporary file in the same directory that then replaces ``path``.
+
+    If anything fails, the temporary file is removed and ``path`` keeps its
+    previous content (or stays absent).
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path) -> LowRankModel:

@@ -109,6 +109,23 @@ class TestTrain:
         assert main([*args, "--lambdas", "1.0"]) == 0
         assert (tmp_path / "r" / "edlae_k2.model").exists()
 
+    def test_zero_lambda_names_untrained_items(self, tmp_path, data_csv, capsys):
+        # give one held-out user an item nobody else has: no training user
+        # touches it, so diag(G) + Lambda is 0 there at lambda = 0
+        first = ingest(tmp_path, data_csv, "first")
+        held_user = (first / "test_holdout.csv").read_text().split(",", 1)[0]
+        data = tmp_path / "with_lonely.csv"
+        data.write_text(data_csv.read_text() + f"{held_user},lonely\n", encoding="utf-8")
+        split = ingest(tmp_path, data, "split")
+        assert "lonely" not in (split / "train.csv").read_text()
+        out = tmp_path / "r"
+        args = ["train", "--split", str(split), "--out", str(out), "--ks", "2", "--ps", "0.25"]
+        assert main([*args, "--lambdas", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert "lonely" in err and "lambda = 0" in err
+        assert not out.exists()  # failed before touching --out
+        assert main([*args, "--lambdas", "1"]) == 0
+
     def test_rerun_identical_model_bytes(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
         args = ["--split", str(split), "--family", "edlae", "--ks", "2", "--lambdas", "1.0"]

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edlae import evaluate
 from edlae.closed_form import LowRankModel
 from edlae.dataset import InteractionMatrix
 from edlae.errors import DimensionMismatch, EmptyHoldout
-from edlae.evaluate import ndcg_at_k, recall_at_k, score_users
+from edlae.evaluate import _top_lists, ndcg_at_k, recall_at_k, score_users
 
 from oracles import brute_ndcg, brute_recall, holdout_sets
 
@@ -85,6 +88,19 @@ class TestNdcg:
         holdout = interactions(2, 3, [(0, 1)])  # user 1 has nothing
         with pytest.raises(EmptyHoldout):
             ndcg_at_k(scores, holdout, 3)
+
+    def test_nan_scores_rejected(self):
+        scores = np.array([[1.0, np.nan, -np.inf]])
+        holdout = interactions(1, 3, [(0, 0)])
+        with pytest.raises(ValueError, match="NaN"):
+            ndcg_at_k(scores, holdout, 2)
+        with pytest.raises(ValueError, match="NaN"):
+            recall_at_k(scores, holdout, 2)
+
+    def test_masked_scores_allowed(self):
+        scores = np.array([[1.0, -np.inf, 2.0]])
+        holdout = interactions(1, 3, [(0, 0)])
+        assert recall_at_k(scores, holdout, 2).mean == pytest.approx(1.0)
 
     def test_ties_broken_by_item_index(self):
         scores = np.array([[1.0, 1.0, 1.0]])
@@ -190,3 +206,94 @@ class TestProperties:
         res = ndcg_at_k(scores, holdout, 2)
         expected = res.per_user.std(ddof=1) / np.sqrt(2)
         assert res.stderr == pytest.approx(float(expected))
+
+
+def stable_top(scores, cutoff):
+    """The reference ranking: leading columns of a full stable sort."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :cutoff]
+
+
+class TestTopLists:
+    def test_ties_at_the_boundary(self):
+        # candidates tied with the 2nd-best score lie on both sides of the cut
+        scores = np.array([[1.0, 3.0, 1.0, 1.0, 2.0, 1.0]])
+        np.testing.assert_array_equal(_top_lists(scores, 3), [[1, 4, 0]])
+
+    def test_all_tied(self):
+        scores = np.zeros((3, 7))
+        np.testing.assert_array_equal(_top_lists(scores, 4), np.tile(np.arange(4), (3, 1)))
+
+    def test_masked_rows_with_few_finite_scores(self):
+        inf = np.inf
+        scores = np.array([
+            [-inf, 0.5, -inf, -inf, 0.2, -inf],   # 2 finite scores, cutoff 4
+            [-inf, -inf, -inf, -inf, -inf, -inf],  # nothing rankable
+            [0.1, -inf, 0.3, 0.2, -inf, 0.0],     # 4 finite scores
+        ])
+        np.testing.assert_array_equal(
+            _top_lists(scores, 4), [[1, 4, 0, 2], [0, 1, 2, 3], [2, 3, 0, 5]]
+        )
+
+    def test_cutoff_one(self):
+        scores = np.array([[0.0, 2.0, 2.0, 1.0], [-np.inf, -np.inf, 0.0, 0.0]])
+        np.testing.assert_array_equal(_top_lists(scores, 1), [[1], [2]])
+
+    @pytest.mark.parametrize("cutoff", [5, 6, 100])
+    def test_cutoff_at_least_n(self, cutoff):
+        scores = np.array([[1.0, -np.inf, 3.0, 1.0, 3.0]])
+        np.testing.assert_array_equal(_top_lists(scores, cutoff), [[2, 4, 0, 3, 1]])
+
+    def test_rejects_cutoff_below_one(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            _top_lists(np.zeros((1, 3)), 0)
+
+    @pytest.mark.parametrize("num_users", [1, 7, 8, 9, 23])
+    def test_partial_last_block(self, monkeypatch, num_users):
+        monkeypatch.setattr(evaluate, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(num_users)
+        scores = rng.integers(0, 3, size=(num_users, 12)).astype(np.float64)
+        scores[rng.random(scores.shape) < 0.3] = -np.inf
+        for cutoff in (1, 3, 5, 12):
+            np.testing.assert_array_equal(_top_lists(scores, cutoff), stable_top(scores, cutoff))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 15)),
+        levels=st.integers(1, 4),
+        mask_share=st.sampled_from([0.0, 0.3, 0.9]),
+        cutoff=st.integers(1, 18),
+        block_rows=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_stable_sort(self, shape, levels, mask_share, cutoff, block_rows, seed):
+        # scores from a few integers tie heavily at every boundary; -inf
+        # masks leave some rows with fewer finite scores than the cutoff
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, size=shape).astype(np.float64)
+        scores[rng.random(shape) < mask_share] = -np.inf
+        original = evaluate._BLOCK_ROWS
+        evaluate._BLOCK_ROWS = block_rows
+        try:
+            top = _top_lists(scores, cutoff)
+        finally:
+            evaluate._BLOCK_ROWS = original
+        np.testing.assert_array_equal(top, stable_top(scores, cutoff))
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 4, 7, 12])
+    def test_metrics_match_brute_force_on_ties(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        num_users, num_items = 9, 12
+        scores = rng.integers(0, 3, size=(num_users, num_items)).astype(np.float64)
+        scores[rng.random(scores.shape) < 0.25] = -np.inf
+        triples = [(u, int(i)) for u in range(num_users)
+                   for i in rng.choice(num_items, size=int(rng.integers(1, 5)), replace=False)]
+        holdout = interactions(num_users, num_items, triples)
+        sets = holdout_sets(holdout)
+        np.testing.assert_allclose(
+            ndcg_at_k(scores, holdout, cutoff).per_user, brute_ndcg(scores, sets, cutoff),
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            recall_at_k(scores, holdout, cutoff).per_user, brute_recall(scores, sets, cutoff),
+            atol=1e-12,
+        )

@@ -5,9 +5,10 @@ import struct
 import numpy as np
 import pytest
 
+from edlae import serialize
 from edlae.closed_form import EdlaeConfig, LowRankModel
 from edlae.errors import ModelFormatError
-from edlae.serialize import load_model, save_model
+from edlae.serialize import load_model, save_model, write_atomic
 
 
 def make_model(kind="edlae", n=5, k=2, seed=0):
@@ -94,3 +95,53 @@ class TestValidation:
         model = make_model(kind="linear-svd")
         with pytest.raises(ModelFormatError, match="kind"):
             save_model(tmp_path / "m.model", model)
+
+
+class FailingHandle:
+    """A file handle whose second write fails, as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.handle.write(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+class TestAtomicWrite:
+    def fail_second_write(self, monkeypatch):
+        monkeypatch.setattr(
+            serialize, "open", lambda *a, **kw: FailingHandle(open(*a, **kw)), raising=False
+        )
+
+    def test_failed_save_keeps_old_model(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        save_model(path, make_model(seed=0))
+        before = path.read_bytes()
+        self.fail_second_write(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            save_model(path, make_model(seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        self.fail_second_write(monkeypatch)
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "metrics.txt", b"head\n", b"rows\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_whole_content(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_bytes(b"an older and longer content\n")
+        write_atomic(path, b"a\t", b"b\n")
+        assert path.read_bytes() == b"a\tb\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.tsv"]
