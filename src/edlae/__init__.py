@@ -20,7 +20,9 @@ from .closed_form import (
     regularizer,
     student_gram,
     student_projection,
+    teacher_from_inverse,
     train_closed_form,
+    train_grid,
 )
 from .dataset import (
     EvalSplit,
@@ -79,9 +81,11 @@ __all__ = [
     "student_gram",
     "student_projection",
     "sym_inverse",
+    "teacher_from_inverse",
     "top_k_eig",
     "train_closed_form",
     "train_deep_ae",
+    "train_grid",
     "truncate_svd",
     "verify_linear_bound",
 ]

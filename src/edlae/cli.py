@@ -26,7 +26,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import top_k_eig
+from .linalg import sym_inverse, top_k_eig
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -77,6 +77,13 @@ def _float_list(text):
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _require_values(**lists):
+    """Reject an empty list option, naming it."""
+    for option, values in lists.items():
+        if not values:
+            raise ConfigError(f"--{option} must list at least one value")
+
+
 def _bool(text):
     if isinstance(text, bool):
         return text
@@ -102,8 +109,8 @@ def _prepare_out_dir(out, force):
 def _record_run(out, resolved_pairs):
     """Mark ``out`` as holding a finished run; written after its artifacts."""
     lines = [f"{key} = {value}" for key, value in resolved_pairs]
-    with open(os.path.join(out, RESOLVED_CONFIG), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    serialize.write_atomic(os.path.join(out, RESOLVED_CONFIG), text.encode("utf-8"))
 
 
 def _fmt(value):
@@ -172,47 +179,52 @@ def cmd_train(args):
     ks = _resolve(args, "ks", [8], _int_list)
     lambdas = _resolve(args, "lambdas", [1.0], _float_list)
     ps = _resolve(args, "ps", [0.5], _float_list)
+    _require_values(ks=ks, lambdas=lambdas, ps=ps)
     split, _, item_ids = dataset.load_split_artifacts(split_dir)
     n = len(item_ids)
     for k in ks:
         if not 1 <= k <= n:
             raise ConfigError(f"rank {k} outside [1, {n}] for this split")
-    grid = {k: [closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=k)
-                for lam in lambdas for p in ps] for k in ks}
+    for lam in lambdas:  # reject a bad lambda or p before --out is touched
+        for p in ps:
+            closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=ks[0])
     if 0.0 in lambdas:
         _require_trained_items(split.train, item_ids)
     out = _prepare_out_dir(_resolve(args, "out"), args.force)
     g = dataset.gram(split.train)
     families = ["edlae", "ridge"] if family == "both" else [family]
-    log_rows = []
-    for fam in families:
-        for k in ks:
-            best = None
-            for cfg in grid[k]:
-                model = closed_form.train_closed_form(g, cfg, fam)
-                scores = evaluate.score_users(model, split.validation_foldin)
-                ndcg = evaluate.ndcg_at_k(scores, split.validation_holdout, 100)
-                lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-                row = {
-                    "family": fam,
-                    "k": k,
-                    "lambda": cfg.lam,
-                    "p": cfg.dropout_p,
-                    "objective": closed_form.objective_from_gram(g, lam_diag, model),
-                    "val_ndcg100": ndcg.mean,
-                }
-                log_rows.append(row)
-                if best is None or ndcg.mean > best[0]:
-                    best = (ndcg.mean, row, model)
-            best[1]["selected"] = True
-            path = os.path.join(out, f"{fam}_k{k}.model")
-            serialize.save_model(path, best[2])
-            print(
-                f"train: {fam} k={k} -> lambda={best[1]['lambda']:g} p={best[1]['p']:g} "
-                f"val nDCG@100={best[0]:.4f} ({os.path.basename(path)})"
-            )
+    rows, best = {}, {}
+    for position, model in closed_form.train_grid(g, families, ks, lambdas, ps):
+        cfg = model.config
+        scores = evaluate.score_users(model, split.validation_foldin)
+        ndcg = evaluate.ndcg_at_k(scores, split.validation_holdout, 100).mean
+        lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
+        rows[position] = {
+            "family": model.kind,
+            "k": cfg.rank,
+            "lambda": cfg.lam,
+            "p": cfg.dropout_p,
+            "objective": closed_form.objective_from_gram(g, lam_diag, model),
+            "val_ndcg100": ndcg,
+        }
+        # Per (family, k) the grid is visited in (lambda, p) order, so a
+        # strict improvement keeps the first of equal scores.
+        group = position[:2]
+        if group not in best or ndcg > best[group][0]:
+            best[group] = (ndcg, position, model)
+    for group in sorted(best):
+        ndcg, position, model = best[group]
+        row = rows[position]
+        row["selected"] = True
+        path = os.path.join(out, f"{row['family']}_k{row['k']}.model")
+        serialize.save_model(path, model)
+        print(
+            f"train: {row['family']} k={row['k']} -> lambda={row['lambda']:g} p={row['p']:g} "
+            f"val nDCG@100={ndcg:.4f} ({os.path.basename(path)})"
+        )
     log = ["family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n"]
-    for row in log_rows:
+    for position in sorted(rows):
+        row = rows[position]
         log.append(
             f"{row['family']}\t{row['k']}\t{_fmt(row['lambda'])}\t{_fmt(row['p'])}\t"
             f"{_fmt(row['objective'])}\t{_fmt(row['val_ndcg100'])}\t"
@@ -282,6 +294,7 @@ def cmd_verify(args):
     restarts = int(_resolve(args, "restarts", 5, int))
     lr = float(_resolve(args, "lr", 5e-4, float))
     seed = int(_resolve(args, "seed", 0, int))
+    _require_values(ks=ks)
     for k in ks:
         if k >= min(m, n):
             raise ConfigError(f"k={k} must be below min(m, n)={min(m, n)}")
@@ -321,6 +334,7 @@ def cmd_bench(args):
     ks = _resolve(args, "ks", [10, 100, 500], _int_list)
     repeats = int(_resolve(args, "repeats", 3, int))
     seed = int(_resolve(args, "seed", 0, int))
+    _require_values(ks=ks)
     for k in ks:
         if not 1 <= k <= n:
             raise ConfigError(f"rank {k} outside [1, {n}]")
@@ -336,30 +350,36 @@ def cmd_bench(args):
 
     timings = {}
 
-    def record(stage, seconds):
-        timings.setdefault(stage, []).append(seconds)
+    def timed(stage, fn):
+        t0 = time.perf_counter()
+        result = fn()
+        timings.setdefault(stage, []).append(time.perf_counter() - t0)
+        return result
 
+    # The stages of one (lambda, p, family) of `train`: one inverse, the
+    # teacher in its storage, the student Gram, one top-max(ks)
+    # eigendecomposition with U = B V, and a column slice per rank.
+    top = max(ks)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        teacher = closed_form.full_rank_teacher(g, lam_diag)
-        record("teacher (invert + assemble)", time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        m_student = closed_form.student_gram(teacher, g, lam_diag)
-        record("student gram", time.perf_counter() - t0)
+        c = timed("inverse", lambda: sym_inverse(g + np.diag(lam_diag), overwrite_a=True))
+        teacher = timed("teacher", lambda: closed_form.teacher_from_inverse(
+            c, lam_diag, overwrite_c=True))
+        del c
+        m_student = timed("student gram", lambda: closed_form.student_gram(teacher, g, lam_diag))
+        v = timed(f"top-{top} eig", lambda: top_k_eig(m_student, top).eigenvectors)
+        u = timed(f"rank-{top} projection U = B V", lambda: teacher.b @ v)
+        del teacher, m_student
         for k in ks:
-            t0 = time.perf_counter()
-            eig = top_k_eig(m_student, k)
-            record(f"top-{k} eig", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            _ = teacher.b @ eig.eigenvectors
-            record(f"rank-{k} projection", time.perf_counter() - t0)
+            timed(f"slice top-{k} eig, rank-{k} projection",
+                  lambda: (u[:, :k].copy(), v[:, :k].copy()))
 
-    header = f"{'stage':28s} {'mean (s)':>10s} {'std (s)':>10s} {'runs':>5s}"
+    width = max(len(stage) for stage in timings)
+    header = f"{'stage':{width}s} {'mean (s)':>10s} {'std (s)':>10s} {'runs':>5s}"
     lines = [f"bench: n={n}, repeats={repeats}", header, "-" * len(header)]
     for stage, values in timings.items():
         arr = np.asarray(values)
         std = arr.std(ddof=1) if arr.size > 1 else 0.0
-        lines.append(f"{stage:28s} {arr.mean():10.3f} {std:10.3f} {arr.size:5d}")
+        lines.append(f"{stage:{width}s} {arr.mean():10.3f} {std:10.3f} {arr.size:5d}")
     text = "\n".join(lines)
     print(text)
     if out is not None:

@@ -19,6 +19,13 @@ Expanding B^T (G + Lambda) B with C (G + Lambda) = I gives, for either
 family, the O(n^2) form M = (G + Lambda) - S (I + B): for edlae
 (G + Lambda) - diagM(1 / diag C) (I + B), for ridge G - Lambda + Lambda C
 Lambda.
+
+A grid (``train_grid``) shares work the same way: C depends only on
+(lambda, p), so one inverse serves both families, and the leading
+eigenvectors of M do not depend on k, so one top-max(k) eigendecomposition
+per family serves every rank as column slices of V and U = B V.  The n x n
+buffers are reused in place: the teacher of the last family is built in C's
+storage and the student Gram in one buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, InvalidDropout
-from .linalg import sym_inverse, top_k_eig
+from .linalg import _BLOCK_ROWS, sym_inverse, top_k_eig
 
 # The family table: whether a family constrains (and its objective removes)
 # the model's diagonal.  Everything else follows from it.
@@ -120,6 +127,27 @@ def _check_square_match(g, lam_diag):
     return g, lam_diag
 
 
+def _regularized(g, lam_diag):
+    """A new array holding G + Lambda."""
+    zz = g.copy()
+    zz.flat[:: g.shape[0] + 1] += lam_diag
+    return zz
+
+
+def teacher_from_inverse(c: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae",
+                         overwrite_c: bool = False) -> FullRankModel:
+    """Full-rank teacher B = I - C S of family ``kind`` from the inverse
+    C = (G + Lambda)^-1.  With ``overwrite_c`` B is built in C's storage, so
+    C is no longer available to the caller."""
+    c, lam_diag = _check_square_match(c, lam_diag)
+    zero_diagonal = ZERO_DIAGONAL[kind]
+    c_diag = np.diag(c).copy()
+    scale = 1.0 / c_diag if zero_diagonal else lam_diag
+    b = np.multiply(c, -scale[None, :], out=c if overwrite_c else None)
+    np.fill_diagonal(b, 0.0 if zero_diagonal else 1.0 - c_diag * scale)
+    return FullRankModel(b=b, c_diag=c_diag, scale=scale, kind=kind)
+
+
 def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") -> FullRankModel:
     """Exact full-rank optimum of family ``kind`` (a key of ZERO_DIAGONAL).
 
@@ -127,27 +155,37 @@ def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") 
     signals the regularizer is too small.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
-    zero_diagonal = ZERO_DIAGONAL[kind]
-    b = sym_inverse(g + np.diag(lam_diag))
-    c_diag = np.diag(b).copy()
-    scale = 1.0 / c_diag if zero_diagonal else lam_diag
-    b *= -scale[None, :]
-    np.fill_diagonal(b, 0.0 if zero_diagonal else 1.0 - c_diag * scale)
-    return FullRankModel(b=b, c_diag=c_diag, scale=scale, kind=kind)
+    c = sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
+    return teacher_from_inverse(c, lam_diag, kind, overwrite_c=True)
+
+
+def _symmetrize(m):
+    """Replace square ``m`` by (m + m^T) / 2 in place, a row block at a time."""
+    n = m.shape[0]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        mean = m[start:stop, start:] + m[start:, start:stop].T
+        mean *= 0.5
+        m[start:stop, start:] = mean
+        m[start:, start:stop] = mean.T
+    return m
 
 
 def student_gram(model: FullRankModel, g: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
     """Regularized Gram of the teacher's predictions, B^T (G + Lambda) B.
 
-    Evaluated through the closed form (G + Lambda) - S (I + B).  The result
-    is symmetrized since that form is symmetric only analytically.
+    Evaluated through the closed form (G + Lambda) - S (I + B), assembled in
+    one new buffer.  The result is symmetrized since that form is symmetric
+    only analytically.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
     n = g.shape[0]
     if model.b.shape != (n, n):
         raise DimensionMismatch(f"teacher has shape {model.b.shape}, Gram has {g.shape}")
-    m = g + np.diag(lam_diag) - model.scale[:, None] * (np.eye(n) + model.b)
-    return 0.5 * (m + m.T)
+    m = np.multiply(model.b, -model.scale[:, None])
+    m += g
+    m.flat[:: n + 1] += lam_diag - model.scale
+    return _symmetrize(m)
 
 
 def student_projection(model: FullRankModel, m_student: np.ndarray, k: int) -> LowRankModel:
@@ -170,6 +208,42 @@ def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> L
     teacher = full_rank_teacher(g, lam_diag, kind)
     model = student_projection(teacher, student_gram(teacher, g, lam_diag), cfg.rank)
     return replace(model, config=cfg)
+
+
+def train_grid(g: np.ndarray, kinds, ks, lambdas, ps):
+    """Train every model of the grid kinds x ks x lambdas x ps.
+
+    Yields ``(position, model)`` with ``position = (kind index, k index,
+    lambda index, p index)``, so sorting by position gives the grid in that
+    order; the yield order is lambda -> p -> kind -> k.  Each (lambda, p)
+    factorizes G + Lambda once and each (lambda, p, kind) takes one
+    top-max(ks) eigendecomposition; a rank-k model holds the first k
+    columns of its U and V.  The models equal ``train_closed_form``'s up to
+    rounding.  All n x n buffers of one (lambda, p) are freed before its
+    models are yielded.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    g_diag = np.diag(g).copy()
+    top = max(ks)
+    for li, lam in enumerate(lambdas):
+        for pi, p in enumerate(ps):
+            lam_diag = regularizer(g_diag, lam, p)
+            c = sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
+            # The last kind takes C's storage for its teacher.
+            factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
+                       for ki, kind in enumerate(kinds)]
+            del c
+            for fi, full in enumerate(factors):
+                for ki, k in enumerate(ks):
+                    yield (fi, ki, li, pi), LowRankModel(
+                        u=full.u[:, :k].copy(), v=full.v[:, :k].copy(), rank=k,
+                        config=EdlaeConfig(lam=lam, dropout_p=p, rank=k), kind=full.kind)
+
+
+def _projected(c, g, lam_diag, kind, k, overwrite_c):
+    """Rank-k model of family ``kind`` from C; frees its n x n buffers."""
+    teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=overwrite_c)
+    return student_projection(teacher, student_gram(teacher, g, lam_diag), k)
 
 
 def _objective_matrix(model, n, lam_diag):
@@ -204,9 +278,34 @@ def edlae_objective(x, lam_diag: np.ndarray, model) -> float:
 def objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model) -> float:
     """Same objective evaluated from the Gram matrix (no raw X needed):
 
-        tr(G) - 2 tr(G D) + tr(D^T (G + Lambda) D).
+        tr(G) - 2 tr(G D) + tr(D^T Z D),  Z = G + Lambda,
+
+    from the factors of D = U V^T - delta diagM(w), w = diag(U V^T), where
+    delta is 1 for the zero-diagonal family and 0 for ridge, in O(n^2 k):
+
+        tr(G D)       = sum((G U) * V) - delta sum(diag(G) w)
+        tr(D^T Z D)   = tr((U^T Z U)(V^T V)) - 2 delta w . diag(Z U V^T)
+                        + delta sum(diag(Z) w^2)
+
+    with diag(Z U V^T) the row sums of (Z U) * V.  A full-rank model is the
+    pair U = B, V = I.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
-    d = _objective_matrix(model, g.shape[0], lam_diag)
-    zz = g + np.diag(lam_diag)
-    return float(np.trace(g) - 2.0 * np.sum(g * d.T) + np.sum(d * (zz @ d)))
+    n = g.shape[0]
+    if isinstance(model, LowRankModel):
+        u, v = np.asarray(model.u, dtype=np.float64), np.asarray(model.v, dtype=np.float64)
+    else:
+        u, v = model.matrix(), np.eye(n)
+    if u.shape[0] != n or v.shape != u.shape:
+        raise DimensionMismatch(
+            f"inconsistent shapes: {n} items, factors {u.shape} and {v.shape}"
+        )
+    gu = g @ u
+    zu = gu + lam_diag[:, None] * u
+    objective = np.trace(g) - 2.0 * np.sum(gu * v) + np.sum((u.T @ zu) * (v.T @ v))
+    if ZERO_DIAGONAL[model.kind]:
+        w = np.einsum("ij,ij->i", u, v)
+        z_diag = np.diag(g) + lam_diag
+        objective += (2.0 * np.dot(np.diag(g), w) - 2.0 * np.dot(w, np.einsum("ij,ij->i", zu, v))
+                      + np.dot(z_diag, w * w))
+    return float(objective)

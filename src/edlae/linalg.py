@@ -2,8 +2,10 @@
 
 Positive-definite inversion, top-k symmetric eigendecomposition, and a dense
 SVD oracle used by the verification suites.  All arithmetic is 64-bit; every
-routine is a pure function over immutable inputs and safe to call from
-multiple threads.
+routine is a pure function and safe to call from multiple threads, except
+that ``sym_inverse(a, overwrite_a=True)`` reuses the caller's ``a`` as its
+workspace.  Checks and copies over n x n matrices run in blocks of
+``_BLOCK_ROWS`` rows, so they need no n x n temporaries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, Oracl
 SVD_ORACLE_CAP = 512
 
 _SYMMETRY_TOL = 1e-10
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,35 @@ def _as_matrix(a, name="matrix"):
 
 
 def _require_symmetric(a, name="matrix"):
-    a = _as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
+    """``a`` as a float64 array after checking it is square, finite and
+    symmetric within _SYMMETRY_TOL of its largest magnitude, a row block at
+    a time."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if a.shape[0] and float(np.abs(a - a.T).max()) > _SYMMETRY_TOL * scale:
+    scale, asymmetry = 1.0, 0.0
+    for start in range(0, a.shape[0], _BLOCK_ROWS):
+        rows = a[start:start + _BLOCK_ROWS]
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{name} contains non-finite values")
+        scale = max(scale, float(rows.max()), -float(rows.min()))
+        diff = rows - a[:, start:start + _BLOCK_ROWS].T
+        asymmetry = max(asymmetry, float(diff.max()), -float(diff.min()))
+    if asymmetry > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric within {_SYMMETRY_TOL:g}")
+    return a
+
+
+def _mirror_lower(a):
+    """Copy the lower triangle of square ``a`` onto its upper one, in place,
+    a column block at a time."""
+    n = a.shape[0]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        a[:start, start:stop] = a[start:stop, :start].T
+        block = a[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        block[upper] = block.T[upper]
     return a
 
 
@@ -73,26 +99,32 @@ def _fix_column_signs(q):
     return q
 
 
-def sym_inverse(a: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive-definite matrix via Cholesky.
+def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Invert a symmetric positive-definite matrix via Cholesky: LAPACK
+    ``?potrf`` factors its lower triangle and ``?potri`` inverts the factor.
 
     Raises NotPositiveDefinite when the factorization fails, which for
     regularized Gram matrices signals that the ridge term is too small.
-    The result is exactly symmetric.
+    The result is exactly symmetric.  With ``overwrite_a`` a C-ordered
+    float64 ``a`` is the workspace, so the inverse is returned in its
+    storage and no n x n copy is made; otherwise ``a`` is left unchanged.
     """
     a = _require_symmetric(a)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise DimensionMismatch("cannot invert an empty matrix")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    # LAPACK works on Fortran-ordered arrays.  a.T is one for a C-ordered a,
+    # and its upper triangle is a's lower one.
+    work = a.T if overwrite_a and a.flags.c_contiguous else np.array(a.T, order="F")
+    potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
+    factor, info = potrf(work, lower=False, clean=False, overwrite_a=True)
+    if info == 0:
+        work, info = potri(factor, lower=False, overwrite_c=True)
+    if info != 0:
         raise NotPositiveDefinite(
             "symmetric factorization failed: matrix is not positive definite; "
             "if this is a regularized Gram matrix, increase lambda"
-        ) from exc
-    inv = scipy.linalg.cho_solve(factor, np.eye(n), check_finite=False)
-    return 0.5 * (inv + inv.T)
+        )
+    return _mirror_lower(work.T)
 
 
 def top_k_eig(a: np.ndarray, k: int) -> SymEigResult:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests (in-process via main)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -126,6 +127,52 @@ class TestTrain:
         assert not out.exists()  # failed before touching --out
         assert main([*args, "--lambdas", "1"]) == 0
 
+    @pytest.mark.parametrize("option", ["--ks", "--lambdas", "--ps"])
+    def test_empty_grid_list_rejected(self, tmp_path, data_csv, capsys, option):
+        split = ingest(tmp_path, data_csv)
+        out = tmp_path / "r"
+        code = main(["train", "--split", str(split), "--out", str(out), option, ""])
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()  # failed before touching --out
+
+    def test_log_order_and_selection(self, tmp_path, data_csv):
+        split = ingest(tmp_path, data_csv)
+        out = tmp_path / "run"
+        code = main([
+            "train", "--split", str(split), "--out", str(out), "--family", "both",
+            "--ks", "3,2", "--lambdas", "2.0,0.5", "--ps", "0.5,0.25",
+        ])
+        assert code == 0
+        rows = [line.split("\t") for line in (out / "train_log.tsv").read_text().splitlines()[1:]]
+        assert [(r[0], int(r[1]), float(r[2]), float(r[3])) for r in rows] == [
+            (f, k, lam, p) for f in ("edlae", "ridge") for k in (3, 2)
+            for lam in (2.0, 0.5) for p in (0.5, 0.25)]
+        for start in range(0, 16, 4):
+            group = rows[start:start + 4]
+            ndcg = [float(r[5]) for r in group]
+            assert [r[6] for r in group] == [
+                "yes" if i == ndcg.index(max(ndcg)) else "no" for i in range(4)]
+
+    def test_failed_marker_write_leaves_nothing(self, tmp_path, data_csv, monkeypatch):
+        split = ingest(tmp_path, data_csv)
+        out = tmp_path / "r"
+        replace = os.replace
+
+        def fail_on_marker(src, dst):
+            if os.path.basename(dst) == "config.resolved.txt":
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_marker)
+        args = ["train", "--split", str(split), "--out", str(out), "--ks", "2"]
+        assert main(args) == 1
+        assert not (out / "config.resolved.txt").exists()
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(args) == 0  # no marker, so no --force needed
+        assert (out / "config.resolved.txt").exists()
+
     def test_rerun_identical_model_bytes(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
         args = ["--split", str(split), "--family", "edlae", "--ks", "2", "--lambdas", "1.0"]
@@ -215,6 +262,10 @@ class TestVerify:
         code = main(["verify", "--m", "10", "--n", "8", "--ks", "8", "--trials", "1"])
         assert code == 1
         assert "min(m, n)" in capsys.readouterr().err
+
+    def test_empty_ks_rejected(self, capsys):
+        assert main(["verify", "--ks", "", "--trials", "1"]) == 1
+        assert "--ks" in capsys.readouterr().err
 
 
 class TestBench:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edlae import closed_form
 from edlae.closed_form import (
     EdlaeConfig,
     FullRankModel,
@@ -13,10 +14,12 @@ from edlae.closed_form import (
     regularizer,
     student_gram,
     student_projection,
+    teacher_from_inverse,
     train_closed_form,
+    train_grid,
 )
 from edlae.errors import DimensionMismatch, InvalidDropout, NotPositiveDefinite
-from edlae.linalg import dense_svd, truncate_svd
+from edlae.linalg import dense_svd, sym_inverse, truncate_svd
 
 from oracles import binary_instance, exact_gram, gd_min_uv
 
@@ -86,6 +89,30 @@ class TestFullRankTeacher:
         assert (teacher.c_diag > 0).all()
 
 
+class TestTeacherFromInverse:
+    def test_both_families_match_full_rank_teacher(self):
+        x = binary_instance(15, m=50, n=10)
+        g = exact_gram(x)
+        lam = regularizer(np.diag(g), 1.0, 0.5)
+        c = sym_inverse(g + np.diag(lam))
+        kept = c.copy()
+        for kind in ("edlae", "ridge"):
+            shared = teacher_from_inverse(c, lam, kind)
+            own = full_rank_teacher(g, lam, kind)
+            np.testing.assert_array_equal(shared.b, own.b)
+            np.testing.assert_array_equal(shared.scale, own.scale)
+        np.testing.assert_array_equal(c, kept)  # C is left for the next family
+
+    def test_overwrite_builds_teacher_in_c(self):
+        g = exact_gram(binary_instance(16, m=40, n=8))
+        lam = regularizer(np.diag(g), 2.0, 0.25)
+        c = sym_inverse(g + np.diag(lam))
+        expected = teacher_from_inverse(c, lam, "ridge").b
+        teacher = teacher_from_inverse(c, lam, "ridge", overwrite_c=True)
+        assert teacher.b is c or np.shares_memory(teacher.b, c)
+        np.testing.assert_array_equal(teacher.b, expected)
+
+
 class TestStudentGram:
     def test_zero_teacher_gives_zero(self):
         g = np.diag([3.0, 5.0, 2.0])
@@ -120,6 +147,19 @@ class TestStudentGram:
         lam = regularizer(np.diag(g), 1.0, 0.5)
         m = student_gram(full_rank_teacher(g, lam), g, lam)
         assert np.array_equal(m, m.T)
+
+    def test_partial_last_block(self, monkeypatch):
+        # n = 11 with blocks of 4 rows: the last block is partial
+        monkeypatch.setattr(closed_form, "_BLOCK_ROWS", 4)
+        x = binary_instance(17, m=60, n=11, density=0.4)
+        g = exact_gram(x)
+        lam = regularizer(np.diag(g), 1.0, 0.5)
+        for kind in ("edlae", "ridge"):
+            teacher = full_rank_teacher(g, lam, kind)
+            fast = student_gram(teacher, g, lam)
+            direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
+            assert np.array_equal(fast, fast.T)
+            assert np.linalg.norm(fast - direct) <= 1e-10 * np.linalg.norm(direct)
 
     def test_dimension_mismatch(self):
         g = np.eye(3)
@@ -217,6 +257,36 @@ class TestTrainClosedForm:
             assert abs(obj_cf - obj_gd) <= 0.02 * obj_gd
 
 
+class TestTrainGrid:
+    def test_sliced_models_match_per_config_training(self):
+        x = binary_instance(18, m=120, n=24, density=0.3)
+        g = exact_gram(x)
+        kinds, ks, lambdas, ps = ["edlae", "ridge"], [2, 5, 9], [0.5, 4.0], [0.0, 0.5]
+        points = list(train_grid(g, kinds, ks, lambdas, ps))
+        # yielded lambda -> p -> kind -> k, each grid point once
+        assert [pos for pos, _ in points] == [
+            (fi, ki, li, pi) for li in range(2) for pi in range(2)
+            for fi in range(2) for ki in range(3)]
+        for (fi, ki, li, pi), model in points:
+            cfg = EdlaeConfig(lam=lambdas[li], dropout_p=ps[pi], rank=ks[ki])
+            assert model.kind == kinds[fi] and model.config == cfg and model.rank == ks[ki]
+            assert model.u.shape == model.v.shape == (24, ks[ki])
+            direct = train_closed_form(g, cfg, kinds[fi])
+            scale = np.abs(direct.matrix()).max()
+            assert np.abs(model.matrix() - direct.matrix()).max() <= 1e-10 * scale
+            lam = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
+            a, b = objective_from_gram(g, lam, model), objective_from_gram(g, lam, direct)
+            assert abs(a - b) <= 1e-10 * abs(b)
+
+    def test_single_point_equals_train_closed_form(self):
+        g = exact_gram(binary_instance(19, m=60, n=12))
+        cfg = EdlaeConfig(lam=1.0, dropout_p=0.25, rank=4)
+        ((_, model),) = train_grid(g, ["ridge"], [4], [1.0], [0.25])
+        direct = train_closed_form(g, cfg, "ridge")
+        np.testing.assert_allclose(model.u, direct.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.v, direct.v, rtol=0, atol=1e-12)
+
+
 class TestObjective:
     def test_zero_model(self):
         x = binary_instance(10, m=20, n=5)
@@ -286,7 +356,33 @@ class TestObjective:
         from_gram = objective_from_gram(g, lam, model)
         assert abs(dense - from_gram) <= 1e-9 * dense
 
+    def test_factor_form_matches_dense_both_families(self):
+        rng = np.random.default_rng(20)
+        x = (rng.random((70, 16)) < 0.3).astype(float)
+        g = exact_gram(x)
+        lam = regularizer(np.diag(g), 2.0, 0.5)
+        u, v = rng.standard_normal((16, 5)), rng.standard_normal((16, 5))
+        models = [
+            train_closed_form(g, EdlaeConfig(2.0, 0.5, 5), "edlae"),
+            train_closed_form(g, EdlaeConfig(2.0, 0.5, 5), "ridge"),  # non-zero diagonal
+            # arbitrary factors: U V^T has a non-zero diagonal that the
+            # zero-diagonal family's objective removes and ridge's keeps
+            LowRankModel(u=u, v=v, rank=5, kind="edlae"),
+            LowRankModel(u=u, v=v, rank=5, kind="ridge"),
+            full_rank_teacher(g, lam, "edlae"),
+            full_rank_teacher(g, lam, "ridge"),
+        ]
+        assert np.abs(np.diag(models[1].matrix())).min() > 0.0
+        for model in models:
+            dense = edlae_objective(x, lam, model)
+            assert abs(objective_from_gram(g, lam, model) - dense) <= 1e-10 * dense
+
     def test_dimension_mismatch(self):
         model = LowRankModel(u=np.zeros((3, 1)), v=np.zeros((3, 1)), rank=1)
         with pytest.raises(DimensionMismatch):
             edlae_objective(np.ones((2, 4)), np.ones(3), model)
+
+    def test_factor_form_dimension_mismatch(self):
+        model = LowRankModel(u=np.zeros((3, 1)), v=np.zeros((3, 1)), rank=1)
+        with pytest.raises(DimensionMismatch):
+            objective_from_gram(np.eye(4), np.ones(4), model)

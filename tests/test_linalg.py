@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from edlae import linalg
 from edlae.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
 from edlae.linalg import SvdResult, dense_svd, sym_inverse, top_k_eig, truncate_svd
 
@@ -53,6 +54,54 @@ class TestSymInverse:
         a = a @ a.T + np.eye(17)
         inv = sym_inverse(a)
         assert np.array_equal(inv, inv.T)
+
+    def test_potri_inverse_symmetric_and_matches_numpy(self):
+        # n = 2 * 256 + 37: two full blocks of the mirror and a partial one
+        rng = np.random.default_rng(20)
+        n = 2 * linalg._BLOCK_ROWS + 37
+        a = rng.standard_normal((n, n))
+        a = a @ a.T / n + np.eye(n)
+        inv = sym_inverse(a)
+        assert np.array_equal(inv, inv.T)
+        expected = np.linalg.inv(a)
+        assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_argument_unchanged(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((30, 30))
+        a = a @ a.T + np.eye(30)
+        kept = a.copy()
+        fortran = np.asfortranarray(a)
+        sym_inverse(a)
+        sym_inverse(fortran, overwrite_a=True)  # not C-ordered: copied, not reused
+        assert np.array_equal(a, kept) and np.array_equal(fortran, kept)
+
+    def test_overwrite_reuses_storage(self):
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((30, 30))
+        a = a @ a.T + np.eye(30)
+        expected = sym_inverse(a)
+        inv = sym_inverse(a, overwrite_a=True)
+        assert np.shares_memory(inv, a)
+        np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-14)
+
+    def test_odd_n_with_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((11, 11))
+        a = a @ a.T + np.eye(11)
+        inv = sym_inverse(a)
+        assert np.array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=0, atol=1e-12)
+        # checks reach entries in the last, partial block
+        skew = a.copy()
+        skew[9, 2] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_inverse(skew)
+        bad = a.copy()
+        bad[10, 10] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_inverse(bad)
 
     def test_involution(self):
         rng = np.random.default_rng(2)
