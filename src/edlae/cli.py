@@ -180,7 +180,7 @@ def cmd_train(args):
     lambdas = _resolve(args, "lambdas", [1.0], _float_list)
     ps = _resolve(args, "ps", [0.5], _float_list)
     _require_values(ks=ks, lambdas=lambdas, ps=ps)
-    split, _, item_ids = dataset.load_split_artifacts(split_dir)
+    split, _, item_ids = dataset.load_split_artifacts(split_dir, ("train", "validation"))
     n = len(item_ids)
     for k in ks:
         if not 1 <= k <= n:
@@ -248,7 +248,7 @@ def cmd_eval(args):
     if split_dir is None or not models:
         raise ConfigError("eval requires --split and at least one --models file")
     out = _prepare_out_dir(_resolve(args, "out"), args.force)
-    split, _, _ = dataset.load_split_artifacts(split_dir)
+    split, _, _ = dataset.load_split_artifacts(split_dir, ("test",))
     rows = []
     for path in models:
         model = serialize.load_model(path)

@@ -25,7 +25,8 @@ A grid (``train_grid``) shares work the same way: C depends only on
 eigenvectors of M do not depend on k, so one top-max(k) eigendecomposition
 per family serves every rank as column slices of V and U = B V.  The n x n
 buffers are reused in place: the teacher of the last family is built in C's
-storage and the student Gram in one buffer.
+storage, the student Gram in one buffer, and the eigensolver works in the
+student Gram's storage.
 """
 
 from __future__ import annotations
@@ -188,13 +189,15 @@ def student_gram(model: FullRankModel, g: np.ndarray, lam_diag: np.ndarray) -> n
     return _symmetrize(m)
 
 
-def student_projection(model: FullRankModel, m_student: np.ndarray, k: int) -> LowRankModel:
+def student_projection(model: FullRankModel, m_student: np.ndarray, k: int,
+                       overwrite_m: bool = False) -> LowRankModel:
     """Project the teacher onto rank k: V = top-k eigenvectors of the student
-    Gram, U = B @ V, so U V^T = B Q_k Q_k^T."""
+    Gram, U = B @ V, so U V^T = B Q_k Q_k^T.  With ``overwrite_m`` the
+    eigensolver works in the student Gram's storage and destroys it."""
     n = model.b.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
-    v = top_k_eig(m_student, k).eigenvectors
+    v = top_k_eig(m_student, k, overwrite_a=overwrite_m).eigenvectors
     return LowRankModel(u=model.b @ v, v=v, rank=k, config=None, kind=model.kind)
 
 
@@ -241,9 +244,10 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps):
 
 
 def _projected(c, g, lam_diag, kind, k, overwrite_c):
-    """Rank-k model of family ``kind`` from C; frees its n x n buffers."""
+    """Rank-k model of family ``kind`` from C; frees its n x n buffers.  The
+    eigensolver works in the student Gram's storage."""
     teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=overwrite_c)
-    return student_projection(teacher, student_gram(teacher, g, lam_diag), k)
+    return student_projection(teacher, student_gram(teacher, g, lam_diag), k, overwrite_m=True)
 
 
 def _objective_matrix(model, n, lam_diag):

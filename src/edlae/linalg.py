@@ -3,9 +3,9 @@
 Positive-definite inversion, top-k symmetric eigendecomposition, and a dense
 SVD oracle used by the verification suites.  All arithmetic is 64-bit; every
 routine is a pure function and safe to call from multiple threads, except
-that ``sym_inverse(a, overwrite_a=True)`` reuses the caller's ``a`` as its
-workspace.  Checks and copies over n x n matrices run in blocks of
-``_BLOCK_ROWS`` rows, so they need no n x n temporaries.
+that ``sym_inverse`` and ``top_k_eig`` with ``overwrite_a=True`` reuse the
+caller's ``a`` as their workspace.  Checks and copies over n x n matrices
+run in blocks of ``_BLOCK_ROWS`` rows, so they need no n x n temporaries.
 """
 
 from __future__ import annotations
@@ -127,20 +127,27 @@ def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     return _mirror_lower(work.T)
 
 
-def top_k_eig(a: np.ndarray, k: int) -> SymEigResult:
+def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     """Return the k largest-eigenvalue pairs of a symmetric matrix.
 
     Only the requested pairs are computed (LAPACK ``?syevr`` through
     ``scipy.linalg.eigh``), which is backward stable, so every residual
     ``||A v - lambda v||_2`` is of the order of machine precision times
     ``||A||``.  Raises NoConvergence if LAPACK reports a failure.
+
+    With ``overwrite_a`` the solver works in ``a``'s storage, which it
+    destroys, instead of an n x n copy.  A C-ordered ``a`` is passed as its
+    Fortran-ordered transpose, so for an exactly symmetric ``a`` LAPACK sees
+    the same matrix and the result is bit-identical to the copying path.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must be in [1, {n}], got {k}")
+    work = a.T if overwrite_a and a.flags.c_contiguous else a
     try:
-        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(n - k, n - 1), check_finite=False)
+        vals, vecs = scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1), check_finite=False,
+                                       overwrite_a=overwrite_a)
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SymEigResult(vals[::-1].copy(), _fix_column_signs(vecs[:, ::-1].copy()))

@@ -1,7 +1,8 @@
 """Independent oracles shared across the test suite.
 
 These deliberately avoid the library's production paths: the Gram oracle is
-a plain dict loop, the ranking metrics enumerate full rankings in pure
+a plain dict loop, the text parsers and writers of the dataset module work
+one line at a time, the ranking metrics enumerate full rankings in pure
 Python, and the factor-pair minimizer is multi-restart gradient descent on
 the written-out objective.  When a test compares the library against one of
 these, the two sides share no code.
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from edlae.dataset import InteractionMatrix
+from edlae.errors import EmptyDataset, ParseError
 
 
 def naive_gram(x: InteractionMatrix) -> np.ndarray:
@@ -25,6 +27,116 @@ def naive_gram(x: InteractionMatrix) -> np.ndarray:
             for j, vj in entries:
                 g[i, j] += vi * vj
     return g
+
+
+_HEADER_USER_NAMES = {"user", "user_id", "userid", "uid"}
+_HEADER_ITEM_NAMES = {"item", "item_id", "itemid", "iid", "movie", "movie_id", "movieid", "song", "song_id"}
+
+
+def _looks_like_header(fields):
+    a, b = fields[0].strip().lower(), fields[1].strip().lower()
+    if len(fields) == 3:
+        try:
+            float(fields[2])
+            return False  # numeric third column: a data row
+        except ValueError:
+            return a in _HEADER_USER_NAMES or b in _HEADER_ITEM_NAMES
+    return a in _HEADER_USER_NAMES and b in _HEADER_ITEM_NAMES
+
+
+def load_interactions(path, fmt="csv", binarize=True):
+    """``dataset.load_interactions`` one line at a time, merging duplicate
+    pairs in a dict."""
+    delim, other = (",", "\t") if fmt == "csv" else ("\t", ",")
+    user_index, item_index, merged = {}, {}, {}
+    first_data_line = True
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split(delim)
+            if len(fields) not in (2, 3):
+                raise ParseError(f"expected user{delim}item[{delim}count], got {line!r}", line=lineno)
+            if first_data_line:
+                first_data_line = False
+                if _looks_like_header(fields):
+                    continue
+            user, item = fields[0].strip(), fields[1].strip()
+            if not user or not item:
+                raise ParseError(f"empty user or item id in {line!r}", line=lineno)
+            if other in user or other in item:
+                raise ParseError(f"user or item id contains {other!r} in {line!r}", line=lineno)
+            if len(fields) == 3:
+                try:
+                    value = float(fields[2])
+                except ValueError:
+                    raise ParseError(f"count {fields[2]!r} is not a number", line=lineno) from None
+                if not np.isfinite(value) or value <= 0:
+                    raise ParseError(f"count must be positive and finite, got {fields[2]!r}", line=lineno)
+            else:
+                value = 1.0
+            u = user_index.setdefault(user, len(user_index))
+            i = item_index.setdefault(item, len(item_index))
+            merged[(u, i)] = merged.get((u, i), 0.0) + value
+    if not merged:
+        raise EmptyDataset(f"no interactions found in {path}")
+    users = [k[0] for k in merged]
+    items = [k[1] for k in merged]
+    values = np.ones(len(merged)) if binarize else list(merged.values())
+    matrix = InteractionMatrix.from_triples(
+        len(user_index), len(item_index), users, items, values, binarized=binarize
+    )
+    return matrix, list(user_index), list(item_index)
+
+
+def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
+    """``dataset._read_interactions`` one line at a time: the matrix of a
+    split file and the original index of each of its rows."""
+    triples = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ParseError(f"expected user,item,value, got {line!r}", line=lineno)
+            try:
+                triples.append(
+                    (user_to_index[fields[0]], item_to_index[fields[1]], float(fields[2]))
+                )
+            except KeyError as missing:
+                raise ParseError(f"id {missing} not present in id maps", line=lineno) from None
+    rows = sorted({t[0] for t in triples})
+    row_of = {u: r for r, u in enumerate(rows)}
+    matrix = InteractionMatrix.from_triples(
+        len(rows), num_items, [row_of[t[0]] for t in triples], [t[1] for t in triples],
+        [t[2] for t in triples], binarized=binarized,
+    )
+    return matrix, np.array(rows, dtype=np.int64)
+
+
+def interactions_text(x, row_users, user_ids, item_ids) -> str:
+    """A split file's text, formatted one row at a time."""
+    return "".join(
+        f"{user_ids[int(row_users[int(u)])]},{item_ids[int(i)]},{v:.17g}\n"
+        for u, i, v in zip(x.users, x.items, x.values)
+    )
+
+
+def foldin_mask(x: InteractionMatrix, held, foldin_fraction, rng) -> np.ndarray:
+    """The fold-in draw of ``split_strong_generalization``: per held-out user
+    in ascending order, two binary searches for its range of triples and one
+    permutation of it."""
+    mask = np.zeros(x.nnz, dtype=bool)
+    for u in np.sort(held):
+        lo = int(np.searchsorted(x.users, u, side="left"))
+        hi = int(np.searchsorted(x.users, u, side="right"))
+        cnt = hi - lo
+        n_fold = int(np.clip(round(foldin_fraction * cnt), 1, cnt - 1))
+        mask[lo + rng.permutation(cnt)[:n_fold]] = True
+    return mask
 
 
 def full_ranking(score_row) -> list:

@@ -2,11 +2,21 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edlae.cli import main
+from edlae.dataset import (
+    SPLIT_FILES,
+    SplitSpec,
+    load_interactions,
+    load_split_artifacts,
+    split_strong_generalization,
+)
 
 
 @pytest.fixture
@@ -69,6 +79,35 @@ class TestIngest:
         out = tmp_path / "s"
         assert main(["ingest", "--data", str(data), "--format", "tsv", "--out", str(out)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_failed_split_write_leaves_whole_files(self, tmp_path, data_csv, monkeypatch):
+        reference = ingest(tmp_path, data_csv, "reference")
+        old = ingest(tmp_path, data_csv, "old", seed=4)
+        before = (old / SPLIT_FILES[2]).read_bytes()
+        replace = os.replace
+
+        def fail_on_third_split_file(src, dst):
+            if os.path.basename(dst) == SPLIT_FILES[2]:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_third_split_file)
+        out = tmp_path / "split"
+        args = ["ingest", "--data", str(data_csv), "--out", str(out),
+                "--validation-fraction", "0.2", "--test-fraction", "0.2", "--seed", "3"]
+        assert main(args) == 1
+        written = {p.name for p in out.iterdir()}
+        assert written == {"users.tsv", "items.tsv", *SPLIT_FILES[:2]}  # no .tmp, no marker
+        for name in written:
+            assert (out / name).read_bytes() == (reference / name).read_bytes()
+        # over an earlier split, a failed --force run keeps that file whole
+        assert main([*args[:4], str(old), "--force", *args[5:]]) == 1
+        assert (old / SPLIT_FILES[2]).read_bytes() == before
+        assert not [p.name for p in old.iterdir() if p.name.endswith(".tmp")]
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(args) == 0  # no marker, so no --force needed
+        for name in os.listdir(reference):
+            assert (out / name).read_bytes() == (reference / name).read_bytes()
 
     def test_force_overwrites(self, tmp_path, data_csv):
         out = ingest(tmp_path, data_csv)
@@ -241,6 +280,100 @@ class TestEval:
         assert not (out / "config.resolved.txt").exists()
         assert main([*args, str(run / "edlae_k2.model")]) == 0
         assert (out / "config.resolved.txt").exists()
+
+
+class TestSplitFiles:
+    def trained(self, tmp_path, data_csv):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        args = ["--family", "both", "--ks", "2", "--lambdas", "0.5,2.0", "--ps", "0.25"]
+        assert main(["train", "--split", str(split), "--out", str(run), *args]) == 0
+        return split, run, args
+
+    def test_eval_reads_only_test_files(self, tmp_path, data_csv):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        models = [str(run / "edlae_k2.model"), str(run / "ridge_k2.model")]
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m1"),
+                     "--models", *models]) == 0
+        for name in ("train.csv", "validation_foldin.csv", "validation_holdout.csv"):
+            os.remove(split / name)
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m2"),
+                     "--models", *models]) == 0
+        assert ((tmp_path / "m1" / "metrics.jsonl").read_bytes()
+                == (tmp_path / "m2" / "metrics.jsonl").read_bytes())
+
+    def test_train_reads_only_train_and_validation_files(self, tmp_path, data_csv):
+        split, run, args = self.trained(tmp_path, data_csv)
+        os.remove(split / "test_foldin.csv")
+        os.remove(split / "test_holdout.csv")
+        again = tmp_path / "again"
+        assert main(["train", "--split", str(split), "--out", str(again), *args]) == 0
+        assert (again / "train_log.tsv").read_bytes() == (run / "train_log.tsv").read_bytes()
+
+    def test_truncated_item_map_fails_train(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        lines = (split / "items.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (split / "items.tsv").write_text("".join(lines[:-1]), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1
+        assert "items.tsv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_holdout_fails_eval_only(self, tmp_path, data_csv, capsys):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / "test_holdout.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        last_user = lines[-1].split(",")[0]
+        path.write_text("".join(l for l in lines if not l.startswith(last_user + ",")),
+                        encoding="utf-8")
+        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", str(run / "edlae_k2.model")])
+        assert code == 1
+        assert "test_holdout.csv" in capsys.readouterr().err
+        assert main(["train", "--split", str(split), "--out", str(tmp_path / "r2"),
+                     "--ks", "2"]) == 0
+
+    # Ids as ingest accepts them: no comma, tab or line break, and no
+    # surrounding whitespace (ingest strips it).
+    _ID = st.text(
+        alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=",\t\n\r"),
+        min_size=1, max_size=6,
+    ).map(str.strip).filter(bool)
+
+    @settings(max_examples=25, deadline=None)
+    @given(users=st.lists(_ID, min_size=12, max_size=12, unique=True),
+           items=st.lists(_ID, min_size=5, max_size=5, unique=True),
+           seed=st.integers(0, 2**16))
+    def test_accepted_ids_round_trip(self, users, items, seed):
+        rng = np.random.default_rng(seed)
+        lines = ["uid0,iid0"]  # a first line that is not a header
+        for user in users:
+            for item in rng.choice(items, size=3, replace=False):
+                lines.append(f"{user},{item}")
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.csv")
+            with open(data, "w", encoding="utf-8", newline="") as handle:
+                handle.write("\n".join(lines) + "\n")
+            split = os.path.join(tmp, "split")
+            assert main(["ingest", "--data", data, "--out", split, "--validation-fraction",
+                         "0.2", "--test-fraction", "0.2", "--seed", "1"]) == 0
+            run = os.path.join(tmp, "run")
+            assert main(["train", "--split", split, "--out", run, "--ks", "2"]) == 0
+            assert main(["eval", "--split", split, "--out", os.path.join(tmp, "m"),
+                         "--models", os.path.join(run, "edlae_k2.model")]) == 0
+            matrix, user_ids, item_ids = load_interactions(data)
+            want = split_strong_generalization(matrix, SplitSpec(0.2, 0.2, seed=1))
+            for groups, parts in ((("train", "validation"),
+                                   ("train", "validation_foldin", "validation_holdout")),
+                                  (("test",), ("test_foldin", "test_holdout"))):
+                got, got_users, got_items = load_split_artifacts(split, groups)
+                assert got_users == user_ids and got_items == item_ids
+                for name in parts:
+                    a, b = getattr(got, name), getattr(want, name)
+                    np.testing.assert_array_equal(a.users, b.users)
+                    np.testing.assert_array_equal(a.items, b.items)
+        assert set(user_ids) == set(users) | {"uid0"}
+        assert set(item_ids) == set(items) | {"iid0"}
 
 
 class TestVerify:

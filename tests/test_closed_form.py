@@ -278,6 +278,18 @@ class TestTrainGrid:
             a, b = objective_from_gram(g, lam, model), objective_from_gram(g, lam, direct)
             assert abs(a - b) <= 1e-10 * abs(b)
 
+    @pytest.mark.parametrize("kind", ["edlae", "ridge"])
+    def test_projection_in_student_gram_storage_is_bit_identical(self, kind):
+        g = exact_gram(binary_instance(20, m=90, n=30, density=0.3))
+        lam = regularizer(np.diag(g), 2.0, 0.25)
+        teacher = full_rank_teacher(g, lam, kind)
+        m = student_gram(teacher, g, lam)
+        kept = m.copy()
+        copied = student_projection(teacher, m, 6)
+        assert np.array_equal(m, kept)
+        in_place = student_projection(teacher, m, 6, overwrite_m=True)
+        assert np.array_equal(copied.u, in_place.u) and np.array_equal(copied.v, in_place.v)
+
     def test_single_point_equals_train_closed_form(self):
         g = exact_gram(binary_instance(19, m=60, n=12))
         cfg = EdlaeConfig(lam=1.0, dropout_p=0.25, rank=4)

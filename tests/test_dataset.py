@@ -1,8 +1,16 @@
 """Tests for ingestion, the Gram matrix, and strong-generalization splits."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from edlae import dataset
 from edlae.dataset import (
     InteractionMatrix,
     SplitSpec,
@@ -224,3 +232,219 @@ class TestSplitArtifacts:
         save_split_artifacts(tmp_path / "b", split, ids_u, ids_i, spec)
         for name in ("manifest.txt", "train.csv", "users.tsv", "items.tsv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def assert_same_matrix(a, b):
+    assert (a.num_users, a.num_items, a.binarized) == (b.num_users, b.num_items, b.binarized)
+    np.testing.assert_array_equal(a.users, b.users)
+    np.testing.assert_array_equal(a.items, b.items)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+def outcome(fn, *args, **kwargs):
+    """``("ok", result)`` or ``("error", type, message, line)`` of a call."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except (ParseError, EmptyDataset, ValueError) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+
+
+def assert_same_outcome(got, want):
+    if want[0] == "error" or got[0] == "error":
+        assert got == want
+        return
+    got, want = got[1], want[1]
+    assert len(got) == len(want)
+    assert_same_matrix(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+
+
+# Pieces of input files.  Ids come from a small pool, so pairs repeat, and
+# may hold characters that str.splitlines() breaks on; one line in four
+# files breaks one of the parser's rules.
+_ID_CHARS = ["a", "b", "7", "a", "b", "7", "é", "中", "\x1c", "\x85", "\u2028", " ", "."]
+_IDS = st.text(alphabet=st.sampled_from(_ID_CHARS), min_size=1, max_size=3).filter(str.strip)
+_COUNTS = st.sampled_from(["1", "2", " 3 ", "0.5", "1e3", "2.5", "7", "0.1"])
+_BAD = st.sampled_from(["one field", "four fields", "empty id", "separator in id",
+                        "0", "-1", "nan", "inf", "abc", ""])
+_PAD = st.sampled_from(["", "", "", " ", "\x1c", "\xa0"])
+_ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def input_files(draw):
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    delim, other = (",", "\t") if fmt == "csv" else ("\t", ",")
+    pool = draw(st.lists(_IDS, min_size=1, max_size=6))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["user,item", "user_id,item_id,count", "uid,song",
+                                           "user,item,1", "user,x"])).replace(",", delim))
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_PAD))  # blank
+            continue
+        fields = [draw(_PAD) + draw(st.sampled_from(pool)) + draw(_PAD) for _ in range(2)]
+        if draw(st.booleans()):
+            fields.append(draw(_COUNTS))
+        lines.append(draw(_PAD) + delim.join(fields) + draw(_PAD))
+    if lines and draw(st.integers(0, 3)) == 0:
+        bad = draw(_BAD)
+        fields = {"one field": ["u"], "four fields": ["u", "i", "1", "1"],
+                  "empty id": ["u", " "], "separator in id": ["u", f"i{other}j"]}.get(
+                      bad, ["u", "i", bad])
+        lines.insert(draw(st.integers(0, len(lines))), delim.join(fields))
+    text = "".join(line + draw(_ENDINGS) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline at the end of the file
+    return fmt, text, draw(st.booleans()), draw(st.sampled_from([1, 2, 3, 8192]))
+
+
+class TestParsersMatchOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(input_files())
+    def test_load_interactions(self, case):
+        fmt, text, binarize, chunk = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"d.{fmt}")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            want = outcome(oracles.load_interactions, path, fmt=fmt, binarize=binarize)
+            with mock.patch.object(dataset, "_CHUNK_LINES", chunk):
+                got = outcome(load_interactions, path, fmt=fmt, binarize=binarize)
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                *[st.tuples(st.sampled_from(["u0", "u1", "u2", "u\x1c3", "ü4"] * 3 + ["zz"]),
+                            st.sampled_from(["i0", "i1", "i\x852", "i3", "i4", "i5"] * 2 + ["j"]),
+                            st.sampled_from(["1", "2", "0.5", "1e-3", " 4"] * 3 + ["x", "", "-1"]),
+                            _PAD)] * 6,
+                st.sampled_from(["", " ", "u0,i0", "u0,i0,1,1"]),
+            ),
+            max_size=10,
+        ),
+        st.lists(_ENDINGS, min_size=10, max_size=10),
+        st.sampled_from([1, 2, 3, 8192]),
+        st.booleans(),
+    )
+    def test_read_interactions(self, rows, endings, chunk, binarized):
+        user_to_index = {"u0": 0, "u1": 1, "u2": 2, "u\x1c3": 3, "ü4": 4}
+        item_to_index = {"i0": 0, "i1": 1, "i\x852": 2, "i3": 3, "i4": 4, "i5": 5}
+        lines = [row if isinstance(row, str) else f"{row[3]}{row[0]},{row[1]},{row[2]}"
+                 for row in rows]
+        text = "".join(line + end for line, end in zip(lines, endings))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            args = (path, user_to_index, item_to_index, 6, binarized)
+            want = outcome(oracles.read_interactions, *args)
+            with mock.patch.object(dataset, "_CHUNK_LINES", chunk):
+                got = outcome(dataset._read_interactions, *args)
+        assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
+    def test_bad_line_in_a_later_chunk(self, tmp_path, chunk, monkeypatch):
+        lines = [f"u{k},i{k % 3}" for k in range(10)]
+        lines[7] = "u7,i1,-2"
+        path = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+        with pytest.raises(ParseError) as excinfo:
+            load_interactions(path)
+        assert excinfo.value.line == 8
+
+    def test_ids_keep_characters_splitlines_breaks_on(self, tmp_path):
+        text = "u\x1c0,i\x851\nu\u20282,i 3\r\nu4,i\x0c5\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        matrix, users, items = load_interactions(str(path))
+        assert users == ["u\x1c0", "u\u20282", "u4"]
+        assert items == ["i\x851", "i 3", "i\x0c5"]
+        assert matrix.nnz == 3
+
+    def test_duplicate_counts_summed_in_file_order(self, tmp_path):
+        counts = ["0.1", "0.2", "0.3", "1e16"]
+        path = write(tmp_path / "d.csv", "".join(f"u,i,{c}\n" for c in counts))
+        matrix, _, _ = load_interactions(path, binarize=False)
+        total = 0.0
+        for c in counts:
+            total += float(c)
+        assert matrix.values[0] == total
+
+
+class TestSplitMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_foldin_draw(self, seed):
+        x = random_interactions(seed, m=90, n=15, density=0.3)
+        spec = SplitSpec(0.2, 0.3, foldin_fraction=0.7, seed=seed)
+        split = split_strong_generalization(x, spec)
+        # the draws before the fold-in masks: the user permutation
+        rng = np.random.default_rng(spec.seed)
+        rng.permutation(np.flatnonzero(x.user_counts() >= 2))
+        held = np.concatenate([split.validation_users, split.test_users])
+        mask = oracles.foldin_mask(x, held, spec.foldin_fraction, rng)
+        want = set(zip(x.users[mask].tolist(), x.items[mask].tolist()))
+        got = set()
+        for part, rows in ((split.validation_foldin, split.validation_users),
+                           (split.test_foldin, split.test_users)):
+            got |= set(zip(rows[part.users].tolist(), part.items.tolist()))
+        assert got == want
+
+
+class TestSplitFiles:
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 8192])
+    def test_written_bytes_match_oracle(self, tmp_path, chunk, monkeypatch):
+        rng = np.random.default_rng(chunk)
+        u, i = np.nonzero(rng.random((40, 9)) < 0.4)
+        values = rng.choice([1.0, 0.1, 1 / 3, 2.5e-300, 7e22, 3.0], size=u.size)
+        x = InteractionMatrix.from_triples(40, 9, u, i, values)
+        spec = SplitSpec(0.2, 0.2, seed=1)
+        split = split_strong_generalization(x, spec)
+        user_ids = [f"u\x1c{k} é" for k in range(40)]
+        item_ids = [f"i\x85{k}" for k in range(9)]
+        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+        save_split_artifacts(tmp_path, split, user_ids, item_ids, spec)
+        for name, part, rows in (
+            ("train.csv", split.train, split.train_users),
+            ("validation_holdout.csv", split.validation_holdout, split.validation_users),
+            ("test_foldin.csv", split.test_foldin, split.test_users),
+        ):
+            want = oracles.interactions_text(part, rows, user_ids, item_ids).encode("utf-8")
+            assert (tmp_path / name).read_bytes() == want
+        assert (tmp_path / "users.tsv").read_bytes() == "".join(
+            f"{name}\t{k}\n" for k, name in enumerate(user_ids)).encode("utf-8")
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def saved_split(tmp_path, seed=5):
+    x = random_interactions(seed, m=80, n=14)
+    spec = SplitSpec(0.15, 0.15, seed=9)
+    split = split_strong_generalization(x, spec)
+    user_ids = [f"u{i}" for i in range(x.num_users)]
+    item_ids = [f"i{j}" for j in range(x.num_items)]
+    out = tmp_path / "split"
+    save_split_artifacts(out, split, user_ids, item_ids, spec)
+    return out, split
+
+
+class TestLoadGroups:
+    def test_only_requested_groups_parsed(self, tmp_path):
+        out, split = saved_split(tmp_path)
+        os.remove(out / "train.csv")
+        os.remove(out / "validation_foldin.csv")
+        loaded, _, items = load_split_artifacts(out, ("test",))
+        assert_same_matrix(loaded.test_holdout, split.test_holdout)
+        np.testing.assert_array_equal(loaded.test_users, split.test_users)
+        for name in ("train", "validation_foldin", "validation_holdout"):
+            part = getattr(loaded, name)
+            assert (part.num_users, part.num_items, part.nnz) == (0, len(items), 0)
+        assert loaded.train_users.size == 0 and loaded.validation_users.size == 0
+
+    def test_unknown_group(self, tmp_path):
+        out, _ = saved_split(tmp_path)
+        with pytest.raises(ValueError, match="holdout"):
+            load_split_artifacts(out, ("train", "holdout"))

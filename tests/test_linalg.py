@@ -1,5 +1,7 @@
 """Tests for the dense symmetric kernel: inversion, top-k eig, SVD oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -132,6 +134,32 @@ class TestTopKEig:
         scale = np.abs(dense_vals).max()
         assert np.abs(res.eigenvalues - dense_vals).max() <= 1e-8 * scale
         np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(12), atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_overwrite_is_bit_identical(self, k):
+        rng = np.random.default_rng(k)
+        a = random_symmetric(rng, 300)
+        kept = a.copy()
+        copied = top_k_eig(a, k)
+        assert np.array_equal(a, kept)  # not opted in: a untouched
+        in_place = top_k_eig(a, k, overwrite_a=True)
+        assert np.array_equal(copied.eigenvalues, in_place.eigenvalues)
+        assert np.array_equal(copied.eigenvectors, in_place.eigenvectors)
+        assert not np.array_equal(a, kept)  # a was the workspace
+
+    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)  # small symmetry-check blocks
+        n = 300
+        a = random_symmetric(np.random.default_rng(8), n)
+        peaks = {}
+        for overwrite in (False, True):
+            work = a.copy()
+            tracemalloc.start()
+            top_k_eig(work, 10, overwrite_a=overwrite)
+            peaks[overwrite] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[False] >= 8 * n * n
+        assert peaks[True] < 0.5 * 8 * n * n
 
     def test_n600_matches_dense(self):
         rng = np.random.default_rng(5)
