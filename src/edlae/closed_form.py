@@ -95,9 +95,6 @@ class LowRankModel:
     def matrix(self) -> np.ndarray:
         return self.u @ self.v.T
 
-    def predict(self, x_rows) -> np.ndarray:
-        return np.asarray((x_rows @ self.u) @ self.v.T)
-
 
 def regularizer(gram_diag: np.ndarray, lam: float, p: float) -> np.ndarray:
     """Per-item ridge diagonal lam + (p / (1 - p)) * diag(G).

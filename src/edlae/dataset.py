@@ -15,6 +15,8 @@ is scanned again line by line, so an error names the first bad line.
 the train and validation files, ``eval`` the test files), and
 ``save_split_artifacts`` writes every file atomically
 (``serialize.write_atomic``), so a failed ingest leaves no half-written one.
+Only ``gram`` needs scipy (a sparse product); ``to_csr`` imports it when
+called, so parsing and splitting run on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -32,6 +34,9 @@ from .errors import (
     InsufficientUsers,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 _HEADER_USER_NAMES = {"user", "user_id", "userid", "uid"}
 _HEADER_ITEM_NAMES = {"item", "item_id", "itemid", "iid", "movie", "movie_id", "movieid", "song", "song_id"}
@@ -93,6 +98,8 @@ class InteractionMatrix:
         return int(self.users.size)
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse  # here, not at the top: only gram needs scipy
+
         return scipy.sparse.csr_matrix(
             (self.values, (self.users, self.items)),
             shape=(self.num_users, self.num_items),
@@ -443,7 +450,7 @@ def _parse_split_chunk(lines, user_to_index, item_to_index):
         return None
     tokens = ",".join(lines).split(",")
     try:
-        return (
+        parsed = (
             np.fromiter(map(user_to_index.__getitem__, tokens[0::3]), dtype=np.int64,
                         count=len(lines)),
             np.fromiter(map(item_to_index.__getitem__, tokens[1::3]), dtype=np.int64,
@@ -452,23 +459,32 @@ def _parse_split_chunk(lines, user_to_index, item_to_index):
         )
     except (KeyError, ValueError):
         return None
+    if not (np.isfinite(parsed[2]).all() and parsed[2].min() > 0):
+        return None
+    return parsed
 
 
-def _raise_split_error(raw, first, user_to_index, item_to_index):
-    """Raise the error of the first bad line among ``raw`` (numbered from
-    ``first``), checking each line as ``_read_interactions`` does."""
+def _raise_split_error(raw, first, user_to_index, item_to_index, name):
+    """Raise the ParseError of the first bad line among ``raw`` (numbered
+    from ``first``) of split file ``name``, checking each line as
+    ``_read_interactions`` does."""
     for lineno, raw_line in enumerate(raw, start=first):
         line = raw_line.strip()
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != 3:
-            raise ParseError(f"expected user,item,value, got {line!r}", line=lineno)
+            raise ParseError(f"expected user,item,value, got {line!r}", lineno, name)
         try:
             user_to_index[fields[0]], item_to_index[fields[1]]
         except KeyError as missing:
-            raise ParseError(f"id {missing} not present in id maps", line=lineno) from None
-        float(fields[2])  # a ValueError names the bad value
+            raise ParseError(f"id {missing} not present in id maps", lineno, name) from None
+        try:
+            value = float(fields[2])
+        except ValueError:
+            raise ParseError(f"value {fields[2]!r} is not a number", lineno, name) from None
+        if not np.isfinite(value) or value <= 0:
+            raise ParseError(f"value must be positive and finite, got {fields[2]!r}", lineno, name)
     raise AssertionError("a rejected chunk holds no bad line")
 
 
@@ -480,7 +496,8 @@ def _read_interactions(path, user_to_index, item_to_index, num_items, binarized)
                 continue
             parsed = _parse_split_chunk(lines, user_to_index, item_to_index)
             if parsed is None:
-                _raise_split_error(raw, first, user_to_index, item_to_index)
+                _raise_split_error(raw, first, user_to_index, item_to_index,
+                                   os.path.basename(path))
             users.append(parsed[0])
             items.append(parsed[1])
             values.append(parsed[2])
@@ -514,7 +531,8 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     other group are empty 0-row matrices with every item as a column, and
     their user arrays are empty.  The id maps are checked against the
     manifest's user and item counts, and each parsed file against its
-    group's user count, so a truncated artifact raises ParseError naming it.
+    group's user count, so a truncated artifact raises ParseError naming it;
+    a bad line of a split file raises ParseError naming the file and line.
     Fold-in and holdout matrices of the same group share row order by
     construction (ascending user index).
     """

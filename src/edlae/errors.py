@@ -26,10 +26,12 @@ class InvalidDropout(EdlaeError):
 
 
 class ParseError(EdlaeError):
-    """An input file row could not be parsed."""
+    """An input file row could not be parsed; ``file`` names the file when
+    the message would not otherwise say which one."""
 
-    def __init__(self, message, line):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message, line, file=None):
+        where = f"line {line}" if file is None else f"{file}, line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
 
 

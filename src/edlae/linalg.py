@@ -6,6 +6,8 @@ routine is a pure function and safe to call from multiple threads, except
 that ``sym_inverse`` and ``top_k_eig`` with ``overwrite_a=True`` reuse the
 caller's ``a`` as their workspace.  Checks and copies over n x n matrices
 run in blocks of ``_BLOCK_ROWS`` rows, so they need no n x n temporaries.
+``scipy.linalg`` is imported by the two routines that call LAPACK, when they
+run, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
 
@@ -64,13 +65,16 @@ def _require_symmetric(a, name="matrix"):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     scale, asymmetry = 1.0, 0.0
+    # One row block of differences, reused: the check's only temporary.
+    diff = np.empty((min(_BLOCK_ROWS, a.shape[0]), a.shape[0]))
     for start in range(0, a.shape[0], _BLOCK_ROWS):
         rows = a[start:start + _BLOCK_ROWS]
-        if not np.isfinite(rows).all():
+        high, low = float(rows.max()), float(rows.min())  # NaN or inf if any entry is
+        if not (np.isfinite(high) and np.isfinite(low)):
             raise ValueError(f"{name} contains non-finite values")
-        scale = max(scale, float(rows.max()), -float(rows.min()))
-        diff = rows - a[:, start:start + _BLOCK_ROWS].T
-        asymmetry = max(asymmetry, float(diff.max()), -float(diff.min()))
+        scale = max(scale, high, -low)
+        block = np.subtract(rows, a[:, start:start + _BLOCK_ROWS].T, out=diff[:len(rows)])
+        asymmetry = max(asymmetry, float(block.max()), -float(block.min()))
     if asymmetry > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric within {_SYMMETRY_TOL:g}")
     return a
@@ -115,6 +119,8 @@ def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     # LAPACK works on Fortran-ordered arrays.  a.T is one for a C-ordered a,
     # and its upper triangle is a's lower one.
     work = a.T if overwrite_a and a.flags.c_contiguous else np.array(a.T, order="F")
+    import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
+
     potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
     factor, info = potrf(work, lower=False, clean=False, overwrite_a=True)
     if info == 0:
@@ -145,6 +151,8 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must be in [1, {n}], got {k}")
     work = a.T if overwrite_a and a.flags.c_contiguous else a
+    import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
+
     try:
         vals, vecs = scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1), check_finite=False,
                                        overwrite_a=overwrite_a)

@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's production paths: the Gram oracle is
 a plain dict loop, the text parsers and writers of the dataset module work
-one line at a time, the ranking metrics enumerate full rankings in pure
-Python, and the factor-pair minimizer is multi-restart gradient descent on
-the written-out objective.  When a test compares the library against one of
+one line at a time, fold-in scoring is a scipy sparse product, the ranking
+metrics enumerate full rankings in pure Python, and the factor-pair
+minimizer is multi-restart gradient descent on the written-out objective.  When a test compares the library against one of
 these, the two sides share no code.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -92,7 +93,9 @@ def load_interactions(path, fmt="csv", binarize=True):
 
 def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
     """``dataset._read_interactions`` one line at a time: the matrix of a
-    split file and the original index of each of its rows."""
+    split file and the original index of each of its rows.  A bad line is a
+    ParseError naming the file and the line."""
+    name = os.path.basename(path)
     triples = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -101,13 +104,19 @@ def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
                 continue
             fields = line.split(",")
             if len(fields) != 3:
-                raise ParseError(f"expected user,item,value, got {line!r}", line=lineno)
+                raise ParseError(f"expected user,item,value, got {line!r}", lineno, name)
             try:
-                triples.append(
-                    (user_to_index[fields[0]], item_to_index[fields[1]], float(fields[2]))
-                )
+                user, item = user_to_index[fields[0]], item_to_index[fields[1]]
             except KeyError as missing:
-                raise ParseError(f"id {missing} not present in id maps", line=lineno) from None
+                raise ParseError(f"id {missing} not present in id maps", lineno, name) from None
+            try:
+                value = float(fields[2])
+            except ValueError:
+                raise ParseError(f"value {fields[2]!r} is not a number", lineno, name) from None
+            if not math.isfinite(value) or value <= 0:
+                raise ParseError(f"value must be positive and finite, got {fields[2]!r}",
+                                 lineno, name)
+            triples.append((user, item, value))
     rows = sorted({t[0] for t in triples})
     row_of = {u: r for r, u in enumerate(rows)}
     matrix = InteractionMatrix.from_triples(
@@ -115,6 +124,14 @@ def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
         [t[2] for t in triples], binarized=binarized,
     )
     return matrix, np.array(rows, dtype=np.int64)
+
+
+def csr_scores(u, v, foldin: InteractionMatrix) -> np.ndarray:
+    """Fold-in scores through a scipy CSR product, ``(X @ U) @ V.T``, with
+    the fold-in items masked to -inf."""
+    scores = np.asarray((foldin.to_csr() @ u) @ v.T).astype(np.float64, copy=False)
+    scores[foldin.users, foldin.items] = -np.inf
+    return scores
 
 
 def interactions_text(x, row_users, user_ids, item_ids) -> str:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edlae
 from edlae.cli import main
 from edlae.dataset import (
     SPLIT_FILES,
@@ -333,6 +336,31 @@ class TestSplitFiles:
         assert main(["train", "--split", str(split), "--out", str(tmp_path / "r2"),
                      "--ks", "2"]) == 0
 
+    def test_bad_foldin_line_names_file_and_line(self, tmp_path, data_csv, capsys):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / "test_foldin.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "nobody," + lines[2].split(",", 1)[1]
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", str(run / "edlae_k2.model")])
+        assert code == 1
+        assert "test_foldin.csv, line 3: id 'nobody' not present" in capsys.readouterr().err
+
+    def test_bad_holdout_value_names_file_and_line(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        path = split / "validation_holdout.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",abc\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1
+        assert ("validation_holdout.csv, line 2: value 'abc' is not a number"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     # Ids as ingest accepts them: no comma, tab or line break, and no
     # surrounding whitespace (ingest strips it).
     _ID = st.text(
@@ -348,7 +376,8 @@ class TestSplitFiles:
         rng = np.random.default_rng(seed)
         lines = ["uid0,iid0"]  # a first line that is not a header
         for user in users:
-            for item in rng.choice(items, size=3, replace=False):
+            # choose indices: a numpy string array would drop trailing NULs
+            for item in map(items.__getitem__, rng.choice(len(items), size=3, replace=False)):
                 lines.append(f"{user},{item}")
         with tempfile.TemporaryDirectory() as tmp:
             data = os.path.join(tmp, "data.csv")
@@ -374,6 +403,45 @@ class TestSplitFiles:
                     np.testing.assert_array_equal(a.items, b.items)
         assert set(user_ids) == set(users) | {"uid0"}
         assert set(item_ids) == set(items) | {"iid0"}
+
+
+class TestNoScipy:
+    """ingest and eval run on numpy alone: they must not load any scipy module."""
+
+    @staticmethod
+    def run_python(code):
+        src = os.path.dirname(os.path.dirname(edlae.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip().splitlines()[-1]
+
+    _SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+    def test_import_loads_no_scipy(self):
+        assert self.run_python(f"import sys, edlae, edlae.cli; print({self._SCIPY_MODULES})") == "[]"
+
+    def test_ingest_and_eval_load_no_scipy(self, tmp_path, data_csv):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        model = str(run / "edlae_k2.model")
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", model]) == 0
+        # The same ingest again (same seed, same split) and eval, in a fresh process.
+        again, metrics = str(tmp_path / "again"), str(tmp_path / "m2")
+        code = f"""
+import sys
+from edlae.cli import main
+assert main(["ingest", "--data", {str(data_csv)!r}, "--out", {again!r},
+             "--validation-fraction", "0.2", "--test-fraction", "0.2", "--seed", "3"]) == 0
+assert main(["eval", "--split", {again!r}, "--out", {metrics!r}, "--models", {model!r}]) == 0
+print({self._SCIPY_MODULES})
+"""
+        assert self.run_python(code) == "[]"
+        assert ((tmp_path / "m2" / "metrics.jsonl").read_bytes()
+                == (tmp_path / "m" / "metrics.jsonl").read_bytes())
 
 
 class TestVerify:

@@ -11,7 +11,7 @@ from edlae.dataset import InteractionMatrix
 from edlae.errors import DimensionMismatch, EmptyHoldout
 from edlae.evaluate import _top_lists, ndcg_at_k, recall_at_k, score_users
 
-from oracles import brute_ndcg, brute_recall, holdout_sets
+from oracles import brute_ndcg, brute_recall, csr_scores, holdout_sets
 
 
 def interactions(num_users, num_items, triples):
@@ -62,6 +62,75 @@ class TestScoreUsers:
         model = LowRankModel(u=np.zeros((4, 1)), v=np.zeros((4, 1)), rank=1)
         with pytest.raises(DimensionMismatch):
             score_users(model, foldin)
+
+
+# Fold-in values beyond what ingest writes: non-binary, negative and -0.0.
+_FOLDIN_VALUES = np.array([1.0, 1.0, 0.5, 3.0, 0.1, 7e5, 1e-3, -2.0, -0.0, -0.3])
+
+
+def foldin_matrix(mask, values):
+    """An InteractionMatrix of the nonzero positions of ``mask``, built
+    directly so that any value is allowed; triples come out sorted by
+    (user, item), as from_triples sorts them."""
+    users, items = np.nonzero(mask)
+    return InteractionMatrix(mask.shape[0], mask.shape[1], users.astype(np.int64),
+                             items.astype(np.int64), values, False)
+
+
+class TestScoreUsersMatchesCsr:
+    """score_users sums X U in numpy; it must equal the CSR product bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_users=st.integers(0, 14),
+        num_items=st.integers(1, 40),
+        k=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+        heavy=st.booleans(),
+        binary=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-8, 1e8]),
+        block=st.sampled_from([1, 3, 8, evaluate._FOLD_IN_BLOCK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_csr_product(self, num_users, num_items, k, density, heavy, binary,
+                                      scale, block, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((num_users, num_items)) < density  # some users have no items
+        if heavy and num_users:
+            mask[rng.integers(num_users)] = rng.random(num_items) < 0.9  # one heavy user
+        nnz = int(mask.sum())
+        values = np.ones(nnz) if binary else rng.choice(_FOLDIN_VALUES, size=nnz)
+        foldin = foldin_matrix(mask, values)
+        u = scale * rng.standard_normal((num_items, k))
+        v = rng.standard_normal((num_items, k))
+        original = evaluate._FOLD_IN_BLOCK
+        evaluate._FOLD_IN_BLOCK = block  # values of X U per block: 1 to several rows
+        try:
+            got = score_users(LowRankModel(u=u, v=v, rank=k), foldin)
+        finally:
+            evaluate._FOLD_IN_BLOCK = original
+        want = csr_scores(u, v, foldin)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # also the signs of zeros
+
+    @pytest.mark.parametrize("shape", [(0, 6), (5, 6), (1, 1)])
+    def test_no_fold_in_items(self, shape):
+        rng = np.random.default_rng(1)
+        u, v = rng.standard_normal((shape[1], 3)), rng.standard_normal((shape[1], 3))
+        foldin = foldin_matrix(np.zeros(shape, dtype=bool), np.zeros(0))
+        got = score_users(LowRankModel(u=u, v=v, rank=3), foldin)
+        assert got.shape == shape
+        assert got.tobytes() == csr_scores(u, v, foldin).tobytes()
+
+    def test_rank_one_with_a_heavy_user(self):
+        rng = np.random.default_rng(2)
+        mask = rng.random((30, 200)) < 0.02
+        mask[17] = True  # 200 items against about 4 for everyone else
+        foldin = foldin_matrix(mask, rng.choice(_FOLDIN_VALUES, size=int(mask.sum())))
+        u, v = rng.standard_normal((200, 1)), rng.standard_normal((200, 1))
+        got = score_users(LowRankModel(u=u, v=v, rank=1), foldin)
+        assert got.tobytes() == csr_scores(u, v, foldin).tobytes()
 
 
 class TestNdcg:

@@ -105,6 +105,24 @@ class TestSymInverse:
         with pytest.raises(ValueError, match="non-finite"):
             sym_inverse(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        a = np.eye(5)
+        a[3, 1] = a[1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_inverse(a)
+
+    def test_symmetry_check_holds_one_row_block(self):
+        n = 600
+        a = random_symmetric(np.random.default_rng(24), n)
+        tracemalloc.start()
+        linalg._require_symmetric(a)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        row_block = min(linalg._BLOCK_ROWS, n) * n * 8
+        ufunc_buffer = np.getbufsize() * 8  # subtracting a transposed view is buffered
+        assert peak <= row_block + ufunc_buffer + 64 * n
+
     def test_involution(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
