@@ -477,3 +477,18 @@ class TestBench:
         text = (out / "bench.txt").read_text()
         assert "teacher" in text and "top-2 eig" in text and "rank-8 projection" in text
         assert "mean (s)" in capsys.readouterr().out
+
+    def test_scipy_imported_before_first_sample(self):
+        # In a fresh process: the first timed inverse must not pay for the import.
+        code = """
+import sys
+import edlae.cli as cli
+seen, inverse = [], cli.sym_inverse
+def probe(*args, **kwargs):
+    seen.append("scipy.linalg" in sys.modules)
+    return inverse(*args, **kwargs)
+cli.sym_inverse = probe
+assert cli.main(["bench", "--n", "20", "--ks", "2", "--repeats", "2"]) == 0
+print(seen)
+"""
+        assert TestNoScipy.run_python(code) == "[True, True]"
