@@ -260,12 +260,7 @@ def cmd_eval(args):
         model = serialize.load_model(path)
         model_id = os.path.splitext(os.path.basename(path))[0]
         scores = evaluate.score_users(model, split.test_foldin)
-        results = [
-            evaluate.ndcg_at_k(scores, split.test_holdout, 100),
-            evaluate.recall_at_k(scores, split.test_holdout, 20),
-            evaluate.recall_at_k(scores, split.test_holdout, 50),
-        ]
-        for res in results:
+        for res in evaluate.ranking_metrics(scores, split.test_holdout):
             rows.append(
                 {
                     "model_id": model_id,

@@ -503,23 +503,47 @@ def _read_interactions(path, user_to_index, item_to_index, num_items, binarized)
             values.append(parsed[2])
     users, items, values = map(np.concatenate, (users, items, values))
     rows, row_of = np.unique(users, return_inverse=True)
-    matrix = InteractionMatrix.from_triples(
-        rows.size, num_items, row_of, items, values, binarized=binarized
-    )
+    try:
+        matrix = InteractionMatrix.from_triples(
+            rows.size, num_items, row_of, items, values, binarized=binarized
+        )
+    except ValueError:
+        _raise_pair_error(path, binarized)
+        raise
     return matrix, rows
 
 
-def _manifest_count(manifest, key, actual, name):
-    """Check one count of the manifest against what a file holds."""
+def _raise_pair_error(path, binarized):
+    """Raise the ParseError of the first line of split file ``path`` that
+    repeats an earlier (user, item) pair or, in a binarized split, holds a
+    value other than 1.  Every line is known to parse."""
+    name = os.path.basename(path)
+    seen = set()
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw_line in enumerate(handle, start=1):
+            line = raw_line.strip()
+            if not line:
+                continue
+            user, item, value = line.split(",")
+            if (user, item) in seen:
+                raise ParseError("duplicate (user, item) pair", lineno, name)
+            seen.add((user, item))
+            if binarized and float(value) != 1.0:
+                raise ParseError(f"value must be 1 in a binarized split, got {value!r}",
+                                 lineno, name)
+
+
+def _manifest_count(manifest, key, actual, name, what):
+    """Check one count of the manifest against the ``what`` file ``name`` holds."""
     try:
         expected = int(manifest[key])
     except (KeyError, ValueError):
-        raise ParseError(f"manifest.txt has no integer {key}", line=0) from None
+        raise ParseError(f"no integer {key}", file="manifest.txt") from None
     if actual != expected:
         raise ParseError(
-            f"{name} does not match manifest.txt: {key} = {expected}, but the file holds "
-            f"{actual}; the split is truncated or stale",
-            line=0,
+            f"{name} holds {actual} {what}, manifest says {key} = {expected}; "
+            "the split is truncated or stale",
+            file="manifest.txt",
         )
 
 
@@ -532,7 +556,9 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     their user arrays are empty.  The id maps are checked against the
     manifest's user and item counts, and each parsed file against its
     group's user count, so a truncated artifact raises ParseError naming it;
-    a bad line of a split file raises ParseError naming the file and line.
+    a bad line of a split file, a repeated (user, item) pair among them, or
+    a value other than 1 in a binarized split, raises ParseError naming the
+    file and line.
     Fold-in and holdout matrices of the same group share row order by
     construction (ascending user index).
     """
@@ -548,8 +574,8 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     binarized = manifest.get("binarized", "false") == "true"
     user_ids = _read_id_map(os.path.join(split_dir, "users.tsv"))
     item_ids = _read_id_map(os.path.join(split_dir, "items.tsv"))
-    _manifest_count(manifest, "num_users", len(user_ids), "users.tsv")
-    _manifest_count(manifest, "num_items", len(item_ids), "items.tsv")
+    _manifest_count(manifest, "num_users", len(user_ids), "users.tsv", "ids")
+    _manifest_count(manifest, "num_items", len(item_ids), "items.tsv", "ids")
     user_to_index = {v: k for k, v in enumerate(user_ids)}
     item_to_index = {v: k for k, v in enumerate(item_ids)}
     n = len(item_ids)
@@ -565,9 +591,9 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
             parts[name], rows = _read_interactions(
                 os.path.join(split_dir, name), user_to_index, item_to_index, n, binarized
             )
-            _manifest_count(manifest, f"{group}_users", rows.size, name)
+            _manifest_count(manifest, f"{group}_users", rows.size, name, "users")
             if group in group_users and not np.array_equal(group_users[group], rows):
-                raise ParseError("fold-in and holdout files disagree on user sets", line=0)
+                raise ParseError(f"{names[0]} and {name} hold different users")
             group_users[group] = rows
     return (
         EvalSplit(

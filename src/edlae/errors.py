@@ -26,12 +26,16 @@ class InvalidDropout(EdlaeError):
 
 
 class ParseError(EdlaeError):
-    """An input file row could not be parsed; ``file`` names the file when
+    """An input file could not be parsed.  ``line`` is the bad line's number,
+    or None when no single line is at fault; ``file`` names the file when
     the message would not otherwise say which one."""
 
-    def __init__(self, message, line, file=None):
-        where = f"line {line}" if file is None else f"{file}, line {line}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, message, line=None, file=None):
+        if line is None:
+            where = file
+        else:
+            where = f"line {line}" if file is None else f"{file}, line {line}"
+        super().__init__(f"{where}: {message}" if where else message)
         self.line = line
 
 

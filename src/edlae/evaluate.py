@@ -9,11 +9,17 @@ ascending item order, one multiply and one add per element.  A CSR product
 scores are bit-equal to ``(X_csr @ U) @ V.T``.
 
 A ranking orders items by descending score, ties by ascending item index,
-which keeps every metric deterministic.  NaN scores are rejected.  Only the
-first ``cutoff`` items of each ranking are formed: rows are processed in
-blocks, argpartition selects each row's top-cutoff candidates, and only those
-are sorted.  A row where an item tied with the cutoff-th score falls outside
-the candidates is fully sorted instead, so the tie rule holds exactly.
+which keeps every metric deterministic.  NaN scores are rejected.  Each
+model's scores are ranked once, by ``ranking_metrics``: one top list per row
+at the largest cutoff serves every metric, since a smaller cutoff's list is a
+prefix of it.  Only the first ``cutoff`` items of each ranking are formed:
+rows are processed in blocks, argpartition selects each row's top-cutoff
+candidates, and only those are sorted.  A row where an item tied with the
+cutoff-th score falls outside the candidates is fully sorted instead, so the
+tie rule holds exactly.  A block's top lists are checked against the holdout
+in one reused (block rows x items) relevance mask, so neither the top lists
+nor the mask are ever held for all users at once; only a (users x cutoff)
+boolean gain matrix is.
 """
 
 from __future__ import annotations
@@ -110,39 +116,33 @@ def _check_eval_inputs(scores, holdout):
 
 def _top_lists(scores, cutoff):
     """Each row's first min(cutoff, n) items by descending score, ties by
-    ascending item index: the leading columns of a stable sort of -scores."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    num_users, n = scores.shape
-    width = min(cutoff, n)
-    if width == n:
-        return np.argsort(-scores, axis=1, kind="stable")
-    top = np.empty((num_users, width), dtype=np.intp)
-    for lo in range(0, num_users, _BLOCK_ROWS):
-        top[lo:lo + _BLOCK_ROWS] = _block_top(scores[lo:lo + _BLOCK_ROWS], width)
-    return top
+    ascending item index: the leading columns of a stable sort of -scores.
 
-
-def _block_top(block, width):
-    """_top_lists of one row block, for width < n.
-
+    Its temporaries are a few times the size of ``scores``, so
+    ranking_metrics passes one row block at a time.  For width < n,
     argpartition selects a top-width candidate set per row; sorted by item
     index and then stably by descending score, it is the row's exact top
     list unless an item tied with the boundary (the width-th best) score was
     left out.  Such rows, including rows with fewer than width finite
     scores, are ranked by a full stable sort instead.
     """
-    rows = np.arange(block.shape[0])[:, None]
-    cand = np.argpartition(block, block.shape[1] - width, axis=1)[:, -width:]
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    n = scores.shape[1]
+    width = min(cutoff, n)
+    if width == n:
+        return np.argsort(-scores, axis=1, kind="stable")
+    rows = np.arange(scores.shape[0])[:, None]
+    cand = np.argpartition(scores, n - width, axis=1)[:, -width:]
     cand.sort(axis=1)
-    cand_scores = block[rows, cand]
+    cand_scores = scores[rows, cand]
     order = np.argsort(-cand_scores, axis=1, kind="stable")
     top = cand[rows, order]
     boundary = cand_scores[rows, order[:, -1:]]
-    ties = np.count_nonzero(block == boundary, axis=1)
+    ties = np.count_nonzero(scores == boundary, axis=1)
     redo = np.flatnonzero(ties != np.count_nonzero(cand_scores == boundary, axis=1))
     if redo.size:
-        top[redo] = np.argsort(-block[redo], axis=1, kind="stable")[:, :width]
+        top[redo] = np.argsort(-scores[redo], axis=1, kind="stable")[:, :width]
     return top
 
 
@@ -152,33 +152,63 @@ def _aggregate(name, cutoff, per_user):
     return MetricResult(name, cutoff, float(per_user.mean()), stderr, per_user)
 
 
-def ndcg_at_k(scores: np.ndarray, holdout: InteractionMatrix, cutoff: int = 100) -> MetricResult:
-    """Binary-relevance nDCG truncated at ``cutoff``.
+_METRICS = ("ndcg", "recall")
 
-    DCG discounts a hit at rank r by 1/log2(r + 1); the ideal DCG places one
-    hit at each of the first min(cutoff, #holdout) ranks.
+
+def ranking_metrics(
+    scores: np.ndarray,
+    holdout: InteractionMatrix,
+    metrics=(("ndcg", 100), ("recall", 20), ("recall", 50)),
+) -> list[MetricResult]:
+    """One MetricResult per ``(name, cutoff)`` of ``metrics``, in that order,
+    from a single ranking of ``scores``.
+
+    ``"ndcg"`` is binary-relevance nDCG truncated at the cutoff: DCG
+    discounts a hit at rank r by 1/log2(r + 1), and the ideal DCG places one
+    hit at each of the first min(cutoff, #holdout) ranks.  ``"recall"`` is
+    the fraction of holdout items retrieved in the top ``cutoff``, normalized
+    by min(cutoff, #holdout) so a full retrieval scores 1.
     """
     scores, counts = _check_eval_inputs(scores, holdout)
-    num_users = scores.shape[0]
-    top = _top_lists(scores, cutoff)
-    rel = np.zeros(scores.shape, dtype=bool)
-    rel[holdout.users, holdout.items] = True
-    gains = rel[np.arange(num_users)[:, None], top]
-    discounts = 1.0 / np.log2(np.arange(2, top.shape[1] + 2))
-    dcg = gains @ discounts
-    ideal_hits = np.minimum(counts, top.shape[1])
-    idcg = np.concatenate([[0.0], np.cumsum(discounts)])[ideal_hits]
-    return _aggregate("ndcg", cutoff, dcg / idcg)
+    if not metrics:
+        raise ValueError("no metrics requested")
+    for name, cutoff in metrics:
+        if name not in _METRICS:
+            raise ValueError(f"unknown metric {name!r}; expected one of {list(_METRICS)}")
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    num_users, n = scores.shape
+    width = min(max(cutoff for _, cutoff in metrics), n)
+    # gains[u, r]: the item at rank r of user u's list is a holdout item
+    gains = np.empty((num_users, width), dtype=bool)
+    rel = np.zeros((min(_BLOCK_ROWS, num_users), n), dtype=bool)
+    bounds = np.searchsorted(holdout.users, np.arange(0, num_users + _BLOCK_ROWS, _BLOCK_ROWS))
+    for block, lo in enumerate(range(0, num_users, _BLOCK_ROWS)):
+        hi = min(lo + _BLOCK_ROWS, num_users)
+        top = _top_lists(scores[lo:hi], width)
+        entries = slice(bounds[block], bounds[block + 1])
+        rows, items = holdout.users[entries] - lo, holdout.items[entries]
+        rel[rows, items] = True
+        gains[lo:hi] = np.take_along_axis(rel[:hi - lo], top, axis=1)
+        rel[rows, items] = False
+    results = []
+    for name, cutoff in metrics:
+        width = min(cutoff, n)
+        if name == "ndcg":
+            discounts = 1.0 / np.log2(np.arange(2, width + 2))
+            idcg = np.concatenate([[0.0], np.cumsum(discounts)])[np.minimum(counts, width)]
+            per_user = (gains[:, :width] @ discounts) / idcg
+        else:
+            per_user = gains[:, :width].sum(axis=1) / np.minimum(counts, cutoff)
+        results.append(_aggregate(name, cutoff, per_user))
+    return results
+
+
+def ndcg_at_k(scores: np.ndarray, holdout: InteractionMatrix, cutoff: int = 100) -> MetricResult:
+    """Binary-relevance nDCG truncated at ``cutoff`` (see ranking_metrics)."""
+    return ranking_metrics(scores, holdout, (("ndcg", cutoff),))[0]
 
 
 def recall_at_k(scores: np.ndarray, holdout: InteractionMatrix, cutoff: int) -> MetricResult:
-    """Fraction of holdout items retrieved in the top ``cutoff``, normalized
-    by min(cutoff, #holdout) so a full retrieval scores 1."""
-    scores, counts = _check_eval_inputs(scores, holdout)
-    num_users = scores.shape[0]
-    top = _top_lists(scores, cutoff)
-    rel = np.zeros(scores.shape, dtype=bool)
-    rel[holdout.users, holdout.items] = True
-    hits = rel[np.arange(num_users)[:, None], top].sum(axis=1)
-    denom = np.minimum(counts, cutoff)
-    return _aggregate("recall", cutoff, hits / denom)
+    """Recall at ``cutoff``, normalized by min(cutoff, #holdout) (see ranking_metrics)."""
+    return ranking_metrics(scores, holdout, (("recall", cutoff),))[0]

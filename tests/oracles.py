@@ -3,7 +3,8 @@
 These deliberately avoid the library's production paths: the Gram oracle is
 a plain dict loop, the text parsers and writers of the dataset module work
 one line at a time, fold-in scoring is a scipy sparse product, the ranking
-metrics enumerate full rankings in pure Python, and the factor-pair
+metrics enumerate full rankings in pure Python (and, for exact comparison,
+rank once per metric against a dense relevance mask), and the factor-pair
 minimizer is multi-restart gradient descent on the written-out objective.  When a test compares the library against one of
 these, the two sides share no code.
 """
@@ -14,6 +15,7 @@ import os
 import numpy as np
 
 from edlae.dataset import InteractionMatrix
+from edlae.evaluate import MetricResult, _aggregate, _check_eval_inputs, _top_lists
 from edlae.errors import EmptyDataset, ParseError
 
 
@@ -94,7 +96,9 @@ def load_interactions(path, fmt="csv", binarize=True):
 def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
     """``dataset._read_interactions`` one line at a time: the matrix of a
     split file and the original index of each of its rows.  A bad line is a
-    ParseError naming the file and the line."""
+    ParseError naming the file and the line; only when every line parses is
+    the first line that repeats a pair, or holds a value other than 1 in a
+    binarized split, one."""
     name = os.path.basename(path)
     triples = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -116,7 +120,14 @@ def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
             if not math.isfinite(value) or value <= 0:
                 raise ParseError(f"value must be positive and finite, got {fields[2]!r}",
                                  lineno, name)
-            triples.append((user, item, value))
+            triples.append((user, item, value, lineno, fields[2]))
+    seen = set()
+    for user, item, value, lineno, field in triples:
+        if (user, item) in seen:
+            raise ParseError("duplicate (user, item) pair", lineno, name)
+        seen.add((user, item))
+        if binarized and value != 1.0:
+            raise ParseError(f"value must be 1 in a binarized split, got {field!r}", lineno, name)
     rows = sorted({t[0] for t in triples})
     row_of = {u: r for r, u in enumerate(rows)}
     matrix = InteractionMatrix.from_triples(
@@ -183,6 +194,34 @@ def brute_recall(scores, holdout_sets, cutoff) -> list:
         hits = sum(1 for item in ranking if item in relevant)
         per_user.append(hits / min(cutoff, len(relevant)))
     return per_user
+
+
+def per_metric_ndcg(scores, holdout: InteractionMatrix, cutoff: int = 100) -> MetricResult:
+    """nDCG as evaluate.ndcg_at_k computed it before ranking_metrics: its
+    own top list and a dense users x items relevance mask per call."""
+    scores, counts = _check_eval_inputs(scores, holdout)
+    num_users = scores.shape[0]
+    top = _top_lists(scores, cutoff)
+    rel = np.zeros(scores.shape, dtype=bool)
+    rel[holdout.users, holdout.items] = True
+    gains = rel[np.arange(num_users)[:, None], top]
+    discounts = 1.0 / np.log2(np.arange(2, top.shape[1] + 2))
+    dcg = gains @ discounts
+    ideal_hits = np.minimum(counts, top.shape[1])
+    idcg = np.concatenate([[0.0], np.cumsum(discounts)])[ideal_hits]
+    return _aggregate("ndcg", cutoff, dcg / idcg)
+
+
+def per_metric_recall(scores, holdout: InteractionMatrix, cutoff: int) -> MetricResult:
+    """Recall as evaluate.recall_at_k computed it before ranking_metrics."""
+    scores, counts = _check_eval_inputs(scores, holdout)
+    num_users = scores.shape[0]
+    top = _top_lists(scores, cutoff)
+    rel = np.zeros(scores.shape, dtype=bool)
+    rel[holdout.users, holdout.items] = True
+    hits = rel[np.arange(num_users)[:, None], top].sum(axis=1)
+    denom = np.minimum(counts, cutoff)
+    return _aggregate("recall", cutoff, hits / denom)
 
 
 def holdout_sets(holdout: InteractionMatrix) -> list:

@@ -262,6 +262,23 @@ class TestEval:
         table = (out / "metrics.txt").read_text()
         assert "ndcg" in table and "recall" in table
 
+    def test_each_user_ranked_once_per_model(self, tmp_path, data_csv, monkeypatch):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--family", "both",
+                     "--ks", "2"]) == 0
+        test_users = len(load_split_artifacts(split, ("test",))[0].test_users)
+        monkeypatch.setattr(edlae.evaluate, "_BLOCK_ROWS", 2)
+        calls = []
+        ranked = edlae.evaluate._top_lists
+        monkeypatch.setattr(edlae.evaluate, "_top_lists", lambda scores, cutoff: calls.append(
+            (scores.shape[0], cutoff)) or ranked(scores, cutoff))
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m"), "--models",
+                     str(run / "edlae_k2.model"), str(run / "ridge_k2.model")]) == 0
+        # every test user's list is formed once per model, 8 (all) items long
+        assert sum(rows for rows, _ in calls) == 2 * test_users
+        assert {width for _, width in calls} == {8}
+
     def test_corrupt_model(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
         bad = tmp_path / "bad.model"
@@ -319,11 +336,13 @@ class TestSplitFiles:
         (split / "items.tsv").write_text("".join(lines[:-1]), encoding="utf-8")
         out = tmp_path / "run"
         assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1
-        assert "items.tsv" in capsys.readouterr().err
+        assert (f"error: manifest.txt: items.tsv holds {len(lines) - 1} ids, "
+                f"manifest says num_items = {len(lines)}" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_truncated_holdout_fails_eval_only(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
+        test_users = len(load_split_artifacts(split, ("test",))[0].test_users)
         path = split / "test_holdout.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         last_user = lines[-1].split(",")[0]
@@ -332,7 +351,8 @@ class TestSplitFiles:
         code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
                      "--models", str(run / "edlae_k2.model")])
         assert code == 1
-        assert "test_holdout.csv" in capsys.readouterr().err
+        assert (f"error: manifest.txt: test_holdout.csv holds {test_users - 1} users, "
+                f"manifest says test_users = {test_users}" in capsys.readouterr().err)
         assert main(["train", "--split", str(split), "--out", str(tmp_path / "r2"),
                      "--ks", "2"]) == 0
 
@@ -347,6 +367,33 @@ class TestSplitFiles:
                      "--models", str(run / "edlae_k2.model")])
         assert code == 1
         assert "test_foldin.csv, line 3: id 'nobody' not present" in capsys.readouterr().err
+
+    def test_duplicate_foldin_pair_names_file_and_line(self, tmp_path, data_csv, capsys):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / "test_foldin.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(6, lines[0])  # line 7 repeats line 1
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", str(run / "edlae_k2.model")])
+        assert code == 1
+        assert ("error: test_foldin.csv, line 7: duplicate (user, item) pair"
+                in capsys.readouterr().err)
+
+    def test_non_unit_value_in_binarized_split_names_file_and_line(self, tmp_path, data_csv,
+                                                                  capsys):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / "test_holdout.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",2\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", str(run / "edlae_k2.model")])
+        assert code == 1
+        assert ("error: test_holdout.csv, line 3: value must be 1 in a binarized split, "
+                "got '2'" in capsys.readouterr().err)
 
     def test_bad_holdout_value_names_file_and_line(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)

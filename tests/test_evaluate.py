@@ -9,9 +9,16 @@ from edlae import evaluate
 from edlae.closed_form import LowRankModel
 from edlae.dataset import InteractionMatrix
 from edlae.errors import DimensionMismatch, EmptyHoldout
-from edlae.evaluate import _top_lists, ndcg_at_k, recall_at_k, score_users
+from edlae.evaluate import _top_lists, ndcg_at_k, ranking_metrics, recall_at_k, score_users
 
-from oracles import brute_ndcg, brute_recall, csr_scores, holdout_sets
+from oracles import (
+    brute_ndcg,
+    brute_recall,
+    csr_scores,
+    holdout_sets,
+    per_metric_ndcg,
+    per_metric_recall,
+)
 
 
 def interactions(num_users, num_items, triples):
@@ -318,12 +325,16 @@ class TestTopLists:
 
     @pytest.mark.parametrize("num_users", [1, 7, 8, 9, 23])
     def test_partial_last_block(self, monkeypatch, num_users):
+        # ranking_metrics ranks 4-row blocks; the last one may be partial
         monkeypatch.setattr(evaluate, "_BLOCK_ROWS", 4)
         rng = np.random.default_rng(num_users)
-        scores = rng.integers(0, 3, size=(num_users, 12)).astype(np.float64)
-        scores[rng.random(scores.shape) < 0.3] = -np.inf
+        scores, holdout = tied_case(rng, num_users, 12, 3, 0.3, 0)
+        sets = holdout_sets(holdout)
         for cutoff in (1, 3, 5, 12):
-            np.testing.assert_array_equal(_top_lists(scores, cutoff), stable_top(scores, cutoff))
+            ndcg, recall = ranking_metrics(scores, holdout, (("ndcg", cutoff), ("recall", cutoff)))
+            np.testing.assert_allclose(ndcg.per_user, brute_ndcg(scores, sets, cutoff), atol=1e-12)
+            np.testing.assert_allclose(recall.per_user, brute_recall(scores, sets, cutoff),
+                                       atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -331,22 +342,15 @@ class TestTopLists:
         levels=st.integers(1, 4),
         mask_share=st.sampled_from([0.0, 0.3, 0.9]),
         cutoff=st.integers(1, 18),
-        block_rows=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_full_stable_sort(self, shape, levels, mask_share, cutoff, block_rows, seed):
+    def test_matches_full_stable_sort(self, shape, levels, mask_share, cutoff, seed):
         # scores from a few integers tie heavily at every boundary; -inf
         # masks leave some rows with fewer finite scores than the cutoff
         rng = np.random.default_rng(seed)
         scores = rng.integers(0, levels, size=shape).astype(np.float64)
         scores[rng.random(shape) < mask_share] = -np.inf
-        original = evaluate._BLOCK_ROWS
-        evaluate._BLOCK_ROWS = block_rows
-        try:
-            top = _top_lists(scores, cutoff)
-        finally:
-            evaluate._BLOCK_ROWS = original
-        np.testing.assert_array_equal(top, stable_top(scores, cutoff))
+        np.testing.assert_array_equal(_top_lists(scores, cutoff), stable_top(scores, cutoff))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 4, 7, 12])
     def test_metrics_match_brute_force_on_ties(self, cutoff):
@@ -366,3 +370,126 @@ class TestTopLists:
             recall_at_k(scores, holdout, cutoff).per_user, brute_recall(scores, sets, cutoff),
             atol=1e-12,
         )
+
+
+def per_metric(scores, holdout, name, cutoff):
+    oracle = per_metric_ndcg if name == "ndcg" else per_metric_recall
+    return oracle(scores, holdout, cutoff)
+
+
+def assert_same_results(got, scores, holdout, metrics):
+    assert [(r.metric, r.cutoff) for r in got] == list(metrics)
+    for res, (name, cutoff) in zip(got, metrics):
+        want = per_metric(scores, holdout, name, cutoff)
+        assert np.array_equal(res.per_user, want.per_user)
+        assert res.per_user.dtype == want.per_user.dtype
+        assert res.mean == want.mean and res.stderr == want.stderr
+
+
+def tied_case(rng, num_users, num_items, levels, mask_share, dead_rows):
+    """Scores from a few integer levels, so that ties straddle every cutoff;
+    some entries and ``dead_rows`` whole rows are -inf; each user holds 1 to 4
+    holdout items."""
+    scores = rng.integers(0, levels, size=(num_users, num_items)).astype(np.float64)
+    scores[rng.random(scores.shape) < mask_share] = -np.inf
+    scores[rng.permutation(num_users)[:dead_rows]] = -np.inf
+    triples = [(u, int(i)) for u in range(num_users)
+               for i in rng.choice(num_items, size=int(rng.integers(1, min(4, num_items) + 1)),
+                                   replace=False)]
+    return scores, interactions(num_users, num_items, triples)
+
+
+_METRIC = st.tuples(st.sampled_from(["ndcg", "recall"]), st.integers(1, 20))
+
+
+class TestRankingMetrics:
+    """ranking_metrics ranks once for every metric; each result must equal
+    the per-metric computation (its own top list, a dense relevance mask)
+    exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_users=st.integers(1, 13),
+        num_items=st.integers(1, 15),
+        levels=st.integers(1, 4),
+        mask_share=st.sampled_from([0.0, 0.3, 0.9]),
+        dead_rows=st.integers(0, 3),
+        metrics=st.lists(_METRIC, min_size=1, max_size=4),
+        block_rows=st.sampled_from([1, 3, evaluate._BLOCK_ROWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_metric_oracles(self, num_users, num_items, levels, mask_share,
+                                       dead_rows, metrics, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        scores, holdout = tied_case(rng, num_users, num_items, levels, mask_share, dead_rows)
+        original = evaluate._BLOCK_ROWS
+        evaluate._BLOCK_ROWS = block_rows
+        try:
+            got = ranking_metrics(scores, holdout, metrics)
+        finally:
+            evaluate._BLOCK_ROWS = original
+        assert_same_results(got, scores, holdout, metrics)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    @pytest.mark.parametrize("metrics", [
+        (("ndcg", 100), ("recall", 20), ("recall", 50)),
+        (("recall", 50), ("ndcg", 100), ("recall", 20)),
+        (("recall", 20), ("recall", 20), ("ndcg", 7)),
+    ])
+    def test_many_users_in_partial_blocks(self, monkeypatch, block_rows, metrics):
+        # 601 users: not a multiple of any block size; 130 items, so ties
+        # straddle cutoffs 20 and 50, and n is above cutoff 100
+        monkeypatch.setattr(evaluate, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        scores, holdout = tied_case(rng, 601, 130, 6, 0.1, 5)
+        assert_same_results(ranking_metrics(scores, holdout, metrics), scores, holdout, metrics)
+
+    def test_default_metrics(self):
+        rng = np.random.default_rng(5)
+        scores, holdout = tied_case(rng, 40, 60, 3, 0.2, 2)
+        got = ranking_metrics(scores, holdout)
+        assert_same_results(got, scores, holdout,
+                            (("ndcg", 100), ("recall", 20), ("recall", 50)))
+
+    def test_wrappers_are_single_metric_calls(self):
+        rng = np.random.default_rng(6)
+        scores, holdout = tied_case(rng, 9, 12, 3, 0.2, 1)
+        for cutoff in (1, 5, 12, 30):
+            assert_same_results([ndcg_at_k(scores, holdout, cutoff)], scores, holdout,
+                                [("ndcg", cutoff)])
+            assert_same_results([recall_at_k(scores, holdout, cutoff)], scores, holdout,
+                                [("recall", cutoff)])
+
+    @pytest.mark.parametrize("num_items, width", [(30, 12), (9, 9)])
+    def test_each_row_ranked_once_at_the_largest_cutoff(self, monkeypatch, num_items, width):
+        monkeypatch.setattr(evaluate, "_BLOCK_ROWS", 3)
+        calls = []
+        ranked = evaluate._top_lists
+        monkeypatch.setattr(evaluate, "_top_lists", lambda scores, cutoff: calls.append(
+            (scores.shape[0], cutoff)) or ranked(scores, cutoff))
+        rng = np.random.default_rng(7)
+        scores, holdout = tied_case(rng, 8, num_items, 3, 0.0, 0)
+        ranking_metrics(scores, holdout, (("recall", 5), ("ndcg", 12), ("recall", 3)))
+        assert calls == [(3, width), (3, width), (2, width)]
+
+    @pytest.mark.parametrize("metrics", [
+        (("ndcg", 0),),
+        (("recall", 20), ("ndcg", 0)),
+        (("recall", 20), ("recall", -1)),
+        (("precision", 10),),
+        (("NDCG", 10),),
+        (),
+    ])
+    def test_rejects_bad_metrics(self, metrics):
+        scores, holdout = np.array([[1.0, 0.0]]), interactions(1, 2, [(0, 0)])
+        with pytest.raises(ValueError):
+            ranking_metrics(scores, holdout, metrics)
+
+    def test_input_checks_kept(self):
+        holdout = interactions(1, 3, [(0, 0)])
+        with pytest.raises(ValueError, match="NaN"):
+            ranking_metrics(np.array([[1.0, np.nan, 0.0]]), holdout)
+        with pytest.raises(DimensionMismatch):
+            ranking_metrics(np.zeros((2, 3)), holdout)
+        with pytest.raises(EmptyHoldout):
+            ranking_metrics(np.zeros((2, 3)), interactions(2, 3, [(0, 1)]))
