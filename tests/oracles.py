@@ -3,10 +3,12 @@
 These deliberately avoid the library's production paths: the Gram oracle is
 a plain dict loop, the text parsers and writers of the dataset module work
 one line at a time, fold-in scoring is a scipy sparse product, the ranking
-metrics enumerate full rankings in pure Python (and, for exact comparison,
-rank once per metric against a dense relevance mask), and the factor-pair
+metrics enumerate full rankings in pure Python, and the factor-pair
 minimizer is multi-restart gradient descent on the written-out objective.  When a test compares the library against one of
-these, the two sides share no code.
+these, the two sides share no code.  The one exception is the per-metric
+ranking path that ``evaluate.ranking_metrics`` replaced (``per_metric_*``):
+it reuses the library's top-list and input-check helpers, so that tests can
+require the two paths to agree bit for bit.
 """
 
 import math

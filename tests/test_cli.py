@@ -368,6 +368,23 @@ class TestSplitFiles:
         assert code == 1
         assert "test_foldin.csv, line 3: id 'nobody' not present" in capsys.readouterr().err
 
+    def test_foldin_and_holdout_users_differ(self, tmp_path, data_csv, capsys):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / "test_holdout.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        last_user = lines[-1].split(",")[0]
+        train_user = (split / "train.csv").read_text(encoding="utf-8").split(",")[0]
+        # same user count as the manifest says, but one user swapped for a train user
+        path.write_text("".join(train_user + "," + l.split(",", 1)[1]
+                                if l.startswith(last_user + ",") else l for l in lines),
+                        encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", str(run / "edlae_k2.model")])
+        assert code == 1
+        assert ("error: test_foldin.csv and test_holdout.csv hold different users"
+                in capsys.readouterr().err)
+
     def test_duplicate_foldin_pair_names_file_and_line(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
         path = split / "test_foldin.csv"
