@@ -9,7 +9,7 @@ errors), and an empirical verifier that deep nonlinear autoencoders cannot
 out-fit the rank-k linear optimum on training error.
 """
 
-from .baselines import ridge_full_rank, ridge_low_rank, ridge_objective
+from .baselines import ridge_low_rank
 from .closed_form import (
     EdlaeConfig,
     FullRankModel,
@@ -72,9 +72,7 @@ __all__ = [
     "ranking_metrics",
     "recall_at_k",
     "regularizer",
-    "ridge_full_rank",
     "ridge_low_rank",
-    "ridge_objective",
     "save_model",
     "score_users",
     "split_strong_generalization",

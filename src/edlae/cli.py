@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -316,11 +317,12 @@ def cmd_verify(args):
         f"min gap {min(gaps):.3e}, failures {len(report.failures())}"
     )
     if out is not None:
-        with open(os.path.join(out, "bound_report.jsonl"), "w", encoding="utf-8") as handle:
-            report.write_jsonl(handle)
-        with open(os.path.join(out, "invariant_checks.txt"), "w", encoding="utf-8") as handle:
-            for result in suite:
-                handle.write(result.line() + "\n")
+        jsonl = io.StringIO()
+        report.write_jsonl(jsonl)
+        serialize.write_atomic(os.path.join(out, "bound_report.jsonl"),
+                               jsonl.getvalue().encode("utf-8"))
+        lines = "".join(result.line() + "\n" for result in suite)
+        serialize.write_atomic(os.path.join(out, "invariant_checks.txt"), lines.encode("utf-8"))
         _record_run(out, [
             ("command", "verify"),
             ("m", m), ("n", n), ("ks", _fmt(ks)), ("trials", trials),
@@ -361,17 +363,20 @@ def cmd_bench(args):
         timings.setdefault(stage, []).append(time.perf_counter() - t0)
         return result
 
-    # The stages of one (lambda, p, family) of `train`: one inverse, the
-    # teacher in its storage, the student Gram, one top-max(ks)
-    # eigendecomposition with U = B V, and a column slice per rank.
+    # The stages of one (lambda, p, family) of `train`: one inverse of a new
+    # G + Lambda, the teacher in its storage, the student Gram, one
+    # top-max(ks) eigendecomposition in the student Gram's storage with
+    # U = B V, and a column slice per rank.
     top = max(ks)
     for _ in range(repeats):
-        c = timed("inverse", lambda: sym_inverse(g + np.diag(lam_diag), overwrite_a=True))
+        c = timed("inverse", lambda: sym_inverse(closed_form._regularized(g, lam_diag),
+                                                 overwrite_a=True))
         teacher = timed("teacher", lambda: closed_form.teacher_from_inverse(
             c, lam_diag, overwrite_c=True))
         del c
         m_student = timed("student gram", lambda: closed_form.student_gram(teacher, g, lam_diag))
-        v = timed(f"top-{top} eig", lambda: top_k_eig(m_student, top).eigenvectors)
+        v = timed(f"top-{top} eig",
+                  lambda: top_k_eig(m_student, top, overwrite_a=True).eigenvectors)
         u = timed(f"rank-{top} projection U = B V", lambda: teacher.b @ v)
         del teacher, m_student
         for k in ks:
@@ -388,8 +393,7 @@ def cmd_bench(args):
     text = "\n".join(lines)
     print(text)
     if out is not None:
-        with open(os.path.join(out, "bench.txt"), "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        serialize.write_atomic(os.path.join(out, "bench.txt"), (text + "\n").encode("utf-8"))
         _record_run(out, [("command", "bench"), ("n", n), ("ks", _fmt(ks)), ("repeats", repeats),
                           ("seed", seed)])
     return 0

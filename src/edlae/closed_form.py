@@ -20,13 +20,14 @@ family, the O(n^2) form M = (G + Lambda) - S (I + B): for edlae
 (G + Lambda) - diagM(1 / diag C) (I + B), for ridge G - Lambda + Lambda C
 Lambda.
 
-A grid (``train_grid``) shares work the same way: C depends only on
-(lambda, p), so one inverse serves both families, and the leading
-eigenvectors of M do not depend on k, so one top-max(k) eigendecomposition
-per family serves every rank as column slices of V and U = B V.  The n x n
-buffers are reused in place: the teacher of the last family is built in C's
-storage, the student Gram in one buffer, and the eigensolver works in the
-student Gram's storage.
+Every trainer calls ``_projected`` (teacher -> student Gram -> projection)
+on a C from ``_regularized_inverse``.  A grid (``train_grid``) shares work:
+C depends only on (lambda, p), so one inverse serves both families, and the
+leading eigenvectors of M do not depend on k, so one top-max(k)
+eigendecomposition per family serves every rank as column slices of V and
+U = B V.  The n x n buffers are reused in place: the teacher of the last
+family is built in C's storage, the student Gram in one buffer, and the
+eigensolver works in the student Gram's storage.
 """
 
 from __future__ import annotations
@@ -69,12 +70,11 @@ class EdlaeConfig:
 class FullRankModel:
     """Full-rank teacher B = I - C S of one family.
 
-    ``c_diag`` keeps diag((G + Lambda)^-1) and ``scale`` the diagonal of S,
-    which the student-Gram closed form needs.
+    ``scale`` is the diagonal of S, which the student-Gram closed form
+    (G + Lambda) - S (I + B) needs besides B.
     """
 
     b: np.ndarray
-    c_diag: np.ndarray
     scale: np.ndarray
     kind: str = "edlae"
 
@@ -132,6 +132,16 @@ def _regularized(g, lam_diag):
     return zz
 
 
+def _regularized_inverse(g, lam_diag):
+    """C = (G + Lambda)^-1, factorized and inverted in one new buffer.
+
+    Raises NotPositiveDefinite when G + Lambda cannot be factorized, which
+    signals the regularizer is too small.
+    """
+    g, lam_diag = _check_square_match(g, lam_diag)
+    return sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
+
+
 def teacher_from_inverse(c: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae",
                          overwrite_c: bool = False) -> FullRankModel:
     """Full-rank teacher B = I - C S of family ``kind`` from the inverse
@@ -143,18 +153,15 @@ def teacher_from_inverse(c: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae
     scale = 1.0 / c_diag if zero_diagonal else lam_diag
     b = np.multiply(c, -scale[None, :], out=c if overwrite_c else None)
     np.fill_diagonal(b, 0.0 if zero_diagonal else 1.0 - c_diag * scale)
-    return FullRankModel(b=b, c_diag=c_diag, scale=scale, kind=kind)
+    return FullRankModel(b=b, scale=scale, kind=kind)
 
 
 def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") -> FullRankModel:
-    """Exact full-rank optimum of family ``kind`` (a key of ZERO_DIAGONAL).
-
-    Raises NotPositiveDefinite when G + Lambda cannot be factorized, which
-    signals the regularizer is too small.
-    """
-    g, lam_diag = _check_square_match(g, lam_diag)
-    c = sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
-    return teacher_from_inverse(c, lam_diag, kind, overwrite_c=True)
+    """Exact full-rank optimum of family ``kind`` (a key of ZERO_DIAGONAL),
+    built in the storage of a new C.  Raises NotPositiveDefinite as
+    ``sym_inverse`` does."""
+    return teacher_from_inverse(_regularized_inverse(g, lam_diag), lam_diag, kind,
+                                overwrite_c=True)
 
 
 def _symmetrize(m):
@@ -199,14 +206,13 @@ def student_projection(model: FullRankModel, m_student: np.ndarray, k: int,
 
 
 def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> LowRankModel:
-    """Train a rank-k model of family ``kind`` from the Gram matrix alone.
-
-    Composition: regularizer -> full-rank teacher -> student Gram -> top-k
-    projection.  Raw interactions are never needed past the Gram matrix.
+    """Train a rank-k model of family ``kind`` from the Gram matrix alone:
+    the one-point case of ``train_grid``, with ``cfg`` attached.  Raw
+    interactions are never needed past the Gram matrix.
     """
     lam_diag = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-    teacher = full_rank_teacher(g, lam_diag, kind)
-    model = student_projection(teacher, student_gram(teacher, g, lam_diag), cfg.rank)
+    model = _projected(_regularized_inverse(g, lam_diag), g, lam_diag, kind, cfg.rank,
+                       overwrite_c=True)
     return replace(model, config=cfg)
 
 
@@ -219,8 +225,8 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps):
     factorizes G + Lambda once and each (lambda, p, kind) takes one
     top-max(ks) eigendecomposition; a rank-k model holds the first k
     columns of its U and V.  The models equal ``train_closed_form``'s up to
-    rounding.  All n x n buffers of one (lambda, p) are freed before its
-    models are yielded.
+    rounding, and bit for bit at k = max(ks).  All n x n buffers of one
+    (lambda, p) are freed before its models are yielded.
     """
     g = np.asarray(g, dtype=np.float64)
     g_diag = np.diag(g).copy()
@@ -228,7 +234,7 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps):
     for li, lam in enumerate(lambdas):
         for pi, p in enumerate(ps):
             lam_diag = regularizer(g_diag, lam, p)
-            c = sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
+            c = _regularized_inverse(g, lam_diag)
             # The last kind takes C's storage for its teacher.
             factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
                        for ki, kind in enumerate(kinds)]
@@ -241,8 +247,9 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps):
 
 
 def _projected(c, g, lam_diag, kind, k, overwrite_c):
-    """Rank-k model of family ``kind`` from C; frees its n x n buffers.  The
-    eigensolver works in the student Gram's storage."""
+    """Rank-k model of family ``kind`` from C = (G + Lambda)^-1: teacher ->
+    student Gram -> projection, the one place the chain is composed.  Frees
+    its n x n buffers; the eigensolver works in the student Gram's storage."""
     teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=overwrite_c)
     return student_projection(teacher, student_gram(teacher, g, lam_diag), k, overwrite_m=True)
 

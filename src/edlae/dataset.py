@@ -375,7 +375,8 @@ def _read_id_map(path):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ParseError(f"expected id<TAB>index, got {line!r}", line=lineno)
+                raise ParseError(f"expected id<TAB>index, got {line!r}", lineno,
+                                 os.path.basename(path))
             ids.append(parts[0])
     return ids
 

@@ -106,7 +106,7 @@ def _check_eval_inputs(scores, holdout):
             f"scores shape {scores.shape} does not match holdout "
             f"({holdout.num_users}, {holdout.num_items})"
         )
-    if np.isnan(scores).any():
+    if np.isnan(scores.max(initial=-np.inf)):  # max propagates NaN, with no temporary
         raise ValueError("scores contain NaN, which has no rank; mask items with -inf")
     counts = holdout.user_counts()
     if scores.shape[0] == 0 or counts.min(initial=1) == 0:

@@ -8,7 +8,10 @@ minimizer is multi-restart gradient descent on the written-out objective.  When 
 these, the two sides share no code.  The one exception is the per-metric
 ranking path that ``evaluate.ranking_metrics`` replaced (``per_metric_*``):
 it reuses the library's top-list and input-check helpers, so that tests can
-require the two paths to agree bit for bit.
+require the two paths to agree bit for bit.  Likewise ``composed_low_rank``
+spells out the training chain stage by stage from the library's public
+stage functions, so that tests can require every trainer to equal it bit
+for bit.
 """
 
 import math
@@ -16,9 +19,11 @@ import os
 
 import numpy as np
 
+from edlae.closed_form import student_gram, student_projection, teacher_from_inverse
 from edlae.dataset import InteractionMatrix
 from edlae.evaluate import MetricResult, _aggregate, _check_eval_inputs, _top_lists
 from edlae.errors import EmptyDataset, ParseError
+from edlae.linalg import sym_inverse
 
 
 def naive_gram(x: InteractionMatrix) -> np.ndarray:
@@ -231,6 +236,17 @@ def holdout_sets(holdout: InteractionMatrix) -> list:
     for u, i in zip(holdout.users, holdout.items):
         sets[int(u)].add(int(i))
     return sets
+
+
+def composed_low_rank(g, lam_diag, kind, k):
+    """Rank-k model of family ``kind``, one stage per call: a new G + Lambda
+    inverted in place, the teacher in C's storage, the student Gram, and a
+    top-k projection that leaves the student Gram intact."""
+    zz = g.copy()
+    zz.flat[:: g.shape[0] + 1] += lam_diag
+    c = sym_inverse(zz, overwrite_a=True)
+    teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=True)
+    return student_projection(teacher, student_gram(teacher, g, lam_diag), k)
 
 
 def objective_uv(x, lam_diag, u, v, remove_diag=True) -> float:

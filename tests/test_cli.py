@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edlae
+from edlae import checks
 from edlae.cli import main
 from edlae.dataset import (
     SPLIT_FILES,
@@ -43,6 +44,19 @@ def ingest(tmp_path, data_csv, name="split", seed=3):
     ])
     assert code == 0
     return out
+
+
+def fail_replace_onto(monkeypatch, name):
+    """Make os.replace fail when its target is ``name``; return the real one."""
+    replace = os.replace
+
+    def fail(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    return replace
 
 
 class TestIngest:
@@ -199,14 +213,7 @@ class TestTrain:
     def test_failed_marker_write_leaves_nothing(self, tmp_path, data_csv, monkeypatch):
         split = ingest(tmp_path, data_csv)
         out = tmp_path / "r"
-        replace = os.replace
-
-        def fail_on_marker(src, dst):
-            if os.path.basename(dst) == "config.resolved.txt":
-                raise OSError("disk full")
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", fail_on_marker)
+        replace = fail_replace_onto(monkeypatch, "config.resolved.txt")
         args = ["train", "--split", str(split), "--out", str(out), "--ks", "2"]
         assert main(args) == 1
         assert not (out / "config.resolved.txt").exists()
@@ -368,6 +375,20 @@ class TestSplitFiles:
         assert code == 1
         assert "test_foldin.csv, line 3: id 'nobody' not present" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_user_map_line_names_file_and_line(self, tmp_path, data_csv, capsys, command):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / "users.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace("\t", " ")
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        options = {"train": ["--ks", "2"], "eval": ["--models", str(run / "edlae_k2.model")]}
+        out = tmp_path / "out"
+        assert main([command, "--split", str(split), "--out", str(out), *options[command]]) == 1
+        assert "error: users.tsv, line 3: expected id<TAB>index" in capsys.readouterr().err
+        assert not (out / "config.resolved.txt").exists()
+
     def test_foldin_and_holdout_users_differ(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
         path = split / "test_holdout.csv"
@@ -508,13 +529,14 @@ print({self._SCIPY_MODULES})
                 == (tmp_path / "m" / "metrics.jsonl").read_bytes())
 
 
+SMALL_VERIFY = ["verify", "--m", "12", "--n", "8", "--ks", "2", "--trials", "4",
+                "--steps", "40", "--restarts", "1"]
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "verify"
-        code = main([
-            "verify", "--m", "12", "--n", "8", "--ks", "2", "--trials", "4",
-            "--steps", "40", "--restarts", "1", "--out", str(out),
-        ])
+        code = main([*SMALL_VERIFY, "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert printed.count("PASS") >= 6  # 5 invariant checks + the bound
@@ -522,6 +544,21 @@ class TestVerify:
         assert len(lines) == 5  # 4 trials + summary
         assert json.loads(lines[-1])["passed"] is True
         assert (out / "invariant_checks.txt").exists()
+
+    def test_failed_write_leaves_whole_files_and_rerun(self, tmp_path, monkeypatch):
+        # one small invariant check keeps the two runs fast
+        monkeypatch.setattr(checks, "run_invariant_checks",
+                            lambda seed: [checks.check_zero_diagonal(trials=2, sizes=(10,))])
+        out = tmp_path / "verify"
+        replace = fail_replace_onto(monkeypatch, "invariant_checks.txt")
+        assert main([*SMALL_VERIFY, "--out", str(out)]) == 1
+        assert {p.name for p in out.iterdir()} == {"bound_report.jsonl"}  # no .tmp, no marker
+        report = (out / "bound_report.jsonl").read_bytes()
+        monkeypatch.setattr(os, "replace", replace)
+        assert main([*SMALL_VERIFY, "--out", str(out)]) == 0  # no marker, so no --force needed
+        assert (out / "bound_report.jsonl").read_bytes() == report
+        assert {p.name for p in out.iterdir()} == {
+            "bound_report.jsonl", "invariant_checks.txt", "config.resolved.txt"}
 
     def test_bad_range(self, tmp_path, capsys):
         code = main(["verify", "--m", "10", "--n", "8", "--ks", "8", "--trials", "1"])
@@ -541,6 +578,16 @@ class TestBench:
         text = (out / "bench.txt").read_text()
         assert "teacher" in text and "top-2 eig" in text and "rank-8 projection" in text
         assert "mean (s)" in capsys.readouterr().out
+
+    def test_failed_write_leaves_nothing_and_rerun(self, tmp_path, monkeypatch):
+        out = tmp_path / "bench"
+        args = ["bench", "--n", "20", "--ks", "2", "--repeats", "1", "--out", str(out)]
+        replace = fail_replace_onto(monkeypatch, "bench.txt")
+        assert main(args) == 1
+        assert list(out.iterdir()) == []  # no partial bench.txt, no .tmp, no marker
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(args) == 0  # no marker, so no --force needed
+        assert {p.name for p in out.iterdir()} == {"bench.txt", "config.resolved.txt"}
 
     def test_scipy_imported_before_first_sample(self):
         # In a fresh process: the first timed inverse must not pay for the import.

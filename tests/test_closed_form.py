@@ -21,7 +21,7 @@ from edlae.closed_form import (
 from edlae.errors import DimensionMismatch, InvalidDropout, NotPositiveDefinite
 from edlae.linalg import dense_svd, sym_inverse, truncate_svd
 
-from oracles import binary_instance, exact_gram, gd_min_uv
+from oracles import binary_instance, composed_low_rank, exact_gram, gd_min_uv
 
 
 class TestRegularizer:
@@ -57,14 +57,14 @@ class TestFullRankTeacher:
     def test_zero_gram(self):
         teacher = full_rank_teacher(np.zeros((2, 2)), np.ones(2))
         np.testing.assert_allclose(teacher.b, 0.0, atol=1e-14)
-        np.testing.assert_allclose(teacher.c_diag, 1.0, atol=1e-14)
+        np.testing.assert_allclose(1.0 / teacher.scale, 1.0, atol=1e-14)  # diag C
 
     def test_hand_2x2(self):
         g = np.array([[2.0, 1.0], [1.0, 2.0]])
         teacher = full_rank_teacher(g, np.ones(2))
         expected = np.array([[0.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]])
         assert np.abs(teacher.b - expected).max() <= 1e-12
-        np.testing.assert_allclose(teacher.c_diag, [3.0 / 8.0, 3.0 / 8.0], atol=1e-14)
+        np.testing.assert_allclose(1.0 / teacher.scale, [3.0 / 8.0, 3.0 / 8.0], atol=1e-14)
 
     def test_diagonal_gram_gives_zero_teacher(self):
         teacher = full_rank_teacher(np.diag([4.0, 9.0, 1.0]), np.full(3, 0.5))
@@ -86,7 +86,7 @@ class TestFullRankTeacher:
         x = binary_instance(1, m=30, n=6)
         g = exact_gram(x)
         teacher = full_rank_teacher(g, regularizer(np.diag(g), 0.5, 0.25))
-        assert (teacher.c_diag > 0).all()
+        assert (teacher.scale > 0).all()  # scale = 1 / diag C
 
 
 class TestTeacherFromInverse:
@@ -289,6 +289,18 @@ class TestTrainGrid:
         assert np.array_equal(m, kept)
         in_place = student_projection(teacher, m, 6, overwrite_m=True)
         assert np.array_equal(copied.u, in_place.u) and np.array_equal(copied.v, in_place.v)
+
+    @pytest.mark.parametrize("kind", ["edlae", "ridge"])
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_train_closed_form_bit_equal_to_composed_chain_and_one_point_grid(self, kind, n):
+        g = exact_gram(binary_instance(40 + n, m=3 * n, n=n, density=0.3))
+        cfg = EdlaeConfig(lam=2.0, dropout_p=0.25, rank=n // 3)
+        model = train_closed_form(g, cfg, kind)
+        oracle = composed_low_rank(g, regularizer(np.diag(g), 2.0, 0.25), kind, n // 3)
+        ((_, point),) = train_grid(g, [kind], [n // 3], [2.0], [0.25])
+        for other in (oracle, point):
+            assert np.array_equal(model.u, other.u) and np.array_equal(model.v, other.v)
+        assert point.config == model.config == cfg and point.kind == model.kind == kind
 
     def test_single_point_equals_train_closed_form(self):
         g = exact_gram(binary_instance(19, m=60, n=12))

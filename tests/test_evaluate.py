@@ -1,5 +1,7 @@
 """Tests for fold-in scoring and ranking metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,19 @@ class TestNdcg:
             ndcg_at_k(scores, holdout, 2)
         with pytest.raises(ValueError, match="NaN"):
             recall_at_k(scores, holdout, 2)
+
+    def test_nan_check_allocates_no_score_sized_temporary(self):
+        # a users x n boolean mask of NaN entries would be scores.size bytes
+        users, n = 2000, 500
+        scores = np.random.default_rng(0).random((users, n))
+        holdout = interactions(users, n, [(u, u % n) for u in range(users)])
+        tracemalloc.start()
+        try:
+            evaluate._check_eval_inputs(scores, holdout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scores.size // 16
 
     def test_masked_scores_allowed(self):
         scores = np.array([[1.0, -np.inf, 2.0]])
