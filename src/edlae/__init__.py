@@ -41,7 +41,14 @@ from .deepae import (
     train_deep_ae,
     verify_linear_bound,
 )
-from .evaluate import MetricResult, ndcg_at_k, ranking_metrics, recall_at_k, score_users
+from .evaluate import (
+    MetricResult,
+    model_metrics,
+    ndcg_at_k,
+    ranking_metrics,
+    recall_at_k,
+    score_users,
+)
 from .linalg import SvdResult, SymEigResult, dense_svd, sym_inverse, top_k_eig, truncate_svd
 from .serialize import load_model, save_model
 
@@ -67,6 +74,7 @@ __all__ = [
     "linear_ae_optimum",
     "load_interactions",
     "load_model",
+    "model_metrics",
     "ndcg_at_k",
     "objective_from_gram",
     "ranking_metrics",

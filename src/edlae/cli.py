@@ -260,8 +260,7 @@ def cmd_eval(args):
     for path in models:
         model = serialize.load_model(path)
         model_id = os.path.splitext(os.path.basename(path))[0]
-        scores = evaluate.score_users(model, split.test_foldin)
-        for res in evaluate.ranking_metrics(scores, split.test_holdout):
+        for res in evaluate.model_metrics(model, split.test_foldin, split.test_holdout):
             rows.append(
                 {
                     "model_id": model_id,

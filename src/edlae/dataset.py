@@ -301,17 +301,12 @@ class EvalSplit:
     test_users: np.ndarray
 
 
-def _submatrix(x, user_rows, keep_mask=None):
-    """Rows of x for the given original users, re-indexed 0..len(rows)-1.
-
-    user_rows must be sorted ascending.
-    """
-    select = np.isin(x.users, user_rows)
-    if keep_mask is not None:
-        select &= keep_mask
-    users = np.searchsorted(user_rows, x.users[select])
+def _submatrix(x, num_rows, row_of, select):
+    """The triples of x where ``select`` holds, in a matrix of ``num_rows``
+    users; user u becomes row ``row_of[u]``."""
+    idx = np.flatnonzero(select)
     return InteractionMatrix.from_triples(
-        len(user_rows), x.num_items, users, x.items[select], x.values[select], x.binarized
+        num_rows, x.num_items, row_of[x.users[idx]], x.items[idx], x.values[idx], x.binarized
     )
 
 
@@ -337,7 +332,13 @@ def split_strong_generalization(x: InteractionMatrix, spec: SplitSpec) -> EvalSp
     val_users = np.sort(perm[:n_val])
     test_users = np.sort(perm[n_val : n_val + n_test])
     held = np.sort(np.concatenate([val_users, test_users]))
-    train_users = np.setdiff1d(np.arange(m), held)
+    part = np.zeros(m, dtype=np.int8)  # each user's part: 0 train, 1 validation, 2 test
+    part[val_users] = 1
+    part[test_users] = 2
+    train_users = np.flatnonzero(part == 0)
+    row_of = np.empty(m, dtype=np.int64)  # each user's row within its part
+    for users in (train_users, val_users, test_users):
+        row_of[users] = np.arange(users.size)
 
     # Per held-out user, draw the fold-in subset; iterate in a fixed order so
     # the rng stream (and hence the split) is reproducible.  Triples are
@@ -349,13 +350,14 @@ def split_strong_generalization(x: InteractionMatrix, spec: SplitSpec) -> EvalSp
         chosen.append(lo + rng.permutation(cnt)[:n_fold])
     foldin_mask = np.zeros(x.nnz, dtype=bool)
     foldin_mask[np.concatenate(chosen)] = True
+    part_of = part[x.users]
 
     return EvalSplit(
-        train=_submatrix(x, train_users),
-        validation_foldin=_submatrix(x, val_users, foldin_mask),
-        validation_holdout=_submatrix(x, val_users, ~foldin_mask),
-        test_foldin=_submatrix(x, test_users, foldin_mask),
-        test_holdout=_submatrix(x, test_users, ~foldin_mask),
+        train=_submatrix(x, train_users.size, row_of, part_of == 0),
+        validation_foldin=_submatrix(x, val_users.size, row_of, (part_of == 1) & foldin_mask),
+        validation_holdout=_submatrix(x, val_users.size, row_of, (part_of == 1) & ~foldin_mask),
+        test_foldin=_submatrix(x, test_users.size, row_of, (part_of == 2) & foldin_mask),
+        test_holdout=_submatrix(x, test_users.size, row_of, (part_of == 2) & ~foldin_mask),
         train_users=train_users,
         validation_users=val_users,
         test_users=test_users,

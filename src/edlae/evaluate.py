@@ -5,21 +5,26 @@ those items to -inf so they can never be recommended back.  The fold-in
 product ``X U`` is summed in numpy, without a sparse matrix: each user's row
 starts at 0 and adds ``value * U[item]`` over the user's fold-in items in
 ascending item order, one multiply and one add per element.  A CSR product
-(scipy's ``csr_matvecs``) does exactly these operations in this order, so the
-scores are bit-equal to ``(X_csr @ U) @ V.T``.
+(scipy's ``csr_matvecs``) does exactly these operations in this order, so
+``X U`` is bit-equal to ``X_csr @ U``.  Scores are the row-blocked product
+``(X U)[lo:hi] @ V.T`` over blocks of _BLOCK_ROWS users.  With OpenBLAS this
+was bit-equal to the whole product ``(X U) @ V.T`` at ranks up to 64, but it
+is not in general: at rank 384 about one entry in 7,000 differed by an ulp.
 
 A ranking orders items by descending score, ties by ascending item index,
 which keeps every metric deterministic.  NaN scores are rejected.  Each
-model's scores are ranked once, by ``ranking_metrics``: one top list per row
-at the largest cutoff serves every metric, since a smaller cutoff's list is a
-prefix of it.  Only the first ``cutoff`` items of each ranking are formed:
-rows are processed in blocks, argpartition selects each row's top-cutoff
-candidates, and only those are sorted.  A row where an item tied with the
-cutoff-th score falls outside the candidates is fully sorted instead, so the
-tie rule holds exactly.  A block's top lists are checked against the holdout
-in one reused (block rows x items) relevance mask, so neither the top lists
-nor the mask are ever held for all users at once; only a (users x cutoff)
-boolean gain matrix is.
+model's scores are ranked once: one top list per row at the largest cutoff
+serves every metric, since a smaller cutoff's list is a prefix of it.  Only
+the first ``cutoff`` items of each ranking are formed: argpartition selects
+each row's top-cutoff candidates, and only those are sorted.  A row where an
+item tied with the cutoff-th score falls outside the candidates is fully
+sorted instead, so the tie rule holds exactly.  Rows are scored and ranked a
+block at a time: ``model_metrics`` scores, masks and ranks each block of
+users before it scores the next, and ``ranking_metrics`` ranks row blocks of
+a given score matrix.  A block's top lists are checked against the holdout
+in one reused (block rows x items) relevance mask, so neither the scores,
+the top lists nor the mask are ever held for all users at once; only ``X U``
+and a (users x cutoff) boolean gain matrix are.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .closed_form import LowRankModel
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, EmptyHoldout
 
-# Rows ranked at a time: bounds the temporaries of the top-list selection.
+# Users scored and ranked at a time: bounds the score block and the
+# temporaries of the top-list selection.
 _BLOCK_ROWS = 256
 # Values of X U (rows times rank) summed at a time by the fold-in product.
 _FOLD_IN_BLOCK = 1 << 15
@@ -52,16 +58,44 @@ class MetricResult:
 def score_users(model: LowRankModel, foldin: InteractionMatrix) -> np.ndarray:
     """Score all items for each held-out user from their fold-in row.
 
-    Fold-in positions are masked to -inf afterwards.
+    Fold-in positions are masked to -inf.  The (users x items) result is
+    filled block by block from the same scores that model_metrics ranks.
     """
+    scores = np.empty((foldin.num_users, model.v.shape[0]))
+    for _ in _score_blocks(model, foldin, out=scores):
+        pass  # each block is written into its rows of scores
+    return scores
+
+
+def _check_model(model, foldin):
     item_dim = model.u.shape[0]
     if item_dim != foldin.num_items:
         raise DimensionMismatch(
             f"model covers {item_dim} items, fold-in matrix has {foldin.num_items}"
         )
-    scores = _fold_in(foldin, model.u) @ model.v.T
-    scores[foldin.users, foldin.items] = -np.inf
-    return scores
+
+
+def _score_blocks(model, foldin, out=None):
+    """Yield ``(lo, scores)`` per block of _BLOCK_ROWS users from ``lo``:
+    ``(X U)[lo:hi] @ V.T`` with the block's fold-in entries set to -inf.
+
+    This is the one definition of a score.  ``X U`` (users x rank) is formed
+    once.  Each block's product is written into rows lo:hi of ``out`` when it
+    is given, else into one block buffer that the next block overwrites.
+    """
+    _check_model(model, foldin)
+    xu = _fold_in(foldin, model.u)
+    v_t = model.v.T
+    num_users = foldin.num_users
+    if out is None:
+        buffer = np.empty((min(_BLOCK_ROWS, num_users), v_t.shape[1]))
+    for lo in range(0, num_users, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, num_users)
+        block = np.matmul(xu[lo:hi], v_t, out=buffer[:hi - lo] if out is None else out[lo:hi])
+        entries = slice(*np.searchsorted(foldin.users, (lo, hi)))
+        block[foldin.users[entries] - lo, foldin.items[entries]] = -np.inf
+        _check_no_nan(block)
+        yield lo, block
 
 
 def _fold_in(foldin, u):
@@ -101,30 +135,41 @@ def _check_eval_inputs(scores, holdout):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise DimensionMismatch("scores must be 2-d (users x items)")
-    if (holdout.num_users, holdout.num_items) != scores.shape:
-        raise DimensionMismatch(
-            f"scores shape {scores.shape} does not match holdout "
-            f"({holdout.num_users}, {holdout.num_items})"
-        )
+    counts = _check_holdout(scores.shape, holdout)
+    _check_no_nan(scores)
+    return scores, counts
+
+
+def _check_no_nan(scores):
     if np.isnan(scores.max(initial=-np.inf)):  # max propagates NaN, with no temporary
         raise ValueError("scores contain NaN, which has no rank; mask items with -inf")
+
+
+def _check_holdout(shape, holdout):
+    """The holdout's per-user counts, if it fits a ``shape`` score matrix
+    and every user holds an item."""
+    if (holdout.num_users, holdout.num_items) != shape:
+        raise DimensionMismatch(
+            f"scores shape {shape} does not match holdout "
+            f"({holdout.num_users}, {holdout.num_items})"
+        )
     counts = holdout.user_counts()
-    if scores.shape[0] == 0 or counts.min(initial=1) == 0:
+    if holdout.num_users == 0 or counts.min(initial=1) == 0:
         raise EmptyHoldout("every scored user needs at least one holdout item")
-    return scores, counts
+    return counts
 
 
 def _top_lists(scores, cutoff):
     """Each row's first min(cutoff, n) items by descending score, ties by
     ascending item index: the leading columns of a stable sort of -scores.
 
-    Its temporaries are a few times the size of ``scores``, so
-    ranking_metrics passes one row block at a time.  For width < n,
-    argpartition selects a top-width candidate set per row; sorted by item
-    index and then stably by descending score, it is the row's exact top
-    list unless an item tied with the boundary (the width-th best) score was
-    left out.  Such rows, including rows with fewer than width finite
-    scores, are ranked by a full stable sort instead.
+    Its temporaries are a few times the size of ``scores``, so it is passed
+    one row block at a time.  For width < n, argpartition selects a
+    top-width candidate set per row; sorted by item index and then stably by
+    descending score, it is the row's exact top list unless an item tied
+    with the boundary (the width-th best) score was left out.  Such rows,
+    including rows with fewer than width finite scores, are ranked by a full
+    stable sort instead.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
@@ -133,7 +178,7 @@ def _top_lists(scores, cutoff):
     if width == n:
         return np.argsort(-scores, axis=1, kind="stable")
     rows = np.arange(scores.shape[0])[:, None]
-    cand = np.argpartition(scores, n - width, axis=1)[:, -width:]
+    cand = np.argpartition(scores, n - width, axis=1)[:, -width:].copy()  # frees the rest
     cand.sort(axis=1)
     cand_scores = scores[rows, cand]
     order = np.argsort(-cand_scores, axis=1, kind="stable")
@@ -153,12 +198,23 @@ def _aggregate(name, cutoff, per_user):
 
 
 _METRICS = ("ndcg", "recall")
+_DEFAULT_METRICS = (("ndcg", 100), ("recall", 20), ("recall", 50))
+
+
+def _check_metrics(metrics):
+    if not metrics:
+        raise ValueError("no metrics requested")
+    for name, cutoff in metrics:
+        if name not in _METRICS:
+            raise ValueError(f"unknown metric {name!r}; expected one of {list(_METRICS)}")
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
 def ranking_metrics(
     scores: np.ndarray,
     holdout: InteractionMatrix,
-    metrics=(("ndcg", 100), ("recall", 20), ("recall", 50)),
+    metrics=_DEFAULT_METRICS,
 ) -> list[MetricResult]:
     """One MetricResult per ``(name, cutoff)`` of ``metrics``, in that order,
     from a single ranking of ``scores``.
@@ -170,27 +226,36 @@ def ranking_metrics(
     by min(cutoff, #holdout) so a full retrieval scores 1.
     """
     scores, counts = _check_eval_inputs(scores, holdout)
-    if not metrics:
-        raise ValueError("no metrics requested")
-    for name, cutoff in metrics:
-        if name not in _METRICS:
-            raise ValueError(f"unknown metric {name!r}; expected one of {list(_METRICS)}")
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    num_users, n = scores.shape
-    width = min(max(cutoff for _, cutoff in metrics), n)
-    # gains[u, r]: the item at rank r of user u's list is a holdout item
-    gains = np.empty((num_users, width), dtype=bool)
-    rel = np.zeros((min(_BLOCK_ROWS, num_users), n), dtype=bool)
-    bounds = np.searchsorted(holdout.users, np.arange(0, num_users + _BLOCK_ROWS, _BLOCK_ROWS))
-    for block, lo in enumerate(range(0, num_users, _BLOCK_ROWS)):
-        hi = min(lo + _BLOCK_ROWS, num_users)
-        top = _top_lists(scores[lo:hi], width)
-        entries = slice(bounds[block], bounds[block + 1])
-        rows, items = holdout.users[entries] - lo, holdout.items[entries]
-        rel[rows, items] = True
-        gains[lo:hi] = np.take_along_axis(rel[:hi - lo], top, axis=1)
-        rel[rows, items] = False
+    _check_metrics(metrics)
+    blocks = ((lo, scores[lo:lo + _BLOCK_ROWS]) for lo in range(0, scores.shape[0], _BLOCK_ROWS))
+    return _rank_blocks(blocks, holdout, counts, metrics)
+
+
+def model_metrics(
+    model: LowRankModel,
+    foldin: InteractionMatrix,
+    holdout: InteractionMatrix,
+    metrics=_DEFAULT_METRICS,
+) -> list[MetricResult]:
+    """``ranking_metrics(score_users(model, foldin), holdout, metrics)``,
+    without the (users x items) score matrix.
+
+    Each block of users is scored, masked, checked for NaN and ranked before
+    the next is scored, so besides ``X U`` only the (users x max cutoff)
+    boolean gains are held for all users.  Dimensions, empty holdouts and
+    ``metrics`` are checked before any scoring.
+    """
+    _check_model(model, foldin)
+    counts = _check_holdout((foldin.num_users, model.v.shape[0]), holdout)
+    _check_metrics(metrics)
+    return _rank_blocks(_score_blocks(model, foldin), holdout, counts, metrics)
+
+
+def _rank_blocks(blocks, holdout, counts, metrics):
+    """The ranking of ranking_metrics over ``(lo, scores of rows lo:hi)``
+    blocks that cover the holdout's users in order."""
+    n = holdout.num_items
+    gains = _gains(blocks, holdout, min(max(cutoff for _, cutoff in metrics), n))
     results = []
     for name, cutoff in metrics:
         width = min(cutoff, n)
@@ -202,6 +267,25 @@ def ranking_metrics(
             per_user = gains[:, :width].sum(axis=1) / np.minimum(counts, cutoff)
         results.append(_aggregate(name, cutoff, per_user))
     return results
+
+
+def _gains(blocks, holdout, width):
+    """gains[u, r]: the item at rank r of user u's top list is a holdout item.
+
+    The last block and its top list are released on return, before the
+    metrics are formed from the gains.
+    """
+    num_users, n = holdout.num_users, holdout.num_items
+    gains = np.empty((num_users, width), dtype=bool)
+    rel = np.zeros((min(_BLOCK_ROWS, num_users), n), dtype=bool)
+    for lo, scores in blocks:
+        hi = lo + scores.shape[0]
+        entries = slice(*np.searchsorted(holdout.users, (lo, hi)))
+        rows, items = holdout.users[entries] - lo, holdout.items[entries]
+        rel[rows, items] = True
+        gains[lo:hi] = np.take_along_axis(rel[:hi - lo], _top_lists(scores, width), axis=1)
+        rel[rows, items] = False
+    return gains
 
 
 def ndcg_at_k(scores: np.ndarray, holdout: InteractionMatrix, cutoff: int = 100) -> MetricResult:

@@ -286,6 +286,19 @@ class TestEval:
         assert sum(rows for rows, _ in calls) == 2 * test_users
         assert {width for _, width in calls} == {8}
 
+    def test_eval_holds_no_score_matrix(self, tmp_path, data_csv, monkeypatch):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        calls = []
+        scored = edlae.evaluate.score_users
+        monkeypatch.setattr(edlae.evaluate, "score_users",
+                            lambda *args: calls.append(args) or scored(*args))
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m"), "--models",
+                     str(run / "edlae_k2.model")]) == 0
+        # eval scores and ranks block by block (model_metrics), never users x items at once
+        assert calls == []
+
     def test_corrupt_model(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
         bad = tmp_path / "bad.model"

@@ -508,3 +508,156 @@ class TestRankingMetrics:
             ranking_metrics(np.zeros((2, 3)), holdout)
         with pytest.raises(EmptyHoldout):
             ranking_metrics(np.zeros((2, 3)), interactions(2, 3, [(0, 1)]))
+
+
+def model_case(rng, num_users, num_items, k, levels, foldin_share):
+    """A model with small integer factors, so that scores tie heavily; users
+    with no fold-in items (about 1 - foldin_share of them); each user holds
+    1 to 4 holdout items, which may overlap the fold-in ones."""
+    u = rng.integers(-levels, levels + 1, size=(num_items, k)).astype(np.float64)
+    v = rng.integers(-levels, levels + 1, size=(num_items, k)).astype(np.float64)
+    mask = rng.random((num_users, num_items)) < foldin_share / 2
+    mask[rng.random(num_users) >= foldin_share] = False
+    foldin = foldin_matrix(mask, np.ones(int(mask.sum())))
+    triples = [(user, int(i)) for user in range(num_users)
+               for i in rng.choice(num_items, size=int(rng.integers(1, min(4, num_items) + 1)),
+                                   replace=False)]
+    return LowRankModel(u=u, v=v, rank=k), foldin, interactions(num_users, num_items, triples)
+
+
+def with_block_rows(block_rows, fn, *args):
+    original = evaluate._BLOCK_ROWS
+    evaluate._BLOCK_ROWS = block_rows
+    try:
+        return fn(*args)
+    finally:
+        evaluate._BLOCK_ROWS = original
+
+
+def assert_equal_results(got, want):
+    assert [(r.metric, r.cutoff) for r in got] == [(r.metric, r.cutoff) for r in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.per_user, b.per_user) and a.per_user.dtype == b.per_user.dtype
+        assert a.mean == b.mean and a.stderr == b.stderr
+
+
+class TestModelMetrics:
+    """model_metrics scores and ranks one block of users at a time; it must
+    equal ranking the whole score matrix, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_users=st.integers(1, 14),
+        num_items=st.integers(1, 30),
+        k=st.sampled_from([1, 3, 65, 80]),
+        levels=st.integers(0, 2),
+        foldin_share=st.sampled_from([0.0, 0.5, 1.0]),
+        metrics=st.lists(_METRIC, min_size=1, max_size=4),
+        block_rows=st.sampled_from([1, 3, evaluate._BLOCK_ROWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_ranking_the_score_matrix(self, num_users, num_items, k, levels,
+                                             foldin_share, metrics, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        model, foldin, holdout = model_case(rng, num_users, num_items, k, levels, foldin_share)
+        got = with_block_rows(block_rows, evaluate.model_metrics, model, foldin, holdout, metrics)
+        want = ranking_metrics(score_users(model, foldin), holdout, metrics)
+        assert_equal_results(got, want)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    def test_many_users_in_partial_blocks(self, monkeypatch, block_rows):
+        # 601 users and 130 items: cutoffs 20, 50 and 100 all fall inside a row
+        monkeypatch.setattr(evaluate, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        model, foldin, holdout = model_case(rng, 601, 130, 70, 1, 0.5)
+        assert_equal_results(evaluate.model_metrics(model, foldin, holdout),
+                             ranking_metrics(score_users(model, foldin), holdout))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_users=st.integers(0, 14),
+        num_items=st.integers(1, 30),
+        k=st.sampled_from([1, 3, 65, 80]),
+        foldin_share=st.sampled_from([0.0, 0.5, 1.0]),
+        block_rows=st.sampled_from([1, 3, evaluate._BLOCK_ROWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_score_users_is_the_row_blocked_product(self, num_users, num_items, k,
+                                                    foldin_share, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        model, foldin, _ = model_case(rng, num_users, num_items, k, 2, foldin_share)
+        model = LowRankModel(u=rng.standard_normal(model.u.shape),
+                             v=rng.standard_normal(model.v.shape), rank=k)
+        got = with_block_rows(block_rows, score_users, model, foldin)
+        xu = evaluate._fold_in(foldin, model.u)
+        blocks = [xu[lo:lo + block_rows] @ model.v.T for lo in range(0, num_users, block_rows)]
+        want = np.concatenate(blocks) if blocks else np.zeros((0, num_items))
+        want[foldin.users, foldin.items] = -np.inf
+        assert got.tobytes() == want.tobytes()
+
+    def errors(self, model, foldin, holdout):
+        """The error of model_metrics and of ranking_metrics(score_users(...))."""
+        raised = []
+        for call in (lambda: evaluate.model_metrics(model, foldin, holdout),
+                     lambda: ranking_metrics(score_users(model, foldin), holdout)):
+            with np.errstate(invalid="ignore"), pytest.raises(Exception) as info:
+                call()
+            raised.append((type(info.value), str(info.value)))
+        return raised
+
+    def test_same_errors_as_scoring_then_ranking(self):
+        foldin = interactions(2, 3, [(0, 0)])
+        holdout = interactions(2, 3, [(0, 1), (1, 2)])
+        model = LowRankModel(u=np.ones((3, 2)), v=np.ones((3, 2)), rank=2)
+        cases = {
+            DimensionMismatch: [
+                (LowRankModel(u=np.ones((4, 2)), v=np.ones((4, 2)), rank=2), foldin, holdout),
+                (model, interactions(3, 3, [(0, 0)]), holdout),
+                (model, foldin, interactions(2, 4, [(0, 1), (1, 2)])),
+            ],
+            EmptyHoldout: [
+                (model, foldin, interactions(2, 3, [(0, 1)])),
+                (model, interactions(0, 3, []), interactions(0, 3, [])),
+            ],
+            # inf * 0 is NaN in the product; the NaN in user 1's row is not masked
+            ValueError: [(LowRankModel(u=np.full((3, 2), np.inf), v=np.zeros((3, 2)), rank=2),
+                          foldin, holdout)],
+        }
+        for error, inputs in cases.items():
+            for case in inputs:
+                got, want = self.errors(*case)
+                assert got == want and issubclass(got[0], error)
+
+    def test_nan_in_a_later_block_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_BLOCK_ROWS", 2)
+        u = np.ones((4, 1))
+        u[3] = np.inf
+        model = LowRankModel(u=u, v=np.array([[1.0], [0.0], [1.0], [1.0]]), rank=1)
+        # only user 4 (the third block) folds in item 3: its row is inf * 0 = NaN at item 1
+        foldin = interactions(5, 4, [(0, 0), (1, 0), (2, 2), (3, 0), (4, 3)])
+        holdout = interactions(5, 4, [(u, 1) for u in range(5)])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            evaluate.model_metrics(model, foldin, holdout)
+
+    def test_rejects_bad_metrics_before_scoring(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_fold_in", lambda *args: pytest.fail("scored"))
+        model = LowRankModel(u=np.ones((2, 1)), v=np.ones((2, 1)), rank=1)
+        with pytest.raises(ValueError):
+            evaluate.model_metrics(model, interactions(1, 2, [(0, 0)]),
+                                   interactions(1, 2, [(0, 1)]), (("precision", 10),))
+
+    def test_holds_no_score_matrix(self):
+        # a users x n float64 score matrix would be users * n * 8 bytes
+        users, n, k = 3000, 500, 8
+        rng = np.random.default_rng(0)
+        model = LowRankModel(u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)), rank=k)
+        mask = rng.random((users, n)) < 0.02
+        foldin = foldin_matrix(mask, np.ones(int(mask.sum())))
+        holdout = interactions(users, n, [(u, (7 * u) % n) for u in range(users)])
+        tracemalloc.start()
+        try:
+            evaluate.model_metrics(model, foldin, holdout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < users * n * 8 / 4
