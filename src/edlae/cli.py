@@ -139,6 +139,8 @@ def cmd_ingest(args):
     out = _prepare_out_dir(_resolve(args, "out"), args.force)
     matrix, user_ids, item_ids = dataset.load_interactions(data, fmt=fmt, binarize=binarize)
     split = dataset.split_strong_generalization(matrix, spec)
+    num_users, num_items, nnz = matrix.num_users, matrix.num_items, matrix.nnz
+    del matrix  # the split holds its own triples; free these before writing
     dataset.save_split_artifacts(out, split, user_ids, item_ids, spec)
     _record_run(out, [
         ("command", "ingest"),
@@ -151,8 +153,8 @@ def cmd_ingest(args):
         ("seed", spec.seed),
     ])
     print(
-        f"ingest: wrote split for {matrix.num_users} users x {matrix.num_items} items "
-        f"({matrix.nnz} interactions) to {out}"
+        f"ingest: wrote split for {num_users} users x {num_items} items "
+        f"({nnz} interactions) to {out}"
     )
     return 0
 

@@ -17,6 +17,13 @@ the train and validation files, ``eval`` the test files), and
 (``serialize.write_atomic``), so a failed ingest leaves no half-written one.
 Only ``gram`` needs scipy (a sparse product); ``to_csr`` imports it when
 called, so parsing and splitting run on numpy alone.
+
+Ingest sorts once.  ``load_interactions`` turns each line's pair into one
+int64 key, ``user * num_items + item``, built in place as the parsed chunks
+are released, and merges repeated pairs from the sorted keys.  Every matrix
+after that, the split parts included, is built from triples already in
+(user, item) order, which ``InteractionMatrix.from_triples`` checks and
+keeps without a copy.  No full-size copy of the triples outlives its step.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .errors import (
     InsufficientUsers,
     ParseError,
 )
+from .linalg import _mirror_lower
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -72,20 +80,32 @@ class InteractionMatrix:
 
     @staticmethod
     def from_triples(num_users, num_items, users, items, values, binarized=False):
+        """The matrix of the given triples, checked and sorted by (user, item).
+
+        Triples already in that order, as every caller in this package passes
+        them, are kept as given: int64 users and items and float64 values are
+        held without a copy.  Others are gathered once in the order of a
+        stable argsort of the key ``user * num_items + item``, which is the
+        order of ``np.lexsort((items, users))``.  Duplicate pairs are found as
+        equal adjacent keys.
+        """
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if not (users.shape == items.shape == values.shape) or users.ndim != 1:
             raise DimensionMismatch("users, items, values must be equal-length 1-d arrays")
-        order = np.lexsort((items, users))
-        users, items, values = users[order], items[order], values[order]
         if users.size:
             if users.min() < 0 or users.max() >= num_users:
                 raise ValueError("user index out of range")
             if items.min() < 0 or items.max() >= num_items:
                 raise ValueError("item index out of range")
-            dup = (np.diff(users) == 0) & (np.diff(items) == 0)
-            if dup.any():
+            key = users * num_items + items
+            steps = np.diff(key)
+            if steps.min(initial=0) < 0:
+                order = np.argsort(key, kind="stable")
+                users, items, values = users[order], items[order], values[order]
+                steps = np.diff(key[order])
+            if steps.min(initial=1) == 0:
                 raise ValueError("duplicate (user, item) pair")
             if values.min() <= 0 or not np.isfinite(values).all():
                 raise ValueError("interaction values must be positive and finite")
@@ -232,19 +252,37 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
             check_header = False
             users.append(_index_of(parsed[0], user_index))
             items.append(_index_of(parsed[1], item_index))
-            values.append(parsed[2])
-    users, items, values = map(np.concatenate, (users, items, values))
-    if not users.size:
-        raise EmptyDataset(f"no interactions found in {path}")
+            if not binarize:  # binarized counts are checked, then dropped
+                values.append(parsed[2])
     n = len(item_index)
-    pairs, which = np.unique(users * n + items, return_inverse=True)
+    # Each line's pair as one key, user * n + item, built in place; each
+    # chunk list is released as soon as it is concatenated.
+    keys = np.concatenate(users)
+    del users
+    if not keys.size:
+        raise EmptyDataset(f"no interactions found in {path}")
+    keys *= n
+    keys += np.concatenate(items)
+    del items
     if binarize:
+        # Sort the keys and keep the first of each run of equal ones.
+        keys.sort(kind="stable")
+        first_of_run = np.empty(keys.size, dtype=bool)
+        first_of_run[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first_of_run[1:])
+        pairs = keys[first_of_run]
+        del keys, first_of_run
         merged = np.ones(pairs.size)
     else:
+        pairs, which = np.unique(keys, return_inverse=True)
+        del keys
         # bincount adds in file order, as summing pair by pair would.
-        merged = np.bincount(which, weights=values, minlength=pairs.size)
+        merged = np.bincount(which, weights=np.concatenate(values), minlength=pairs.size)
+        del which, values
+    pair_users, pair_items = np.divmod(pairs, n)
+    del pairs
     matrix = InteractionMatrix.from_triples(
-        len(user_index), n, pairs // n, pairs % n, merged, binarized=binarize
+        len(user_index), n, pair_users, pair_items, merged, binarized=binarize
     )
     return matrix, list(user_index), list(item_index)
 
@@ -252,15 +290,18 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
 def gram(x: InteractionMatrix) -> np.ndarray:
     """Item-item co-occurrence matrix X^T X, dense and exactly symmetric.
 
-    The upper triangle is computed and mirrored so the output is symmetric
-    by construction, not merely up to rounding.
+    The upper triangle of the sparse product is mirrored onto the lower one
+    in place, a block at a time, so the output is symmetric by construction,
+    not merely up to rounding, and the dense result is the only n x n buffer.
     """
     if x.num_items < 1:
         raise DimensionMismatch("gram requires at least one item")
     csr = x.to_csr()
-    raw = (csr.T @ csr).toarray().astype(np.float64, copy=False)
-    upper = np.triu(raw, 1)
-    return upper + upper.T + np.diag(np.diag(raw))
+    g = (csr.T @ csr).toarray().astype(np.float64, copy=False)
+    del csr
+    # The lower triangle of g.T is g's upper one: mirror it in place.
+    _mirror_lower(g.T)
+    return g
 
 
 @dataclass(frozen=True)
@@ -304,9 +345,9 @@ class EvalSplit:
 def _submatrix(x, num_rows, row_of, select):
     """The triples of x where ``select`` holds, in a matrix of ``num_rows``
     users; user u becomes row ``row_of[u]``."""
-    idx = np.flatnonzero(select)
     return InteractionMatrix.from_triples(
-        num_rows, x.num_items, row_of[x.users[idx]], x.items[idx], x.values[idx], x.binarized
+        num_rows, x.num_items, row_of[x.users[select]], x.items[select], x.values[select],
+        x.binarized,
     )
 
 

@@ -107,7 +107,9 @@ def _fold_in(foldin, u):
     fold-in sets at k = 64 and 384).  Pass j over a block adds the j-th
     fold-in row of each of its users with more than j items; those users are
     a prefix of the block, so they are updated without a scatter.  A block
-    takes as many passes as its first user has items, not one per user.
+    takes as many passes as its first user has items, not one per user.  It
+    is summed in one reused block-sized buffer and then copied to its users'
+    rows of the result, the only (users, k) array.
     """
     u = np.asarray(u, dtype=np.float64)
     counts = foldin.user_counts()
@@ -117,17 +119,19 @@ def _fold_in(foldin, u):
     active = counts.size - np.searchsorted(np.sort(counts), np.arange(counts.max(initial=0)),
                                            side="right")
     block = max(1, _FOLD_IN_BLOCK // max(u.shape[1], 1))
-    xu = np.zeros((counts.size, u.shape[1]))
+    out = np.empty((counts.size, u.shape[1]))
+    buffer = np.empty((min(block, counts.size), u.shape[1]))
     for lo in range(0, counts.size, block):
         hi = min(lo + block, counts.size)
+        xu = buffer[:hi - lo]
+        xu.fill(0.0)
         for j in range(int(counts[order[lo]])):
             users = min(int(active[j]), hi) - lo
             idx = starts[lo:lo + users] + j
             step = u[foldin.items[idx]]
             step *= foldin.values[idx, None]
-            xu[lo:lo + users] += step
-    out = np.empty_like(xu)
-    out[order] = xu
+            xu[:users] += step
+        out[order[lo:hi]] = xu
     return out
 
 

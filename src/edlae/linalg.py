@@ -93,13 +93,19 @@ def _mirror_lower(a):
     return a
 
 
-def _fix_column_signs(q):
-    """Flip columns so the first largest-magnitude component is non-negative."""
-    if q.shape[1] == 0:
-        return q
-    lead = np.argmax(np.abs(q), axis=0)
-    flip = q[lead, np.arange(q.shape[1])] < 0.0
-    q[:, flip] *= -1.0
+def _reverse_and_sign_columns(q):
+    """``q[:, ::-1]`` in q's own storage: columns swapped pairwise in place,
+    then each flipped so its first largest-magnitude component is
+    non-negative, one column at a time, so no temporary is larger than a
+    column."""
+    k = q.shape[1]
+    for j in range(k // 2):
+        swap = q[:, j].copy()
+        q[:, j] = q[:, k - 1 - j]
+        q[:, k - 1 - j] = swap
+    for column in q.T:
+        if column[np.argmax(np.abs(column))] < 0.0:
+            column *= -1.0
     return q
 
 
@@ -145,6 +151,8 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     destroys, instead of an n x n copy.  A C-ordered ``a`` is passed as its
     Fortran-ordered transpose, so for an exactly symmetric ``a`` LAPACK sees
     the same matrix and the result is bit-identical to the copying path.
+    The eigenvectors are the solver's own (Fortran-ordered) output array,
+    put in descending order and signed in place.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
@@ -158,7 +166,7 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
                                        overwrite_a=overwrite_a)
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
-    return SymEigResult(vals[::-1].copy(), _fix_column_signs(vecs[:, ::-1].copy()))
+    return SymEigResult(vals[::-1].copy(), _reverse_and_sign_columns(vecs))
 
 
 def dense_svd(m: np.ndarray, cap: int | None = None) -> SvdResult:

@@ -1,7 +1,8 @@
 """Independent oracles shared across the test suite.
 
 These deliberately avoid the library's production paths: the Gram oracle is
-a plain dict loop, the text parsers and writers of the dataset module work
+a plain dict loop, the triple check sorts every input with ``np.lexsort``,
+the text parsers and writers of the dataset module work
 one line at a time, fold-in scoring is a scipy sparse product, the ranking
 metrics enumerate full rankings in pure Python, and the factor-pair
 minimizer is multi-restart gradient descent on the written-out objective.  When a test compares the library against one of
@@ -22,7 +23,7 @@ import numpy as np
 from edlae.closed_form import student_gram, student_projection, teacher_from_inverse
 from edlae.dataset import InteractionMatrix
 from edlae.evaluate import MetricResult, _aggregate, _check_eval_inputs, _top_lists
-from edlae.errors import EmptyDataset, ParseError
+from edlae.errors import DimensionMismatch, EmptyDataset, ParseError
 from edlae.linalg import sym_inverse
 
 
@@ -37,6 +38,32 @@ def naive_gram(x: InteractionMatrix) -> np.ndarray:
             for j, vj in entries:
                 g[i, j] += vi * vj
     return g
+
+
+def lexsorted_triples(num_users, num_items, users, items, values, binarized=False):
+    """``InteractionMatrix.from_triples``'s checks and order, spelled out with
+    ``np.lexsort`` over every input: the (users, items, values) arrays, or
+    the exception it raises."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if not (users.shape == items.shape == values.shape) or users.ndim != 1:
+        raise DimensionMismatch("users, items, values must be equal-length 1-d arrays")
+    order = np.lexsort((items, users))
+    users, items, values = users[order], items[order], values[order]
+    if users.size:
+        if users.min() < 0 or users.max() >= num_users:
+            raise ValueError("user index out of range")
+        if items.min() < 0 or items.max() >= num_items:
+            raise ValueError("item index out of range")
+        dup = (np.diff(users) == 0) & (np.diff(items) == 0)
+        if dup.any():
+            raise ValueError("duplicate (user, item) pair")
+        if values.min() <= 0 or not np.isfinite(values).all():
+            raise ValueError("interaction values must be positive and finite")
+        if binarized and not np.all(values == 1.0):
+            raise ValueError("binarized matrix must have all values equal to 1")
+    return users, items, values
 
 
 _HEADER_USER_NAMES = {"user", "user_id", "userid", "uid"}

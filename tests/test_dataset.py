@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from edlae import dataset
+from edlae import dataset, linalg
 from edlae.dataset import (
     InteractionMatrix,
     SplitSpec,
@@ -20,7 +21,7 @@ from edlae.dataset import (
     save_split_artifacts,
     split_strong_generalization,
 )
-from edlae.errors import EmptyDataset, InsufficientUsers, ParseError
+from edlae.errors import DimensionMismatch, EmptyDataset, InsufficientUsers, ParseError
 
 from oracles import naive_gram
 
@@ -28,6 +29,78 @@ from oracles import naive_gram
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def traced_peak(fn, *args):
+    """``(peak bytes tracemalloc saw during fn(*args), result)``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def triples_outcome(fn, *args, **kwargs):
+    """``("ok", users, items, values)`` of a triple check, or its error."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ValueError, DimensionMismatch) as exc:
+        return ("error", type(exc), str(exc))
+    if isinstance(result, InteractionMatrix):
+        result = (result.users, result.items, result.values)
+    return ("ok", *(a.tobytes() for a in result), *(a.dtype.str for a in result))
+
+
+@st.composite
+def triple_inputs(draw):
+    """Small triples that may be sorted or shuffled, may repeat a pair and
+    may hold an out-of-range index or a bad value."""
+    num_users, num_items = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(-1, num_users), st.integers(-1, num_items)),
+                          max_size=12))
+    pairs = [(u, i) for u, i in pairs if draw(st.integers(0, 9)) == 0
+             or (0 <= u < num_users and 0 <= i < num_items)]
+    order = draw(st.sampled_from(["sorted", "shuffled", "reversed"]))
+    if order == "sorted":
+        pairs.sort()
+    elif order == "reversed":
+        pairs.sort(reverse=True)
+    else:
+        pairs = draw(st.permutations(pairs))
+    good = st.sampled_from([1.0, 1.0, 1.0, 2.0, 0.5])
+    values = [draw(good if draw(st.integers(0, 9)) else st.sampled_from([0.0, -1.0, np.nan,
+                                                                        np.inf]))
+              for _ in pairs]
+    users, items = [p[0] for p in pairs], [p[1] for p in pairs]
+    if draw(st.integers(0, 19)) == 0:
+        values.append(1.0)  # one value too many
+    return num_users, num_items, users, items, values, draw(st.booleans())
+
+
+class TestFromTriples:
+    @settings(max_examples=500, deadline=None)
+    @given(triple_inputs())
+    def test_matches_lexsort_oracle(self, case):
+        got = triples_outcome(InteractionMatrix.from_triples, *case)
+        assert got == triples_outcome(oracles.lexsorted_triples, *case)
+
+    def test_sorted_arrays_kept_without_copy(self):
+        users = np.array([0, 0, 1, 2], dtype=np.int64)
+        items = np.array([1, 3, 0, 0], dtype=np.int64)
+        values = np.array([1.0, 2.0, 1.0, 0.5])
+        x = InteractionMatrix.from_triples(3, 4, users, items, values)
+        assert x.users is users and x.items is items and x.values is values
+
+    def test_unsorted_arrays_gathered_in_lexsort_order(self):
+        rng = np.random.default_rng(3)
+        u, i = np.nonzero(rng.random((300, 40)) < 0.2)
+        values = rng.random(u.size) + 0.5
+        shuffle = rng.permutation(u.size)
+        x = InteractionMatrix.from_triples(300, 40, u[shuffle], i[shuffle], values[shuffle])
+        np.testing.assert_array_equal(x.users, u)
+        np.testing.assert_array_equal(x.items, i)
+        assert x.values.tobytes() == values.tobytes()
 
 
 class TestLoadInteractions:
@@ -111,6 +184,32 @@ class TestGram:
         x = InteractionMatrix.from_triples(50, 20, u, i, np.ones(u.size))
         g = gram(x)
         assert np.array_equal(g, g.T)
+
+    def test_mirrors_the_upper_triangle_of_the_product(self):
+        rng = np.random.default_rng(2)
+        u, i = np.nonzero(rng.random((80, 300)) < 0.1)
+        x = InteractionMatrix.from_triples(80, 300, u, i, rng.choice([1.0, 0.3, 7.0], u.size))
+        csr = x.to_csr()
+        raw = (csr.T @ csr).toarray()
+        upper = np.triu(raw, 1)
+        assert gram(x).tobytes() == (upper + upper.T + np.diag(np.diag(raw))).tobytes()
+
+    def test_one_dense_buffer(self, monkeypatch):
+        # Beyond the sparse product, mirroring allocates one row block.
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)
+        n = 500
+        rng = np.random.default_rng(3)
+        users = np.repeat(np.arange(1000), 2)
+        items = np.stack([rng.choice(n, 2, replace=False) for _ in range(1000)]).ravel()
+        x = InteractionMatrix.from_triples(1000, n, users, items, np.ones(users.size))
+
+        def product():
+            csr = x.to_csr()
+            return (csr.T @ csr).toarray()
+
+        product_peak, _ = traced_peak(product)
+        peak, _ = traced_peak(gram, x)
+        assert peak <= product_peak + 8 * linalg._BLOCK_ROWS * n + 64 * n
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(1)
@@ -365,6 +464,42 @@ class TestParsersMatchOracles:
         assert users == ["u\x1c0", "u\u20282", "u4"]
         assert items == ["i\x851", "i 3", "i\x0c5"]
         assert matrix.nnz == 3
+
+    def test_many_repeats_summed_sequentially_in_file_order(self, tmp_path):
+        # 20 repeats of one pair, among other pairs: a pairwise sum (numpy's
+        # add.reduce, reduceat) or a sum in another order would round apart.
+        rng = np.random.default_rng(11)
+        counts = rng.random(20) * 10.0 ** rng.integers(-3, 17, 20)
+        assert np.add.reduce(counts) != sum(counts.tolist())  # the test can tell them apart
+        lines = []
+        for k, c in enumerate(counts.tolist()):
+            lines += [f"u,i,{c!r}\n", f"u{k % 3},i{k % 5},{c!r}\n"]
+        path = write(tmp_path / "d.csv", "".join(lines))
+        matrix, users, items = load_interactions(path, binarize=False)
+        total = 0.0
+        for c in counts.tolist():
+            total += c
+        row = (matrix.users == users.index("u")) & (matrix.items == items.index("i"))
+        assert matrix.values[row].tolist() == [total]
+        want = outcome(oracles.load_interactions, path, binarize=False)
+        assert_same_outcome(("ok", (matrix, users, items)), want)
+
+    def test_ingest_memory_bounded_per_line(self, tmp_path):
+        # Parsing, merging and splitting ~100k lines holds the parsed pairs,
+        # the matrix and its split, but no redundant full-size copy of them:
+        # every int64 or float64 copy of the triples is 8 bytes a line.
+        lines = 100_000
+        rng = np.random.default_rng(4)
+        pairs = zip(rng.integers(0, 10_000, lines).tolist(), rng.integers(0, 500, lines).tolist())
+        path = write(tmp_path / "d.csv", "".join(f"u{u},i{i}\n" for u, i in pairs))
+
+        def ingest():
+            x, _, _ = load_interactions(path)
+            return split_strong_generalization(x, SplitSpec(0.1, 0.1, seed=1))
+
+        peak, split = traced_peak(ingest)
+        assert split.train.nnz > 0.7 * lines
+        assert peak < 80 * lines
 
     def test_duplicate_counts_summed_in_file_order(self, tmp_path):
         counts = ["0.1", "0.2", "0.3", "1e16"]

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,23 @@ class TestScoreUsersMatchesCsr:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # also the signs of zeros
+
+    def test_fold_in_holds_one_users_by_rank_array(self):
+        users, n, k = 20_000, 300, 64
+        rng = np.random.default_rng(5)
+        mask = rng.random((users, n)) < 0.01
+        foldin = foldin_matrix(mask, rng.choice(_FOLDIN_VALUES, size=int(mask.sum())))
+        u = rng.standard_normal((n, k))
+        tracemalloc.start()
+        try:
+            xu = evaluate._fold_in(foldin, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = scipy.sparse.csr_matrix((foldin.values, (foldin.users, foldin.items)),
+                                       shape=(users, n)) @ u
+        assert xu.tobytes() == want.tobytes()
+        assert peak < 1.5 * xu.nbytes
 
     @pytest.mark.parametrize("shape", [(0, 6), (5, 6), (1, 1)])
     def test_no_fold_in_items(self, shape):

@@ -179,6 +179,36 @@ class TestTopKEig:
         assert peaks[False] >= 8 * n * n
         assert peaks[True] < 0.5 * 8 * n * n
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_solver_columns_reversed_and_signed(self, k):
+        n = 120
+        a = random_symmetric(np.random.default_rng(30 + k), n)
+        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(n - k, n - 1))
+        want = vecs[:, ::-1].copy()
+        lead = np.argmax(np.abs(want), axis=0)
+        want[:, want[lead, np.arange(k)] < 0.0] *= -1.0
+        res = top_k_eig(a, k)
+        assert res.eigenvalues.tobytes() == vals[::-1].tobytes()
+        assert np.array_equal(res.eigenvectors, want)
+
+    def test_eigenvectors_returned_in_solver_storage(self, monkeypatch):
+        # Reversing and signing the k columns allocates nothing of size n x k.
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)  # small symmetry-check blocks
+        n, k = 300, 150
+        a = random_symmetric(np.random.default_rng(9), n)
+        work = a.T.copy(order="F")  # what top_k_eig hands the solver
+        tracemalloc.start()
+        scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1), check_finite=False,
+                          overwrite_a=True)
+        solver = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        work = a.copy()
+        tracemalloc.start()
+        top_k_eig(work, k, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= solver + 16 * linalg._BLOCK_ROWS * n + 64 * n
+
     def test_n600_matches_dense(self):
         rng = np.random.default_rng(5)
         a = random_symmetric(rng, 600)
