@@ -27,7 +27,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import sym_inverse, top_k_eig
+from .linalg import _matmul, sym_inverse, top_k_eig
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -202,11 +202,16 @@ def cmd_train(args):
     out = _prepare_out_dir(_resolve(args, "out"), args.force)
     g = dataset.gram(split.train)
     families = ["edlae", "ridge"] if family == "both" else [family]
+    # The whole grid is trained before any model is ranked: the chain runs in
+    # scipy's BLAS runtime and scoring in numpy's, so the two thread pools
+    # take turns once instead of slowing each other at every (lambda, p).
+    models = list(closed_form.train_grid(g, families, ks, lambdas, ps))
     rows, best = {}, {}
-    for position, model in closed_form.train_grid(g, families, ks, lambdas, ps):
+    for position, model in models:
         cfg = model.config
-        scores = evaluate.score_users(model, split.validation_foldin)
-        ndcg = evaluate.ndcg_at_k(scores, split.validation_holdout, 100).mean
+        # The score matrix is freed once it is ranked.
+        ndcg = evaluate.ndcg_at_k(evaluate.score_users(model, split.validation_foldin),
+                                  split.validation_holdout, 100).mean
         lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
         rows[position] = {
             "family": model.kind,
@@ -378,7 +383,7 @@ def cmd_bench(args):
         m_student = timed("student gram", lambda: closed_form.student_gram(teacher, g, lam_diag))
         v = timed(f"top-{top} eig",
                   lambda: top_k_eig(m_student, top, overwrite_a=True).eigenvectors)
-        u = timed(f"rank-{top} projection U = B V", lambda: teacher.b @ v)
+        u = timed(f"rank-{top} projection U = B V", lambda: _matmul(teacher.b, v))
         del teacher, m_student
         for k in ks:
             timed(f"slice top-{k} eig, rank-{k} projection",

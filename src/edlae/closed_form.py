@@ -28,6 +28,12 @@ eigendecomposition per family serves every rank as column slices of V and
 U = B V.  The n x n buffers are reused in place: the teacher of the last
 family is built in C's storage, the student Gram in one buffer, and the
 eigensolver works in the student Gram's storage.
+
+numpy and scipy bundle separate OpenBLAS runtimes whose thread pools slow
+each other when calls alternate between them (see ``linalg``).  The chain's
+BLAS work, the inverse, the eigensolver and U = B V, all runs in scipy's;
+callers that score or evaluate models with numpy products do best to do so
+after the grid is trained, as ``edlae train`` does.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, InvalidDropout
-from .linalg import _BLOCK_ROWS, sym_inverse, top_k_eig
+from .linalg import _BLOCK_ROWS, _matmul, sym_inverse, top_k_eig
 
 # The family table: whether a family constrains (and its objective removes)
 # the model's diagonal.  Everything else follows from it.
@@ -197,12 +203,13 @@ def student_projection(model: FullRankModel, m_student: np.ndarray, k: int,
                        overwrite_m: bool = False) -> LowRankModel:
     """Project the teacher onto rank k: V = top-k eigenvectors of the student
     Gram, U = B @ V, so U V^T = B Q_k Q_k^T.  With ``overwrite_m`` the
-    eigensolver works in the student Gram's storage and destroys it."""
+    eigensolver works in the student Gram's storage and destroys it.  U is
+    formed in the eigensolver's BLAS runtime (``linalg._matmul``)."""
     n = model.b.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
     v = top_k_eig(m_student, k, overwrite_a=overwrite_m).eigenvectors
-    return LowRankModel(u=model.b @ v, v=v, rank=k, config=None, kind=model.kind)
+    return LowRankModel(u=_matmul(model.b, v), v=v, rank=k, config=None, kind=model.kind)
 
 
 def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> LowRankModel:

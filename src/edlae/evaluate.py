@@ -108,8 +108,9 @@ def _fold_in(foldin, u):
     fold-in row of each of its users with more than j items; those users are
     a prefix of the block, so they are updated without a scatter.  A block
     takes as many passes as its first user has items, not one per user.  It
-    is summed in one reused block-sized buffer and then copied to its users'
-    rows of the result, the only (users, k) array.
+    is summed in one reused block-sized buffer, each pass's rows gathered into
+    a second one, and then copied to its users' rows of the result, the only
+    (users, k) array.
     """
     u = np.asarray(u, dtype=np.float64)
     counts = foldin.user_counts()
@@ -118,9 +119,14 @@ def _fold_in(foldin, u):
     # active[j]: the number of users with more than j fold-in items
     active = counts.size - np.searchsorted(np.sort(counts), np.arange(counts.max(initial=0)),
                                            side="right")
+    # x * 1.0 is x exactly, so unit values, as in a binarized split, skip the
+    # multiply, and with it the buffer of up to 8192 values that numpy's
+    # broadcasting multiply allocates on each pass.
+    unit_values = bool((foldin.values == 1.0).all())
     block = max(1, _FOLD_IN_BLOCK // max(u.shape[1], 1))
     out = np.empty((counts.size, u.shape[1]))
     buffer = np.empty((min(block, counts.size), u.shape[1]))
+    steps = np.empty_like(buffer)
     for lo in range(0, counts.size, block):
         hi = min(lo + block, counts.size)
         xu = buffer[:hi - lo]
@@ -128,8 +134,11 @@ def _fold_in(foldin, u):
         for j in range(int(counts[order[lo]])):
             users = min(int(active[j]), hi) - lo
             idx = starts[lo:lo + users] + j
-            step = u[foldin.items[idx]]
-            step *= foldin.values[idx, None]
+            # Fold-in items index rows of u, so "clip" never clips; unlike the
+            # default mode it writes into ``step`` without a buffer.
+            step = np.take(u, foldin.items[idx], axis=0, out=steps[:users], mode="clip")
+            if not unit_values:
+                step *= foldin.values[idx, None]
             xu[:users] += step
         out[order[lo:hi]] = xu
     return out

@@ -151,6 +151,26 @@ class TestTrain:
         assert len(log) == 1 + 2 * 2  # header + 2 grid points per family
         assert sum(1 for line in log[1:] if line.endswith("yes")) == 2
 
+    def test_ranks_after_the_whole_grid(self, tmp_path, data_csv, monkeypatch):
+        # the chain's LAPACK and BLAS calls run in scipy's OpenBLAS and
+        # validation scoring in numpy's: no model is scored before the grid
+        # is trained
+        split = ingest(tmp_path, data_csv)
+        calls = []
+        eig, scored = edlae.closed_form.top_k_eig, edlae.evaluate.score_users
+        monkeypatch.setattr(edlae.closed_form, "top_k_eig",
+                            lambda *args, **kwargs: calls.append("eig") or eig(*args, **kwargs))
+        monkeypatch.setattr(edlae.evaluate, "score_users",
+                            lambda *args: calls.append("score") or scored(*args))
+        assert main([
+            "train", "--split", str(split), "--out", str(tmp_path / "run"), "--family", "both",
+            "--ks", "1,2", "--lambdas", "0.5,2.0", "--ps", "0.25,0.5",
+        ]) == 0
+        assert calls.count("eig") == 2 * 2 * 2  # one per (lambda, p, family)
+        assert calls.count("score") == 2 * 2 * 2 * 2  # one per model
+        last_eig = len(calls) - 1 - calls[::-1].index("eig")
+        assert "score" not in calls[:last_eig]
+
     def test_rank_validated_before_compute(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
         code = main(["train", "--split", str(split), "--out", str(tmp_path / "r"), "--ks", "99"])
@@ -591,6 +611,16 @@ class TestBench:
         text = (out / "bench.txt").read_text()
         assert "teacher" in text and "top-2 eig" in text and "rank-8 projection" in text
         assert "mean (s)" in capsys.readouterr().out
+
+    def test_projection_stage_uses_the_trainers_product(self, monkeypatch):
+        # bench times U = B V with the product student_projection runs
+        calls = []
+        product = edlae.cli._matmul
+        assert product is edlae.closed_form._matmul
+        monkeypatch.setattr(edlae.cli, "_matmul",
+                            lambda a, b: calls.append(b.shape) or product(a, b))
+        assert main(["bench", "--n", "20", "--ks", "2,5", "--repeats", "2"]) == 0
+        assert calls == [(20, 5), (20, 5)]
 
     def test_failed_write_leaves_nothing_and_rerun(self, tmp_path, monkeypatch):
         out = tmp_path / "bench"

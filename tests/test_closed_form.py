@@ -209,6 +209,19 @@ class TestStudentProjection:
         model = student_projection(teacher, student_gram(teacher, g, lam), 4)
         np.testing.assert_allclose(model.v.T @ model.v, np.eye(4), atol=1e-8)
 
+    @pytest.mark.parametrize("kind", ["edlae", "ridge"])
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (7, 5), (7, 7), (300, 1), (300, 5),
+                                      (300, 300)])
+    def test_u_matches_numpy_product(self, n, k, kind):
+        # U = B V is formed in scipy's BLAS (linalg._matmul), not by numpy's @
+        g = exact_gram(binary_instance(n, m=max(3 * n, 10), n=n, density=0.3))
+        lam = regularizer(np.diag(g), 2.0, 0.25)
+        teacher = full_rank_teacher(g, lam, kind)
+        model = student_projection(teacher, student_gram(teacher, g, lam), k)
+        want = teacher.b @ model.v
+        assert model.u.shape == want.shape and model.u.flags.c_contiguous
+        np.testing.assert_allclose(model.u, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
 
 class TestTrainClosedForm:
     def test_diagonal_gram_zero_model(self):

@@ -141,6 +141,27 @@ class TestScoreUsersMatchesCsr:
         assert xu.tobytes() == want.tobytes()
         assert peak < 1.5 * xu.nbytes
 
+    def test_fold_in_reuses_its_step_buffer(self):
+        # 800 users of about 16 unit-valued fold-in items, as in a validation
+        # fold-in: one block covers every user, so the result, the block
+        # buffer and the step buffer are three result sizes; the rest is
+        # per-user index arrays, and no pass allocates a temporary.
+        users, n, k = 800, 600, 16
+        rng = np.random.default_rng(6)
+        mask = rng.random((users, n)) < 16 / n
+        foldin = foldin_matrix(mask, np.ones(int(mask.sum())))
+        u = rng.standard_normal((n, k))
+        tracemalloc.start()
+        try:
+            xu = evaluate._fold_in(foldin, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = scipy.sparse.csr_matrix((foldin.values, (foldin.users, foldin.items)),
+                                       shape=(users, n)) @ u
+        assert xu.tobytes() == want.tobytes()
+        assert peak <= 3.4 * xu.nbytes
+
     @pytest.mark.parametrize("shape", [(0, 6), (5, 6), (1, 1)])
     def test_no_fold_in_items(self, shape):
         rng = np.random.default_rng(1)

@@ -123,6 +123,18 @@ class TestSymInverse:
         ufunc_buffer = np.getbufsize() * 8  # subtracting a transposed view is buffered
         assert peak <= row_block + ufunc_buffer + 64 * n
 
+    def test_overwrite_peaks_at_one_tile_and_the_symmetry_check(self):
+        n = 600
+        a = random_symmetric(np.random.default_rng(25), n) + n * np.eye(n)
+        sym_inverse(a.copy(), overwrite_a=True)  # LAPACK loaded before tracing
+        tracemalloc.start()
+        sym_inverse(a, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tile = linalg._BLOCK_ROWS ** 2 * 8
+        check_block = min(linalg._BLOCK_ROWS, n) * n * 8 + np.getbufsize() * 8
+        assert peak <= tile + check_block
+
     def test_involution(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -130,6 +142,51 @@ class TestSymInverse:
             a = a @ a.T + 0.1 * np.eye(25)  # condition number well under 1e6
             back = sym_inverse(sym_inverse(a))
             assert np.abs(back - a).max() <= 1e-7 * np.abs(a).max()
+
+
+class TestMirrorLower:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, block_rows", [(1, 256), (7, 256), (11, 4), (12, 4),
+                                               (257, 256), (600, 256)])
+    def test_copies_lower_triangle(self, monkeypatch, order, n, block_rows):
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", block_rows)
+        a = np.asarray(np.random.default_rng(n).standard_normal((n, n)), order=order)
+        want = np.where(np.tri(n, dtype=bool), a, a.T)
+        assert linalg._mirror_lower(a) is a
+        assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_makes_no_temporary(self, order):
+        # every copy's source and destination are disjoint, so numpy copies
+        # without a buffer: no tile-sized (or strip-sized) temporary
+        n = 600
+        a = np.asarray(np.random.default_rng(26).standard_normal((n, n)), order=order)
+        tracemalloc.start()
+        linalg._mirror_lower(a)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 64 * n
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 7, 3), (300, 300, 64), (5, 9, 2)])
+    @pytest.mark.parametrize("b_order", ["C", "F"])
+    def test_matches_numpy_product(self, shape, b_order):
+        m, n, k = shape
+        rng = np.random.default_rng(m + k)
+        a = rng.standard_normal((m, n))
+        b = np.asarray(rng.standard_normal((n, k)), order=b_order)
+        got = linalg._matmul(a, b)
+        want = a @ b
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max() * n)
+
+    def test_operands_unchanged(self):
+        rng = np.random.default_rng(27)
+        a, b = rng.standard_normal((20, 20)), np.asfortranarray(rng.standard_normal((20, 4)))
+        kept = a.copy(), b.copy()
+        linalg._matmul(a, b)
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
 
 
 class TestTopKEig:
