@@ -2,15 +2,20 @@
 
 Every command records its resolved configuration into the output directory
 once its artifacts are written, and refuses to silently overwrite a previous
-run (pass --force); a failed run leaves no record and can be rerun.  Options
-may come from a `key = value` config file (--config) with command-line flags
-taking precedence.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure.
+run (pass --force); a failed run leaves no record and can be rerun.  A
+command's options are one table, ``OPTIONS``, from which its flags, its
+config-file keys and its record are all read.  An option may come from a
+`key = value` config file (--config), keyed by its flag's name with ``_`` for
+``-``; a flag takes precedence over the file, and the file over the default.
+One parser reads the flag's text and the file's, and a key that is not an
+option of the command is an error.  Exit codes: 0 success, 1 validation
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -49,51 +54,120 @@ def _load_config_file(path):
     return values
 
 
-def _resolve(args, key, default=None, cast=str):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config_values", {})
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-    return default
+# An option's parser reads its text, from a flag or the config file, and
+# raises ValueError, naming the text, when it cannot.
 
 
-def _int_list(text):
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _list(parse, text):
+    values = [parse(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
+    return values
 
 
-def _float_list(text):
-    try:
-        return [float(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+_int_list = functools.partial(_list, int)
+_float_list = functools.partial(_list, float)
 
 
-def _require_values(**lists):
-    """Reject an empty list option, naming it."""
-    for option, values in lists.items():
-        if not values:
-            raise ConfigError(f"--{option} must list at least one value")
+def _paths(value):
+    """``--models a b`` gives a list, ``models = a,b`` a string."""
+    return value if isinstance(value, list) else _list(str.strip, value)
 
 
 def _bool(text):
-    if isinstance(text, bool):
+    lowered = text.strip().lower()
+    if lowered not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return lowered in ("1", "true", "yes")
+
+
+def _choice(*names):
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {text!r}")
         return text
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+
+    return parse
+
+
+_REQUIRED = object()  # the default of an option the command cannot run without
+
+# Every command also takes --config, --force (a bare switch, never read from
+# the config file) and --out; neither --out nor --force is recorded.
+_OUT = ("out", str, None)
+# Each command's options as (name, parse, default), in the order --help lists
+# them and config.resolved.txt records them.
+OPTIONS = {
+    "ingest": (
+        ("data", str, _REQUIRED),
+        ("format", _choice("csv", "tsv"), "csv"),
+        ("binarize", _bool, True),
+        ("validation_fraction", float, 0.1),
+        ("test_fraction", float, 0.1),
+        ("foldin_fraction", float, 0.8),
+        ("seed", int, 0),
+    ),
+    "train": (
+        ("split", str, _REQUIRED),
+        ("family", _choice("edlae", "ridge", "both"), "edlae"),
+        ("ks", _int_list, [8]),
+        ("lambdas", _float_list, [1.0]),
+        ("ps", _float_list, [0.5]),
+    ),
+    "eval": (
+        ("split", str, _REQUIRED),
+        ("models", _paths, _REQUIRED),
+    ),
+    "verify": (
+        ("m", int, 30),
+        ("n", int, 20),
+        ("ks", _int_list, [2, 5, 10]),
+        ("trials", int, 81),
+        ("steps", int, 400),
+        ("restarts", int, 5),
+        ("lr", float, 5e-4),
+        ("seed", int, 0),
+    ),
+    "bench": (
+        ("n", int, 1000),
+        ("ks", _int_list, [10, 100, 500]),
+        ("repeats", int, 3),
+        ("seed", int, 0),
+    ),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _options(args):
+    """The options of ``args.command``: each is its flag's value if given,
+    else the config file's, else the default; the row's parser reads the
+    flag's text and the file's alike.  A config key that is no option of the
+    command, a value that does not parse and a missing required option are
+    ConfigErrors."""
+    rows = (_OUT, *OPTIONS[args.command])
+    config = _load_config_file(args.config) if args.config else {}
+    unknown = [key for key in config if key not in {name for name, _, _ in rows}]
+    if unknown:
+        raise ConfigError(
+            f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))}; {args.command} "
+            f"takes {', '.join(name for name, _, _ in rows)}"
+        )
+    opts = argparse.Namespace(command=args.command, force=args.force)
+    for name, parse, default in rows:
+        raw, source = getattr(args, name), _flag(name)
+        if raw is None and name in config:
+            raw, source = config[name], f"{args.config}: {name}"
+        try:
+            setattr(opts, name, default if raw is None else parse(raw))
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+    missing = [_flag(name) for name, _, _ in rows if getattr(opts, name) is _REQUIRED]
+    if missing:
+        raise ConfigError(f"{args.command} requires {' and '.join(missing)}")
+    return opts
 
 
 def _prepare_out_dir(out, force):
@@ -107,9 +181,10 @@ def _prepare_out_dir(out, force):
     return out
 
 
-def _record_run(out, resolved_pairs):
+def _record_run(out, opts):
     """Mark ``out`` as holding a finished run; written after its artifacts."""
-    lines = [f"{key} = {value}" for key, value in resolved_pairs]
+    lines = [f"command = {opts.command}"]
+    lines += [f"{name} = {_fmt(getattr(opts, name))}" for name, _, _ in OPTIONS[opts.command]]
     text = "\n".join(lines) + "\n"
     serialize.write_atomic(os.path.join(out, RESOLVED_CONFIG), text.encode("utf-8"))
 
@@ -124,34 +199,21 @@ def _fmt(value):
     return str(value)
 
 
-def cmd_ingest(args):
-    data = _resolve(args, "data")
-    if data is None:
-        raise ConfigError("ingest requires --data")
-    fmt = _resolve(args, "format", "csv")
-    binarize = _bool(_resolve(args, "binarize", True, _bool))
+def cmd_ingest(opts):
     spec = dataset.SplitSpec(
-        validation_fraction=float(_resolve(args, "validation_fraction", 0.1, float)),
-        test_fraction=float(_resolve(args, "test_fraction", 0.1, float)),
-        foldin_fraction=float(_resolve(args, "foldin_fraction", 0.8, float)),
-        seed=int(_resolve(args, "seed", 0, int)),
+        validation_fraction=opts.validation_fraction,
+        test_fraction=opts.test_fraction,
+        foldin_fraction=opts.foldin_fraction,
+        seed=opts.seed,
     )
-    out = _prepare_out_dir(_resolve(args, "out"), args.force)
-    matrix, user_ids, item_ids = dataset.load_interactions(data, fmt=fmt, binarize=binarize)
+    out = _prepare_out_dir(opts.out, opts.force)
+    matrix, user_ids, item_ids = dataset.load_interactions(opts.data, fmt=opts.format,
+                                                           binarize=opts.binarize)
     split = dataset.split_strong_generalization(matrix, spec)
     num_users, num_items, nnz = matrix.num_users, matrix.num_items, matrix.nnz
     del matrix  # the split holds its own triples; free these before writing
     dataset.save_split_artifacts(out, split, user_ids, item_ids, spec)
-    _record_run(out, [
-        ("command", "ingest"),
-        ("data", data),
-        ("format", fmt),
-        ("binarize", _fmt(binarize)),
-        ("validation_fraction", _fmt(spec.validation_fraction)),
-        ("test_fraction", _fmt(spec.test_fraction)),
-        ("foldin_fraction", _fmt(spec.foldin_fraction)),
-        ("seed", spec.seed),
-    ])
+    _record_run(out, opts)
     print(
         f"ingest: wrote split for {num_users} users x {num_items} items "
         f"({nnz} interactions) to {out}"
@@ -172,24 +234,15 @@ def _require_trained_items(train, item_ids):
         )
 
 
-def cmd_train(args):
-    split_dir = _resolve(args, "split")
-    if split_dir is None:
-        raise ConfigError("train requires --split")
-    family = _resolve(args, "family", "edlae")
-    if family not in ("edlae", "ridge", "both"):
-        raise ConfigError(f"family must be edlae, ridge, or both, got {family!r}")
-    ks = _resolve(args, "ks", [8], _int_list)
-    lambdas = _resolve(args, "lambdas", [1.0], _float_list)
-    ps = _resolve(args, "ps", [0.5], _float_list)
-    _require_values(ks=ks, lambdas=lambdas, ps=ps)
+def cmd_train(opts):
+    ks, lambdas, ps = opts.ks, opts.lambdas, opts.ps
     # Training needs scipy (the sparse Gram and LAPACK).  Importing it here,
     # before any library call, keeps its import time and allocations out of
     # the traced library calls (perfbench/tracer.py).
     import scipy.linalg  # noqa: F401
     import scipy.sparse  # noqa: F401
 
-    split, _, item_ids = dataset.load_split_artifacts(split_dir, ("train", "validation"))
+    split, _, item_ids = dataset.load_split_artifacts(opts.split, ("train", "validation"))
     n = len(item_ids)
     for k in ks:
         if not 1 <= k <= n:
@@ -199,9 +252,9 @@ def cmd_train(args):
             closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=ks[0])
     if 0.0 in lambdas:
         _require_trained_items(split.train, item_ids)
-    out = _prepare_out_dir(_resolve(args, "out"), args.force)
+    out = _prepare_out_dir(opts.out, opts.force)
     g = dataset.gram(split.train)
-    families = ["edlae", "ridge"] if family == "both" else [family]
+    families = ["edlae", "ridge"] if opts.family == "both" else [opts.family]
     # The whole grid is trained before any model is ranked: the chain runs in
     # scipy's BLAS runtime and scoring in numpy's, so the two thread pools
     # take turns once instead of slowing each other at every (lambda, p).
@@ -245,26 +298,15 @@ def cmd_train(args):
             f"{'yes' if row.get('selected') else 'no'}\n"
         )
     serialize.write_atomic(os.path.join(out, "train_log.tsv"), "".join(log).encode("utf-8"))
-    _record_run(out, [
-        ("command", "train"),
-        ("split", split_dir),
-        ("family", family),
-        ("ks", _fmt(ks)),
-        ("lambdas", _fmt(lambdas)),
-        ("ps", _fmt(ps)),
-    ])
+    _record_run(out, opts)
     return 0
 
 
-def cmd_eval(args):
-    split_dir = _resolve(args, "split")
-    models = getattr(args, "models", None) or []
-    if split_dir is None or not models:
-        raise ConfigError("eval requires --split and at least one --models file")
-    out = _prepare_out_dir(_resolve(args, "out"), args.force)
-    split, _, _ = dataset.load_split_artifacts(split_dir, ("test",))
+def cmd_eval(opts):
+    out = _prepare_out_dir(opts.out, opts.force)
+    split, _, _ = dataset.load_split_artifacts(opts.split, ("test",))
     rows = []
-    for path in models:
+    for path in opts.models:
         model = serialize.load_model(path)
         model_id = os.path.splitext(os.path.basename(path))[0]
         for res in evaluate.model_metrics(model, split.test_foldin, split.test_holdout):
@@ -289,32 +331,25 @@ def cmd_eval(args):
     serialize.write_atomic(os.path.join(out, "metrics.txt"), (text + "\n").encode("utf-8"))
     jsonl = "".join(json.dumps(row) + "\n" for row in rows)
     serialize.write_atomic(os.path.join(out, "metrics.jsonl"), jsonl.encode("utf-8"))
-    _record_run(out, [("command", "eval"), ("split", split_dir), ("models", ",".join(models))])
+    _record_run(out, opts)
     return 0
 
 
-def cmd_verify(args):
-    m = int(_resolve(args, "m", 30, int))
-    n = int(_resolve(args, "n", 20, int))
-    ks = _resolve(args, "ks", [2, 5, 10], _int_list)
-    trials = int(_resolve(args, "trials", 81, int))
-    steps = int(_resolve(args, "steps", 400, int))
-    restarts = int(_resolve(args, "restarts", 5, int))
-    lr = float(_resolve(args, "lr", 5e-4, float))
-    seed = int(_resolve(args, "seed", 0, int))
-    _require_values(ks=ks)
-    for k in ks:
+def cmd_verify(opts):
+    m, n = opts.m, opts.n
+    for k in opts.ks:
         if k >= min(m, n):
             raise ConfigError(f"k={k} must be below min(m, n)={min(m, n)}")
-    out = _resolve(args, "out")
+    out = opts.out
     if out is not None:
-        out = _prepare_out_dir(out, args.force)
+        out = _prepare_out_dir(out, opts.force)
 
-    suite = checks.run_invariant_checks(seed=seed)
+    suite = checks.run_invariant_checks(seed=opts.seed)
     for result in suite:
         print(result.line())
     report = deepae.verify_linear_bound(
-        m=m, n=n, ks=ks, trials=trials, restarts=restarts, steps=steps, lr=lr, seed=seed
+        m=m, n=n, ks=opts.ks, trials=opts.trials, restarts=opts.restarts, steps=opts.steps,
+        lr=opts.lr, seed=opts.seed,
     )
     gaps = [t.gap for t in report.trials]
     status = "PASS" if report.passed else "FAIL"
@@ -329,28 +364,20 @@ def cmd_verify(args):
                                jsonl.getvalue().encode("utf-8"))
         lines = "".join(result.line() + "\n" for result in suite)
         serialize.write_atomic(os.path.join(out, "invariant_checks.txt"), lines.encode("utf-8"))
-        _record_run(out, [
-            ("command", "verify"),
-            ("m", m), ("n", n), ("ks", _fmt(ks)), ("trials", trials),
-            ("steps", steps), ("restarts", restarts), ("lr", _fmt(lr)), ("seed", seed),
-        ])
+        _record_run(out, opts)
     all_passed = report.passed and all(r.passed for r in suite)
     return 0 if all_passed else 2
 
 
-def cmd_bench(args):
-    n = int(_resolve(args, "n", 1000, int))
-    ks = _resolve(args, "ks", [10, 100, 500], _int_list)
-    repeats = int(_resolve(args, "repeats", 3, int))
-    seed = int(_resolve(args, "seed", 0, int))
-    _require_values(ks=ks)
+def cmd_bench(opts):
+    n, ks, repeats = opts.n, opts.ks, opts.repeats
     for k in ks:
         if not 1 <= k <= n:
             raise ConfigError(f"rank {k} outside [1, {n}]")
-    out = _resolve(args, "out")
+    out = opts.out
     if out is not None:
-        out = _prepare_out_dir(out, args.force)
-    rng = np.random.default_rng(seed)
+        out = _prepare_out_dir(out, opts.force)
+    rng = np.random.default_rng(opts.seed)
     a = rng.standard_normal((2 * n, n))
     raw = a.T @ a
     upper = np.triu(raw, 1)
@@ -400,8 +427,7 @@ def cmd_bench(args):
     print(text)
     if out is not None:
         serialize.write_atomic(os.path.join(out, "bench.txt"), (text + "\n").encode("utf-8"))
-        _record_run(out, [("command", "bench"), ("n", n), ("ks", _fmt(ks)), ("repeats", repeats),
-                          ("seed", seed)])
+        _record_run(out, opts)
     return 0
 
 
@@ -412,57 +438,20 @@ def build_parser():
         "data splits, training, ranking evaluation, numerical verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {
+        "ingest": (cmd_ingest, "load interactions and write a split"),
+        "train": (cmd_train, "closed-form training over a hyperparameter grid"),
+        "eval": (cmd_eval, "ranking metrics of serialized models on the test split"),
+        "verify": (cmd_verify, "numerical invariants and the deep-vs-linear bound"),
+        "bench": (cmd_bench, "wall-clock timings of the training stages"),
+    }
+    for command, (func, help_text) in commands.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--out", help="output directory for artifacts")
         p.add_argument("--force", action="store_true", help="allow overwriting a previous run")
-
-    p_ingest = sub.add_parser("ingest", help="load interactions and write a split")
-    common(p_ingest)
-    p_ingest.add_argument("--data", help="input interactions file (user,item[,count])")
-    p_ingest.add_argument("--format", choices=("csv", "tsv"))
-    p_ingest.add_argument("--binarize", type=_bool)
-    p_ingest.add_argument("--validation-fraction", dest="validation_fraction", type=float)
-    p_ingest.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p_ingest.add_argument("--foldin-fraction", dest="foldin_fraction", type=float)
-    p_ingest.add_argument("--seed", type=int)
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_train = sub.add_parser("train", help="closed-form training over a hyperparameter grid")
-    common(p_train)
-    p_train.add_argument("--split", help="directory written by ingest")
-    p_train.add_argument("--family", choices=("edlae", "ridge", "both"))
-    p_train.add_argument("--ks", type=_int_list)
-    p_train.add_argument("--lambdas", type=_float_list)
-    p_train.add_argument("--ps", type=_float_list)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="ranking metrics of serialized models on the test split")
-    common(p_eval)
-    p_eval.add_argument("--split")
-    p_eval.add_argument("--models", nargs="+", help="serialized model files")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="numerical invariants and the deep-vs-linear bound")
-    common(p_verify)
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--ks", type=_int_list)
-    p_verify.add_argument("--trials", type=int)
-    p_verify.add_argument("--steps", type=int)
-    p_verify.add_argument("--restarts", type=int)
-    p_verify.add_argument("--lr", type=float)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="wall-clock timings of the training stages")
-    common(p_bench)
-    p_bench.add_argument("--n", type=int)
-    p_bench.add_argument("--ks", type=_int_list)
-    p_bench.add_argument("--repeats", type=int)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.set_defaults(func=cmd_bench)
+        for name, parse, _ in (_OUT, *OPTIONS[command]):
+            p.add_argument(_flag(name), nargs="+" if parse is _paths else None)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -474,8 +463,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 for numerical failures
         return 0 if exc.code == 0 else 1
     try:
-        args._config_values = _load_config_file(args.config) if args.config else {}
-        return args.func(args)
+        return args.func(_options(args))
     except _NUMERICAL_ERRORS as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ no Python loop per row: a chunk is joined and split once, its fields are
 slices of the token list, and ids map to indices through dict lookups done
 by ``map``.  Lines end where iterating a text file ends them, never at the
 other characters ``str.splitlines`` breaks on.  A chunk that fails a check
-is scanned again line by line, so an error names the first bad line.
+is parsed again one line at a time by the same parser, so an error names the
+first bad line, with the message of the first check that line fails.
 ``load_split_artifacts`` parses only the groups a command uses (``train``
 the train and validation files, ``eval`` the test files), and
 ``save_split_artifacts`` writes every file atomically
@@ -28,6 +29,7 @@ keeps without a copy.  No full-size copy of the triples outlives its step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -163,14 +165,46 @@ def _index_of(ids, index):
     return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def _parse_input_chunk(lines, delim, other, check_header):
-    """Stripped user ids, item ids and counts of non-blank input lines, or
-    None if some line fails a check."""
+class _BadLine(Exception):
+    """A chunk parser's check failed; the message is the check's for the
+    chunk's first line, so it is exact for a one-line chunk."""
+
+
+def _parsed_chunks(path, parse, file=None):
+    """``parse(lines, header)`` of each chunk of non-blank lines of the text
+    file ``path``; ``header`` is true only for the file's first non-blank
+    line.  A chunk the parser rejects is parsed again one line at a time by
+    the same parser: its first bad line raises ParseError with the parser's
+    message, the line number and ``file``."""
+    header = True
+    with open(path, "r", encoding="utf-8") as handle:
+        for first, lines, raw in _chunks(handle):
+            if not lines:
+                continue
+            try:
+                parsed = parse(lines, header)
+            except _BadLine:
+                for lineno, line in enumerate(map(str.strip, raw), start=first):
+                    if line:
+                        try:
+                            parse([line], header)
+                        except _BadLine as bad:
+                            raise ParseError(str(bad), lineno, file) from None
+                        header = False
+                raise AssertionError("a rejected chunk holds no bad line") from None
+            header = False
+            yield parsed
+
+
+def _parse_input_chunk(lines, header, delim, other):
+    """Stripped user ids, item ids and counts of non-blank input lines, the
+    first skipped when ``header`` is true and it looks like a header.  Each
+    check runs on every line before the next; one that fails raises _BadLine."""
     counts = np.fromiter(map(str.count, lines, itertools.repeat(delim)),
                          dtype=np.int64, count=len(lines))
     if counts.min() < 1 or counts.max() > 2:
-        return None
-    if check_header and _looks_like_header(lines[0].split(delim)):
+        raise _BadLine(f"expected user{delim}item[{delim}count], got {lines[0]!r}")
+    if header and _looks_like_header(lines[0].split(delim)):
         lines, counts = lines[1:], counts[1:]
         if not lines:
             return [], [], np.zeros(0)
@@ -181,46 +215,19 @@ def _parse_input_chunk(lines, delim, other, check_header):
     tokens = delim.join(lines).split(delim)
     users = list(map(str.strip, tokens[0::width]))
     items = list(map(str.strip, tokens[1::width]))
-    if "" in users or "" in items or other in "".join(users) or other in "".join(items):
-        return None
+    if "" in users or "" in items:
+        raise _BadLine(f"empty user or item id in {lines[0]!r}")
+    if other in "".join(users) or other in "".join(items):
+        raise _BadLine(f"user or item id contains {other!r} in {lines[0]!r}")
     if width == 2:
         return users, items, np.ones(len(users))
     try:
         values = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(users))
     except ValueError:
-        return None
+        raise _BadLine(f"count {tokens[2]!r} is not a number") from None
     if not (np.isfinite(values).all() and values.min() > 0):
-        return None
+        raise _BadLine(f"count must be positive and finite, got {tokens[2]!r}")
     return users, items, values
-
-
-def _raise_input_error(raw, first, delim, other, check_header):
-    """Raise the ParseError of the first bad line among ``raw`` (numbered
-    from ``first``), checking each line as ``load_interactions`` does."""
-    for lineno, raw_line in enumerate(raw, start=first):
-        line = raw_line.strip()
-        if not line:
-            continue
-        fields = line.split(delim)
-        if len(fields) not in (2, 3):
-            raise ParseError(f"expected user{delim}item[{delim}count], got {line!r}", line=lineno)
-        if check_header:
-            check_header = False
-            if _looks_like_header(fields):
-                continue
-        user, item = fields[0].strip(), fields[1].strip()
-        if not user or not item:
-            raise ParseError(f"empty user or item id in {line!r}", line=lineno)
-        if other in user or other in item:
-            raise ParseError(f"user or item id contains {other!r} in {line!r}", line=lineno)
-        if len(fields) == 3:
-            try:
-                value = float(fields[2])
-            except ValueError:
-                raise ParseError(f"count {fields[2]!r} is not a number", line=lineno) from None
-            if not np.isfinite(value) or value <= 0:
-                raise ParseError(f"count must be positive and finite, got {fields[2]!r}", line=lineno)
-    raise AssertionError("a rejected chunk holds no bad line")
 
 
 def load_interactions(path, fmt: str = "csv", binarize: bool = True):
@@ -241,19 +248,12 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    check_header = True
-    with open(path, "r", encoding="utf-8") as handle:
-        for first, lines, raw in _chunks(handle):
-            if not lines:
-                continue
-            parsed = _parse_input_chunk(lines, delim, other, check_header)
-            if parsed is None:
-                _raise_input_error(raw, first, delim, other, check_header)
-            check_header = False
-            users.append(_index_of(parsed[0], user_index))
-            items.append(_index_of(parsed[1], item_index))
-            if not binarize:  # binarized counts are checked, then dropped
-                values.append(parsed[2])
+    parse = functools.partial(_parse_input_chunk, delim=delim, other=other)
+    for chunk_users, chunk_items, chunk_values in _parsed_chunks(path, parse):
+        users.append(_index_of(chunk_users, user_index))
+        items.append(_index_of(chunk_items, item_index))
+        if not binarize:  # binarized counts are checked, then dropped
+            values.append(chunk_values)
     n = len(item_index)
     # Each line's pair as one key, user * n + item, built in place; each
     # chunk list is released as soon as it is concatenated.
@@ -488,63 +488,37 @@ def save_split_artifacts(out_dir, split: EvalSplit, user_ids, item_ids, spec: Sp
 
 
 def _parse_split_chunk(lines, user_to_index, item_to_index):
-    """Indices and values of non-blank split-file lines, or None if some line
-    fails a check."""
+    """Indices and values of non-blank split-file lines.  Each check runs on
+    every line before the next; one that fails raises _BadLine."""
     if set(map(str.count, lines, itertools.repeat(","))) != {2}:
-        return None
+        raise _BadLine(f"expected user,item,value, got {lines[0]!r}")
     tokens = ",".join(lines).split(",")
     try:
-        parsed = (
-            np.fromiter(map(user_to_index.__getitem__, tokens[0::3]), dtype=np.int64,
-                        count=len(lines)),
-            np.fromiter(map(item_to_index.__getitem__, tokens[1::3]), dtype=np.int64,
-                        count=len(lines)),
-            np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(lines)),
-        )
-    except (KeyError, ValueError):
-        return None
-    if not (np.isfinite(parsed[2]).all() and parsed[2].min() > 0):
-        return None
-    return parsed
-
-
-def _raise_split_error(raw, first, user_to_index, item_to_index, name):
-    """Raise the ParseError of the first bad line among ``raw`` (numbered
-    from ``first``) of split file ``name``, checking each line as
-    ``_read_interactions`` does."""
-    for lineno, raw_line in enumerate(raw, start=first):
-        line = raw_line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected user,item,value, got {line!r}", lineno, name)
-        try:
-            user_to_index[fields[0]], item_to_index[fields[1]]
-        except KeyError as missing:
-            raise ParseError(f"id {missing} not present in id maps", lineno, name) from None
-        try:
-            value = float(fields[2])
-        except ValueError:
-            raise ParseError(f"value {fields[2]!r} is not a number", lineno, name) from None
-        if not np.isfinite(value) or value <= 0:
-            raise ParseError(f"value must be positive and finite, got {fields[2]!r}", lineno, name)
-    raise AssertionError("a rejected chunk holds no bad line")
+        users = np.fromiter(map(user_to_index.__getitem__, tokens[0::3]), dtype=np.int64,
+                            count=len(lines))
+        items = np.fromiter(map(item_to_index.__getitem__, tokens[1::3]), dtype=np.int64,
+                            count=len(lines))
+    except KeyError as missing:
+        raise _BadLine(f"id {missing} not present in id maps") from None
+    try:
+        values = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(lines))
+    except ValueError:
+        raise _BadLine(f"value {tokens[2]!r} is not a number") from None
+    if not (np.isfinite(values).all() and values.min() > 0):
+        raise _BadLine(f"value must be positive and finite, got {tokens[2]!r}")
+    return users, items, values
 
 
 def _read_interactions(path, user_to_index, item_to_index, num_items, binarized):
+    def parse(lines, header):  # a split file has no header
+        return _parse_split_chunk(lines, user_to_index, item_to_index)
+
     users, items, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    with open(path, "r", encoding="utf-8") as handle:
-        for first, lines, raw in _chunks(handle):
-            if not lines:
-                continue
-            parsed = _parse_split_chunk(lines, user_to_index, item_to_index)
-            if parsed is None:
-                _raise_split_error(raw, first, user_to_index, item_to_index,
-                                   os.path.basename(path))
-            users.append(parsed[0])
-            items.append(parsed[1])
-            values.append(parsed[2])
+    for chunk_users, chunk_items, chunk_values in _parsed_chunks(path, parse,
+                                                                 os.path.basename(path)):
+        users.append(chunk_users)
+        items.append(chunk_items)
+        values.append(chunk_values)
     users, items, values = map(np.concatenate, (users, items, values))
     rows, row_of = np.unique(users, return_inverse=True)
     try:

@@ -167,46 +167,6 @@ def se_and_gradients(params: DeepAEParams, x: np.ndarray):
     return se, (g_weights, g_biases, g_w_out)
 
 
-def _flatten(params: DeepAEParams) -> np.ndarray:
-    parts = [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
-    parts.append(params.w_out.ravel())
-    return np.concatenate(parts)
-
-
-def _assign_flat(params: DeepAEParams, theta: np.ndarray) -> None:
-    offset = 0
-    for w in params.weights:
-        w[...] = theta[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-    for b in params.biases:
-        b[...] = theta[offset : offset + b.size].reshape(b.shape)
-        offset += b.size
-    params.w_out[...] = theta[offset:].reshape(params.w_out.shape)
-
-
-def gradient_max_error(params: DeepAEParams, x: np.ndarray, step: float = 1e-6) -> float:
-    """Worst deviation between analytic and central finite-difference
-    gradients, scaled by the gradient's magnitude."""
-    se, (gw, gb, gout) = se_and_gradients(params, x)
-    analytic = np.concatenate(
-        [g.ravel() for g in gw] + [g.ravel() for g in gb] + [gout.ravel()]
-    )
-    theta = _flatten(params)
-    probe = params.copy()
-    numeric = np.empty_like(analytic)
-    for i in range(theta.size):
-        bump = theta.copy()
-        bump[i] = theta[i] + step
-        _assign_flat(probe, bump)
-        up = squared_error(x, deep_ae_forward(probe, x))
-        bump[i] = theta[i] - step
-        _assign_flat(probe, bump)
-        down = squared_error(x, deep_ae_forward(probe, x))
-        numeric[i] = (up - down) / (2.0 * step)
-    scale = max(1.0, float(np.abs(analytic).max()), float(np.abs(numeric).max()))
-    return float(np.abs(analytic - numeric).max() / scale)
-
-
 def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
                   lr: float = 1e-3, seed: int = 0, max_halvings: int = 60):
     """Full-batch gradient descent on the reconstruction squared error.
@@ -357,10 +317,9 @@ class BoundReport:
         )
 
 
-def verify_linear_bound(m: int = 30, n: int = 20, ks=(2, 5, 10),
-                        archs=DEFAULT_ARCHS, generators=None, trials: int = 81,
-                        restarts: int = 5, steps: int = 400, lr: float = 5e-4,
-                        seed: int = 0, tol_rel: float = 1e-6) -> BoundReport:
+def verify_linear_bound(m: int = 30, n: int = 20, ks=(2, 5, 10), generators=None,
+                        trials: int = 81, restarts: int = 5, steps: int = 400,
+                        lr: float = 5e-4, seed: int = 0) -> BoundReport:
     """Train deep AEs across architectures, generators, ranks, and seeds and
     record their best squared error against the rank-k linear optimum.
 
@@ -378,7 +337,7 @@ def verify_linear_bound(m: int = 30, n: int = 20, ks=(2, 5, 10),
     combos = [
         (gen_name, gen, arch, k)
         for gen_name, gen in generators.items()
-        for arch in archs
+        for arch in DEFAULT_ARCHS
         for k in ks
     ]
     records = []
@@ -402,4 +361,4 @@ def verify_linear_bound(m: int = 30, n: int = 20, ks=(2, 5, 10),
                 se_linear=se_linear,
             )
         )
-    return BoundReport(trials=records, tol_rel=tol_rel)
+    return BoundReport(trials=records)

@@ -266,6 +266,65 @@ class TestTrain:
         assert "ks = 3" in resolved
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--ks", "a,b"], "--ks"),
+        (["train", "--lambdas", "1,x"], "--lambdas"),
+        (["ingest", "--binarize", "maybe"], "--binarize"),
+        (["verify", "--ks", "x"], "--ks"),
+    ])
+    def test_malformed_flag_value_is_an_error_line(self, argv, flag, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_unknown_config_key_rejected_before_out(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        config = tmp_path / "job.cfg"
+        config.write_text(f"split = {split}\nlambda = 50\nk = 3\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "'lambda'" in err and "'k'" in err
+        assert not out.exists()
+
+    def test_train_config_equals_flags(self, tmp_path, data_csv):
+        split = ingest(tmp_path, data_csv)
+        options = {"family": "both", "ks": "3,2", "lambdas": "0.5,2", "ps": "0.25,0.5"}
+        flags = [f"--{key}={value}" for key, value in options.items()]
+        assert main(["train", "--split", str(split), "--out", str(tmp_path / "flags"),
+                     *flags]) == 0
+        config = tmp_path / "job.cfg"
+        config.write_text(
+            f"out = {tmp_path / 'config'}\nsplit = {split}\n"
+            + "".join(f"{key} = {value}\n" for key, value in options.items()),
+            encoding="utf-8",
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+        assert "config.resolved.txt" in names and "ridge_k2.model" in names
+        for name in names:
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes()), name
+
+    def test_eval_models_from_config(self, tmp_path, data_csv):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--family", "both",
+                     "--ks", "2"]) == 0
+        models = [str(run / "edlae_k2.model"), str(run / "ridge_k2.model")]
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "flags"),
+                     "--models", *models]) == 0
+        config = tmp_path / "eval.cfg"
+        config.write_text(f"split = {split}\nmodels = {','.join(models)}\n", encoding="utf-8")
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "config")]) == 0
+        for name in ("metrics.jsonl", "config.resolved.txt"):
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
+
+
 class TestEval:
     def test_metrics_emitted(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
