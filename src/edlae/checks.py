@@ -22,7 +22,7 @@ from .closed_form import (
     student_gram,
     student_projection,
 )
-from .linalg import dense_svd, truncate_svd
+from .linalg import _mirror_lower, dense_svd, truncate_svd
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,8 @@ class CheckResult:
 
 def _random_instance(rng, m, n, lam=1.0, p=0.25, density=0.3):
     x = (rng.random((m, n)) < density).astype(np.float64)
-    raw = x.T @ x
-    upper = np.triu(raw, 1)
-    g = upper + upper.T + np.diag(np.diag(raw))
+    g = x.T @ x
+    _mirror_lower(g.T)  # exactly symmetric, as dataset.gram makes G
     lam_diag = regularizer(np.diag(g), lam, p)
     return x, g, lam_diag
 

@@ -8,7 +8,9 @@ config-file keys and its record are all read.  An option may come from a
 `key = value` config file (--config), keyed by its flag's name with ``_`` for
 ``-``; a flag takes precedence over the file, and the file over the default.
 One parser reads the flag's text and the file's, and a key that is not an
-option of the command is an error.  Exit codes: 0 success, 1 validation
+option of the command is an error.  The file and the record are read and
+written by ``serialize``'s record codec, so a record without its ``command``
+line is a config file of the same run.  Exit codes: 0 success, 1 validation
 error, 2 numerical failure.
 """
 
@@ -32,26 +34,12 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import _matmul, sym_inverse, top_k_eig
+from .linalg import _matmul, _mirror_lower, sym_inverse, top_k_eig
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
 
 RESOLVED_CONFIG = "config.resolved.txt"
-
-
-def _load_config_file(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
 
 
 # An option's parser reads its text, from a flag or the config file, and
@@ -148,7 +136,7 @@ def _options(args):
     command, a value that does not parse and a missing required option are
     ConfigErrors."""
     rows = (_OUT, *OPTIONS[args.command])
-    config = _load_config_file(args.config) if args.config else {}
+    config = serialize.read_record(args.config) if args.config else {}
     unknown = [key for key in config if key not in {name for name, _, _ in rows}]
     if unknown:
         raise ConfigError(
@@ -183,20 +171,9 @@ def _prepare_out_dir(out, force):
 
 def _record_run(out, opts):
     """Mark ``out`` as holding a finished run; written after its artifacts."""
-    lines = [f"command = {opts.command}"]
-    lines += [f"{name} = {_fmt(getattr(opts, name))}" for name, _, _ in OPTIONS[opts.command]]
-    text = "\n".join(lines) + "\n"
-    serialize.write_atomic(os.path.join(out, RESOLVED_CONFIG), text.encode("utf-8"))
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, (list, tuple)):
-        return ",".join(_fmt(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    fields = [(name, getattr(opts, name)) for name, _, _ in OPTIONS[opts.command]]
+    serialize.write_record(os.path.join(out, RESOLVED_CONFIG),
+                           [("command", opts.command), *fields])
 
 
 def cmd_ingest(opts):
@@ -289,12 +266,13 @@ def cmd_train(opts):
             f"train: {row['family']} k={row['k']} -> lambda={row['lambda']:g} p={row['p']:g} "
             f"val nDCG@100={ndcg:.4f} ({os.path.basename(path)})"
         )
+    fmt = serialize.format_value
     log = ["family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n"]
     for position in sorted(rows):
         row = rows[position]
         log.append(
-            f"{row['family']}\t{row['k']}\t{_fmt(row['lambda'])}\t{_fmt(row['p'])}\t"
-            f"{_fmt(row['objective'])}\t{_fmt(row['val_ndcg100'])}\t"
+            f"{row['family']}\t{row['k']}\t{fmt(row['lambda'])}\t{fmt(row['p'])}\t"
+            f"{fmt(row['objective'])}\t{fmt(row['val_ndcg100'])}\t"
             f"{'yes' if row.get('selected') else 'no'}\n"
         )
     serialize.write_atomic(os.path.join(out, "train_log.tsv"), "".join(log).encode("utf-8"))
@@ -379,9 +357,8 @@ def cmd_bench(opts):
         out = _prepare_out_dir(out, opts.force)
     rng = np.random.default_rng(opts.seed)
     a = rng.standard_normal((2 * n, n))
-    raw = a.T @ a
-    upper = np.triu(raw, 1)
-    g = upper + upper.T + np.diag(np.diag(raw))
+    g = a.T @ a
+    _mirror_lower(g.T)  # exactly symmetric, as dataset.gram makes G
     lam_diag = closed_form.regularizer(np.diag(g), 1.0, 0.0)
 
     # LAPACK runs through scipy.linalg; importing it before the timing loop

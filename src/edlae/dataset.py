@@ -12,10 +12,16 @@ by ``map``.  Lines end where iterating a text file ends them, never at the
 other characters ``str.splitlines`` breaks on.  A chunk that fails a check
 is parsed again one line at a time by the same parser, so an error names the
 first bad line, with the message of the first check that line fails.
-``load_split_artifacts`` parses only the groups a command uses (``train``
-the train and validation files, ``eval`` the test files), and
+
+The split's layout is one table, ``_SPLIT_GROUPS``, of each group's parts.
+A part is the file ``<part>.csv`` and the EvalSplit field of that name; a
+group's users are the field and the manifest key ``<group>_users``.
 ``save_split_artifacts`` writes every file atomically
 (``serialize.write_atomic``), so a failed ingest leaves no half-written one.
+``load_split_artifacts`` parses only the groups a command uses (``train``
+the train and validation files, ``eval`` the test files).  It reads the
+manifest with ``serialize.read_record``, which checks its header line and
+rejects a repeated key, and checks each file it reads against the counts.
 Only ``gram`` needs scipy (a sparse product); ``to_csr`` imports it when
 called, so parsing and splitting run on numpy alone.
 
@@ -51,20 +57,14 @@ if TYPE_CHECKING:
 _HEADER_USER_NAMES = {"user", "user_id", "userid", "uid"}
 _HEADER_ITEM_NAMES = {"item", "item_id", "itemid", "iid", "movie", "movie_id", "movieid", "song", "song_id"}
 
-SPLIT_FILES = (
-    "train.csv",
-    "validation_foldin.csv",
-    "validation_holdout.csv",
-    "test_foldin.csv",
-    "test_holdout.csv",
-)
-# The split files of each group; the manifest holds its user count as
-# ``<group>_users``.
-_GROUP_FILES = {
-    "train": ("train.csv",),
-    "validation": ("validation_foldin.csv", "validation_holdout.csv"),
-    "test": ("test_foldin.csv", "test_holdout.csv"),
+# The split's layout (see the module docstring): each group's parts.
+_SPLIT_GROUPS = {
+    "train": ("train",),
+    "validation": ("validation_foldin", "validation_holdout"),
+    "test": ("test_foldin", "test_holdout"),
 }
+SPLIT_FILES = tuple(f"{part}.csv" for parts in _SPLIT_GROUPS.values() for part in parts)
+_MANIFEST_HEADER = "edlae split manifest v1"
 
 _CHUNK_LINES = 8192
 
@@ -459,32 +459,21 @@ def save_split_artifacts(out_dir, split: EvalSplit, user_ids, item_ids, spec: Sp
     serialize.write_atomic(os.path.join(out_dir, "items.tsv"), _id_map_bytes(item_ids))
     user_names = _object_array(user_ids)
     item_cells = _object_array(item_ids) + ","
-    groups = {
-        "train.csv": (split.train, split.train_users),
-        "validation_foldin.csv": (split.validation_foldin, split.validation_users),
-        "validation_holdout.csv": (split.validation_holdout, split.validation_users),
-        "test_foldin.csv": (split.test_foldin, split.test_users),
-        "test_holdout.csv": (split.test_holdout, split.test_users),
-    }
-    for name, (matrix, rows) in groups.items():
-        serialize.write_atomic(os.path.join(out_dir, name),
-                               *_interaction_chunks(matrix, rows, user_names, item_cells))
-    lines = [
-        "edlae split manifest v1",
-        f"seed = {spec.seed}",
-        f"validation_fraction = {spec.validation_fraction:.17g}",
-        f"test_fraction = {spec.test_fraction:.17g}",
-        f"foldin_fraction = {spec.foldin_fraction:.17g}",
-        f"num_users = {len(user_ids)}",
-        f"num_items = {len(item_ids)}",
-        f"binarized = {'true' if split.train.binarized else 'false'}",
-        f"train_users = {split.train_users.size}",
-        f"validation_users = {split.validation_users.size}",
-        f"test_users = {split.test_users.size}",
-        "files = users.tsv items.tsv " + " ".join(SPLIT_FILES),
-    ]
-    serialize.write_atomic(os.path.join(out_dir, "manifest.txt"),
-                           ("\n".join(lines) + "\n").encode("utf-8"))
+    for group, parts in _SPLIT_GROUPS.items():
+        for part in parts:
+            serialize.write_atomic(
+                os.path.join(out_dir, f"{part}.csv"),
+                *_interaction_chunks(getattr(split, part), getattr(split, f"{group}_users"),
+                                     user_names, item_cells),
+            )
+    serialize.write_record(os.path.join(out_dir, "manifest.txt"), [
+        ("seed", spec.seed), ("validation_fraction", spec.validation_fraction),
+        ("test_fraction", spec.test_fraction), ("foldin_fraction", spec.foldin_fraction),
+        ("num_users", len(user_ids)), ("num_items", len(item_ids)),
+        ("binarized", split.train.binarized),
+        *((f"{group}_users", getattr(split, f"{group}_users").size) for group in _SPLIT_GROUPS),
+        ("files", " ".join(("users.tsv", "items.tsv", *SPLIT_FILES))),
+    ], header=_MANIFEST_HEADER)
 
 
 def _parse_split_chunk(lines, user_to_index, item_to_index):
@@ -580,15 +569,13 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     Fold-in and holdout matrices of the same group share row order by
     construction (ascending user index).
     """
-    unknown = sorted(set(groups) - set(_GROUP_FILES))
+    from . import serialize  # serialize imports closed_form, which imports this module
+
+    unknown = sorted(set(groups) - set(_SPLIT_GROUPS))
     if unknown:
-        raise ValueError(f"unknown split groups {unknown}; expected some of {list(_GROUP_FILES)}")
-    manifest = {}
-    with open(os.path.join(split_dir, "manifest.txt"), "r", encoding="utf-8") as handle:
-        for line in handle:
-            if "=" in line:
-                key, _, value = line.partition("=")
-                manifest[key.strip()] = value.strip()
+        raise ValueError(f"unknown split groups {unknown}; expected some of {list(_SPLIT_GROUPS)}")
+    manifest = serialize.read_record(os.path.join(split_dir, "manifest.txt"),
+                                     header=_MANIFEST_HEADER, file="manifest.txt")
     binarized = manifest.get("binarized", "false") == "true"
     user_ids = _read_id_map(os.path.join(split_dir, "users.tsv"))
     item_ids = _read_id_map(os.path.join(split_dir, "items.tsv"))
@@ -598,32 +585,20 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     item_to_index = {v: k for k, v in enumerate(item_ids)}
     n = len(item_ids)
 
-    parts, group_users = {}, {}
-    for group, names in _GROUP_FILES.items():
+    fields = {}
+    for group, parts in _SPLIT_GROUPS.items():
+        users = f"{group}_users"
         if group not in groups:
             empty = InteractionMatrix.from_triples(0, n, [], [], [], binarized=binarized)
-            parts.update(dict.fromkeys(names, empty))
-            group_users[group] = np.zeros(0, dtype=np.int64)
+            fields.update(dict.fromkeys(parts, empty))
+            fields[users] = np.zeros(0, dtype=np.int64)
             continue
-        for name in names:
-            parts[name], rows = _read_interactions(
+        for part in parts:
+            name = f"{part}.csv"
+            fields[part], rows = _read_interactions(
                 os.path.join(split_dir, name), user_to_index, item_to_index, n, binarized
             )
-            _manifest_count(manifest, f"{group}_users", rows.size, name, "users")
-            if group in group_users and not np.array_equal(group_users[group], rows):
-                raise ParseError(f"{names[0]} and {name} hold different users")
-            group_users[group] = rows
-    return (
-        EvalSplit(
-            train=parts["train.csv"],
-            validation_foldin=parts["validation_foldin.csv"],
-            validation_holdout=parts["validation_holdout.csv"],
-            test_foldin=parts["test_foldin.csv"],
-            test_holdout=parts["test_holdout.csv"],
-            train_users=group_users["train"],
-            validation_users=group_users["validation"],
-            test_users=group_users["test"],
-        ),
-        user_ids,
-        item_ids,
-    )
+            _manifest_count(manifest, users, rows.size, name, "users")
+            if not np.array_equal(fields.setdefault(users, rows), rows):
+                raise ParseError(f"{parts[0]}.csv and {name} hold different users")
+    return EvalSplit(**fields), user_ids, item_ids

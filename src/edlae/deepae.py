@@ -12,7 +12,7 @@ architectures, and data generators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -268,33 +268,25 @@ class TrialRecord:
         return self.se_deep - self.se_linear
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "arch": self.arch,
-                "generator": self.generator,
-                "k": self.k,
-                "se_deep": self.se_deep,
-                "se_linear": self.se_linear,
-                "gap": self.gap,
-            }
-        )
+        return json.dumps(asdict(self) | {"gap": self.gap})
+
+
+_BOUND_TOL_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the deep-vs-linear training-error check.
 
-    Passes when every trial satisfies se_deep >= se_linear - tol_rel *
+    Passes when every trial satisfies se_deep >= se_linear - _BOUND_TOL_REL *
     se_linear; the deep model may tie (it does when it converges to the
     truncated-SVD optimum) but must never land meaningfully below.
     """
 
     trials: list[TrialRecord] = field(default_factory=list)
-    tol_rel: float = 1e-6
 
     def failures(self) -> list[TrialRecord]:
-        return [t for t in self.trials if t.gap < -self.tol_rel * t.se_linear]
+        return [t for t in self.trials if t.gap < -_BOUND_TOL_REL * t.se_linear]
 
     @property
     def passed(self) -> bool:

@@ -1,22 +1,26 @@
-"""Binary container for low-rank models.
+"""Binary container for low-rank models, and the ``key = value`` text records.
 
 Little-endian layout: magic (4 bytes, "EDLR" for the denoising model,
 "RDGR" for the ridge baseline), version u32, n u64, k u64, lambda f64,
 dropout p f64, then U and V as row-major f64 blocks of n*k entries each.
 
-Models, like the CLI's logs and metrics, are written with ``write_atomic``:
-a reader sees the old file or the whole new one, never a partial write.
+A text record (a ``--config`` file, ``config.resolved.txt``, the split's
+``manifest.txt``) is an optional header line, then ``key = value`` lines;
+``write_record`` writes one and ``read_record`` reads one.  Models, records,
+logs and metrics are written with ``write_atomic``: a reader sees the old
+file or the whole new one, never a partial write.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 
 import numpy as np
 
 from .closed_form import EdlaeConfig, LowRankModel
-from .errors import ModelFormatError
+from .errors import ModelFormatError, ParseError
 
 _HEADER = struct.Struct("<4sIQQdd")
 VERSION = 1
@@ -61,6 +65,55 @@ def write_atomic(path, *chunks) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def format_value(value) -> str:
+    """``value`` as a record holds it: a float to 17 significant digits, so
+    it reads back bit for bit, a list comma-separated, a bool as true/false."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, (list, tuple)):
+        return ",".join(format_value(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def write_record(path, fields, header=None) -> None:
+    """Write the ``(key, value)`` pairs ``fields`` as a text record, after
+    the line ``header`` when one is given."""
+    lines = [] if header is None else [header]
+    lines += [f"{key} = {format_value(value)}" for key, value in fields]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def read_record(path, header=None, file=None) -> dict[str, str]:
+    """The fields of the text record ``path`` as stripped strings, keyed
+    with ``_`` for ``-``.  Blank lines are skipped, and ``#`` at the start of
+    a line or after whitespace starts a comment, so ``ks = 8  # rank`` reads
+    ``8`` and ``split = x#y`` reads ``x#y``.  A first line other than
+    ``header``, when given, a line without a key and ``=``, and a repeated
+    key are ParseErrors naming ``file`` (by default ``path``) and the line."""
+    file = os.fspath(path) if file is None else file
+    fields = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        if header is not None and (first := handle.readline().rstrip("\n")) != header:
+            raise ParseError(f"expected {header!r}, got {first!r}", 1, file)
+        for lineno, raw in enumerate(handle, start=1 if header is None else 2):
+            line = _COMMENT.split(raw, 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if not (eq and key):
+                raise ParseError(f"expected 'key = value', got {line!r}", lineno, file)
+            if key in fields:
+                raise ParseError(f"repeated key {key!r}", lineno, file)
+            fields[key] = value.strip()
+    return fields
 
 
 def load_model(path) -> LowRankModel:

@@ -289,6 +289,57 @@ class TestOptions:
         assert str(config) in err and "'lambda'" in err and "'k'" in err
         assert not out.exists()
 
+    def test_repeated_config_key_rejected_before_out(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        config = tmp_path / "dup.cfg"
+        config.write_text(f"split = {split}\nks = 2\nks = 3\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert f"error: {config}, line 3: repeated key 'ks'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, ks", [
+        ("sp#x", "ks = 2"),  # a '#' inside a value is part of it
+        ("split", "ks = 2  # rank"),  # a '#' after whitespace starts a comment
+        ("split", "# rank\n\tks = 2\t# rank"),
+    ])
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path, data_csv, name, ks):
+        split = ingest(tmp_path, data_csv, name=name)
+        config = tmp_path / "job.cfg"
+        config.write_text(f"split = {split}\n{ks}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert [p.name for p in out.glob("*.model")] == ["edlae_k2.model"]
+        resolved = (out / "config.resolved.txt").read_text(encoding="utf-8")
+        assert f"split = {split}\n" in resolved and "ks = 2\n" in resolved
+
+    def test_record_reads_back_as_config(self, tmp_path, data_csv):
+        """A run's config.resolved.txt without its command line, given back as
+        --config, makes the same run: the record's writer and the config
+        file's reader agree."""
+        split, trained = ingest(tmp_path, data_csv), tmp_path / "train_flags"
+        flags = {
+            "ingest": ["--data", str(data_csv), "--format", "csv", "--binarize", "yes",
+                       "--validation-fraction", "0.2", "--test-fraction", "0.2",
+                       "--foldin-fraction", "0.7", "--seed", "5"],
+            "train": ["--split", str(split), "--family", "both", "--ks", "3,2",
+                      "--lambdas", "0.5,2", "--ps", "0.25,0.5"],
+            "eval": ["--split", str(split), "--models", str(trained / "edlae_k2.model"),
+                     str(trained / "ridge_k3.model")],
+        }
+        for command, argv in flags.items():
+            first, again = tmp_path / f"{command}_flags", tmp_path / f"{command}_config"
+            assert main([command, "--out", str(first), *argv]) == 0
+            record = (first / "config.resolved.txt").read_text(encoding="utf-8").splitlines()
+            assert record[0] == f"command = {command}"
+            config = tmp_path / f"{command}.cfg"
+            config.write_text("".join(line + "\n" for line in record[1:]), encoding="utf-8")
+            assert main([command, "--config", str(config), "--out", str(again)]) == 0
+            names = sorted(p.name for p in first.iterdir())
+            assert names == sorted(p.name for p in again.iterdir())
+            for name in names:
+                assert (first / name).read_bytes() == (again / name).read_bytes(), (command, name)
+
     def test_train_config_equals_flags(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
         options = {"family": "both", "ks": "3,2", "lambdas": "0.5,2", "ps": "0.25,0.5"}
@@ -455,6 +506,24 @@ class TestSplitFiles:
         assert main(["train", "--split", str(split), "--out", str(tmp_path / "r2"),
                      "--ks", "2"]) == 0
 
+    @pytest.mark.parametrize("edit, error", [
+        # a stale count before the true one: neither may win silently
+        (lambda lines: lines[:6] + ["num_items = 5\n"] + lines[6:],
+         "error: manifest.txt, line 8: repeated key 'num_items'"),
+        (lambda lines: lines[1:],
+         "error: manifest.txt, line 1: expected 'edlae split manifest v1', got 'seed = 3'"),
+    ], ids=["repeated-key", "no-header"])
+    def test_bad_manifest_names_file_and_line(self, tmp_path, data_csv, capsys, edit, error):
+        split = ingest(tmp_path, data_csv)
+        path = split / "manifest.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[6].startswith("num_items = ")
+        path.write_text("".join(edit(lines)), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_foldin_line_names_file_and_line(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
         path = split / "test_foldin.csv"
@@ -551,7 +620,9 @@ class TestSplitFiles:
            seed=st.integers(0, 2**16))
     def test_accepted_ids_round_trip(self, users, items, seed):
         rng = np.random.default_rng(seed)
-        lines = ["uid0,iid0"]  # a first line that is not a header
+        # A first line that is not a header; uid0 also touches every item, so
+        # each one is written whichever items the users below draw.
+        lines = ["uid0,iid0", *(f"uid0,{item}" for item in items)]
         for user in users:
             # choose indices: a numpy string array would drop trailing NULs
             for item in map(items.__getitem__, rng.choice(len(items), size=3, replace=False)):

@@ -1,4 +1,4 @@
-"""Tests for the binary model container."""
+"""Tests for the binary model container and the text records."""
 
 import struct
 
@@ -7,8 +7,8 @@ import pytest
 
 from edlae import serialize
 from edlae.closed_form import EdlaeConfig, LowRankModel
-from edlae.errors import ModelFormatError
-from edlae.serialize import load_model, save_model, write_atomic
+from edlae.errors import ModelFormatError, ParseError
+from edlae.serialize import load_model, read_record, save_model, write_atomic, write_record
 
 
 def make_model(kind="edlae", n=5, k=2, seed=0):
@@ -145,3 +145,34 @@ class TestAtomicWrite:
         write_atomic(path, b"a\t", b"b\n")
         assert path.read_bytes() == b"a\tb\n"
         assert [p.name for p in tmp_path.iterdir()] == ["log.tsv"]
+
+
+class TestRecord:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "r.txt"
+        fields = [("seed", 3), ("lam", 0.1), ("ks", [8, 16]), ("ps", (0.25, 1 / 3)),
+                  ("binarize", False), ("split", "a b#c")]
+        write_record(path, fields, header="v1")
+        assert path.read_text(encoding="utf-8").splitlines()[:4] == [
+            "v1", "seed = 3", "lam = 0.10000000000000001", "ks = 8,16"]
+        record = read_record(path, header="v1")
+        assert record == {"seed": "3", "lam": "0.10000000000000001", "ks": "8,16",
+                          "ps": "0.25,0.33333333333333331", "binarize": "false",
+                          "split": "a b#c"}
+        assert float(record["ps"].split(",")[1]) == 1 / 3
+
+    def test_comments_blank_lines_and_dashed_keys(self, tmp_path):
+        path = tmp_path / "r.cfg"
+        path.write_text("# job\n\n  test-fraction = 0.2 # share\nout=x#1\n", encoding="utf-8")
+        assert read_record(path) == {"test_fraction": "0.2", "out": "x#1"}
+
+    @pytest.mark.parametrize("text, error", [
+        ("a = 1\nb\n", "r.cfg, line 2: expected 'key = value', got 'b'"),
+        ("a = 1\n = 2\n", "r.cfg, line 2: expected 'key = value', got '= 2'"),
+        ("a-b = 1\n\na_b = 2\n", "r.cfg, line 3: repeated key 'a_b'"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, text, error):
+        path = tmp_path / "r.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=error):
+            read_record(path, file="r.cfg")
