@@ -58,8 +58,13 @@ _float_list = functools.partial(_list, float)
 
 
 def _paths(value):
-    """``--models a b`` gives a list, ``models = a,b`` a string."""
-    return value if isinstance(value, list) else _list(str.strip, value)
+    """``--models a b`` gives a list, ``models = a,b`` a string.  The record
+    joins the list with commas, so no path may hold one."""
+    paths = value if isinstance(value, list) else _list(str.strip, value)
+    for path in paths:
+        if "," in path:
+            raise ValueError(f"a path may not hold a comma, got {path!r}")
+    return paths
 
 
 def _bool(text):
@@ -235,45 +240,29 @@ def cmd_train(opts):
     # The whole grid is trained before any model is ranked: the chain runs in
     # scipy's BLAS runtime and scoring in numpy's, so the two thread pools
     # take turns once instead of slowing each other at every (lambda, p).
-    models = list(closed_form.train_grid(g, families, ks, lambdas, ps))
-    rows, best = {}, {}
-    for position, model in models:
-        cfg = model.config
-        # The score matrix is freed once it is ranked.
-        ndcg = evaluate.ndcg_at_k(evaluate.score_users(model, split.validation_foldin),
-                                  split.validation_holdout, 100).mean
-        lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-        rows[position] = {
-            "family": model.kind,
-            "k": cfg.rank,
-            "lambda": cfg.lam,
-            "p": cfg.dropout_p,
-            "objective": closed_form.objective_from_gram(g, lam_diag, model),
-            "val_ndcg100": ndcg,
-        }
-        # Per (family, k) the grid is visited in (lambda, p) order, so a
-        # strict improvement keeps the first of equal scores.
-        group = position[:2]
-        if group not in best or ndcg > best[group][0]:
-            best[group] = (ndcg, position, model)
-    for group in sorted(best):
-        ndcg, position, model = best[group]
-        row = rows[position]
-        row["selected"] = True
-        path = os.path.join(out, f"{row['family']}_k{row['k']}.model")
-        serialize.save_model(path, model)
-        print(
-            f"train: {row['family']} k={row['k']} -> lambda={row['lambda']:g} p={row['p']:g} "
-            f"val nDCG@100={ndcg:.4f} ({os.path.basename(path)})"
-        )
+    models = closed_form.train_grid(g, families, ks, lambdas, ps)
     fmt = serialize.format_value
     log = ["family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n"]
-    for position in sorted(rows):
-        row = rows[position]
-        log.append(
-            f"{row['family']}\t{row['k']}\t{fmt(row['lambda'])}\t{fmt(row['p'])}\t"
-            f"{fmt(row['objective'])}\t{fmt(row['val_ndcg100'])}\t"
-            f"{'yes' if row.get('selected') else 'no'}\n"
+    # One (family, k) per group of (lambda, p) models, in the log's order.
+    per_group = len(lambdas) * len(ps)
+    for start in range(0, len(models), per_group):
+        group = models[start:start + per_group]
+        # Each score matrix is freed once it is ranked.
+        ndcgs = [evaluate.ndcg_at_k(evaluate.score_users(model, split.validation_foldin),
+                                    split.validation_holdout, 100).mean for model in group]
+        best = ndcgs.index(max(ndcgs))  # the first of equal scores
+        for i, (model, ndcg) in enumerate(zip(group, ndcgs)):
+            cfg = model.config
+            lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
+            objective = closed_form.objective_from_gram(g, lam_diag, model)
+            log.append(f"{model.kind}\t{cfg.rank}\t{fmt(cfg.lam)}\t{fmt(cfg.dropout_p)}\t"
+                       f"{fmt(objective)}\t{fmt(ndcg)}\t{'yes' if i == best else 'no'}\n")
+        model, cfg = group[best], group[best].config
+        path = os.path.join(out, f"{model.kind}_k{cfg.rank}.model")
+        serialize.save_model(path, model)
+        print(
+            f"train: {model.kind} k={cfg.rank} -> lambda={cfg.lam:g} p={cfg.dropout_p:g} "
+            f"val nDCG@100={ndcgs[best]:.4f} ({os.path.basename(path)})"
         )
     serialize.write_atomic(os.path.join(out, "train_log.tsv"), "".join(log).encode("utf-8"))
     _record_run(out, opts)

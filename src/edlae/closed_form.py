@@ -21,13 +21,15 @@ family, the O(n^2) form M = (G + Lambda) - S (I + B): for edlae
 Lambda.
 
 Every trainer calls ``_projected`` (teacher -> student Gram -> projection)
-on a C from ``_regularized_inverse``.  A grid (``train_grid``) shares work:
-C depends only on (lambda, p), so one inverse serves both families, and the
-leading eigenvectors of M do not depend on k, so one top-max(k)
-eigendecomposition per family serves every rank as column slices of V and
-U = B V.  The n x n buffers are reused in place: the teacher of the last
-family is built in C's storage, the student Gram in one buffer, and the
-eigensolver works in the student Gram's storage.
+on a C from ``_regularized_inverse``.  ``train_grid`` returns the models of
+a (kind, k, lambda, p) grid as a list in that order, the order of
+``edlae train``'s log, and ``train_closed_form`` is its one-point case.  The
+grid shares work: C depends only on (lambda, p), so one inverse serves both
+families, and the leading eigenvectors of M do not depend on k, so one
+top-max(k) eigendecomposition per family serves every rank as column slices
+of V and U = B V.  The n x n buffers are reused in place: the teacher of
+the last family is built in C's storage, the student Gram in one buffer,
+and the eigensolver works in the student Gram's storage.
 
 numpy and scipy bundle separate OpenBLAS runtimes whose thread pools slow
 each other when calls alternate between them (see ``linalg``).  The chain's
@@ -38,11 +40,11 @@ after the grid is trained, as ``edlae train`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, InvalidDropout
 from .linalg import _BLOCK_ROWS, _matmul, sym_inverse, top_k_eig
 
@@ -217,40 +219,38 @@ def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> L
     the one-point case of ``train_grid``, with ``cfg`` attached.  Raw
     interactions are never needed past the Gram matrix.
     """
-    lam_diag = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-    model = _projected(_regularized_inverse(g, lam_diag), g, lam_diag, kind, cfg.rank,
-                       overwrite_c=True)
-    return replace(model, config=cfg)
+    (model,) = train_grid(g, [kind], [cfg.rank], [cfg.lam], [cfg.dropout_p])
+    return model
 
 
-def train_grid(g: np.ndarray, kinds, ks, lambdas, ps):
+def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
     """Train every model of the grid kinds x ks x lambdas x ps.
 
-    Yields ``(position, model)`` with ``position = (kind index, k index,
-    lambda index, p index)``, so sorting by position gives the grid in that
-    order; the yield order is lambda -> p -> kind -> k.  Each (lambda, p)
+    Returns the models in that order, kind varying slowest and p fastest,
+    which is the order of ``edlae train``'s log.  Each (lambda, p)
     factorizes G + Lambda once and each (lambda, p, kind) takes one
-    top-max(ks) eigendecomposition; a rank-k model holds the first k
-    columns of its U and V.  The models equal ``train_closed_form``'s up to
-    rounding, and bit for bit at k = max(ks).  All n x n buffers of one
-    (lambda, p) are freed before its models are yielded.
+    top-max(ks) eigendecomposition; a rank-k model holds copies of the first
+    k columns of its U and V.  The models equal ``train_closed_form``'s up
+    to rounding, and bit for bit at k = max(ks).  All n x n buffers of one
+    (lambda, p) are freed, and its models sliced, before the next G + Lambda
+    is factorized.
     """
     g = np.asarray(g, dtype=np.float64)
     g_diag = np.diag(g).copy()
     top = max(ks)
-    for li, lam in enumerate(lambdas):
-        for pi, p in enumerate(ps):
-            lam_diag = regularizer(g_diag, lam, p)
-            c = _regularized_inverse(g, lam_diag)
-            # The last kind takes C's storage for its teacher.
-            factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
-                       for ki, kind in enumerate(kinds)]
-            del c
-            for fi, full in enumerate(factors):
-                for ki, k in enumerate(ks):
-                    yield (fi, ki, li, pi), LowRankModel(
-                        u=full.u[:, :k].copy(), v=full.v[:, :k].copy(), rank=k,
-                        config=EdlaeConfig(lam=lam, dropout_p=p, rank=k), kind=full.kind)
+    points = []  # per (lambda, p), in lambda -> p order: its models, kind -> k
+    for lam, p in itertools.product(lambdas, ps):
+        lam_diag = regularizer(g_diag, lam, p)
+        c = _regularized_inverse(g, lam_diag)
+        # The last kind takes C's storage for its teacher.
+        factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
+                   for ki, kind in enumerate(kinds)]
+        del c
+        points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(), rank=k,
+                                    config=EdlaeConfig(lam=lam, dropout_p=p, rank=k),
+                                    kind=full.kind)
+                       for full in factors for k in ks])
+    return [model for same_kind_and_k in zip(*points) for model in same_kind_and_k]
 
 
 def _projected(c, g, lam_diag, kind, k, overwrite_c):
@@ -274,15 +274,16 @@ def _objective_matrix(model, n, lam_diag):
     return d
 
 
-def edlae_objective(x, lam_diag: np.ndarray, model) -> float:
+def edlae_objective(x: np.ndarray, lam_diag: np.ndarray, model) -> float:
     """Exact training objective of the model's family:
 
         || X - X D ||_F^2 + || Lambda^(1/2) D ||_F^2
 
     where D is the model's dense matrix (U V^T for low-rank models) with its
-    diagonal removed for the zero-diagonal family and kept for ridge.
+    diagonal removed for the zero-diagonal family and kept for ridge.  X is
+    a dense array (``InteractionMatrix.to_dense()`` gives one).
     """
-    x = x.to_dense() if isinstance(x, InteractionMatrix) else np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     lam_diag = np.asarray(lam_diag, dtype=np.float64)
     d = _objective_matrix(model, x.shape[1], lam_diag)
     resid = x - x @ d

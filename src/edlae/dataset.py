@@ -21,7 +21,8 @@ group's users are the field and the manifest key ``<group>_users``.
 ``load_split_artifacts`` parses only the groups a command uses (``train``
 the train and validation files, ``eval`` the test files).  It reads the
 manifest with ``serialize.read_record``, which checks its header line and
-rejects a repeated key, and checks each file it reads against the counts.
+rejects a repeated key, reads its ``binarized`` as ``true`` or ``false`` only,
+and checks each file it reads against the counts.
 Only ``gram`` needs scipy (a sparse product); ``to_csr`` imports it when
 called, so parsing and splitting run on numpy alone.
 
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import serialize
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -452,8 +454,6 @@ def _interaction_chunks(x, row_users, user_names, item_cells):
 def save_split_artifacts(out_dir, split: EvalSplit, user_ids, item_ids, spec: SplitSpec):
     """Write the split as CSV files plus id maps and a deterministic manifest,
     each file atomically."""
-    from . import serialize  # serialize imports closed_form, which imports this module
-
     os.makedirs(out_dir, exist_ok=True)
     serialize.write_atomic(os.path.join(out_dir, "users.tsv"), _id_map_bytes(user_ids))
     serialize.write_atomic(os.path.join(out_dir, "items.tsv"), _id_map_bytes(item_ids))
@@ -562,21 +562,24 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     other group are empty 0-row matrices with every item as a column, and
     their user arrays are empty.  The id maps are checked against the
     manifest's user and item counts, and each parsed file against its
-    group's user count, so a truncated artifact raises ParseError naming it;
+    group's user count, so a truncated artifact raises ParseError naming it,
+    as does a manifest whose ``binarized`` is not ``true`` or ``false``;
     a bad line of a split file, a repeated (user, item) pair among them, or
     a value other than 1 in a binarized split, raises ParseError naming the
     file and line.
     Fold-in and holdout matrices of the same group share row order by
     construction (ascending user index).
     """
-    from . import serialize  # serialize imports closed_form, which imports this module
-
     unknown = sorted(set(groups) - set(_SPLIT_GROUPS))
     if unknown:
         raise ValueError(f"unknown split groups {unknown}; expected some of {list(_SPLIT_GROUPS)}")
     manifest = serialize.read_record(os.path.join(split_dir, "manifest.txt"),
                                      header=_MANIFEST_HEADER, file="manifest.txt")
-    binarized = manifest.get("binarized", "false") == "true"
+    binarized = manifest.get("binarized")
+    if binarized not in ("true", "false"):
+        raise ParseError(f"binarized must be true or false, got {binarized!r}",
+                         file="manifest.txt")
+    binarized = binarized == "true"
     user_ids = _read_id_map(os.path.join(split_dir, "users.tsv"))
     item_ids = _read_id_map(os.path.join(split_dir, "items.tsv"))
     _manifest_count(manifest, "num_users", len(user_ids), "users.tsv", "ids")

@@ -177,19 +177,17 @@ def _top_lists(scores, cutoff):
     ascending item index: the leading columns of a stable sort of -scores.
 
     Its temporaries are a few times the size of ``scores``, so it is passed
-    one row block at a time.  For width < n, argpartition selects a
-    top-width candidate set per row; sorted by item index and then stably by
-    descending score, it is the row's exact top list unless an item tied
-    with the boundary (the width-th best) score was left out.  Such rows,
-    including rows with fewer than width finite scores, are ranked by a full
-    stable sort instead.
+    one row block at a time.  argpartition selects a top-width candidate set
+    per row (every item when width = n); sorted by item index and then
+    stably by descending score, it is the row's exact top list unless an
+    item tied with the boundary (the width-th best) score was left out.
+    Such rows, including rows with fewer than width finite scores, are
+    ranked by a full stable sort instead.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     n = scores.shape[1]
     width = min(cutoff, n)
-    if width == n:
-        return np.argsort(-scores, axis=1, kind="stable")
     rows = np.arange(scores.shape[0])[:, None]
     cand = np.argpartition(scores, n - width, axis=1)[:, -width:].copy()  # frees the rest
     cand.sort(axis=1)

@@ -109,7 +109,7 @@ class TestRidgeLowRank:
         cfg = EdlaeConfig(lam=2.0, dropout_p=0.25, rank=n // 3)
         model = ridge_low_rank(g, lam, n // 3, config=cfg)
         oracle = composed_low_rank(g, lam, "ridge", n // 3)
-        ((_, point),) = train_grid(g, ["ridge"], [n // 3], [2.0], [0.25])
+        (point,) = train_grid(g, ["ridge"], [n // 3], [2.0], [0.25])
         for other in (oracle, point):
             assert np.array_equal(model.u, other.u) and np.array_equal(model.v, other.v)
         assert point.config == model.config == cfg and point.kind == model.kind == "ridge"

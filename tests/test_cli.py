@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edlae
-from edlae import checks
+from edlae import checks, serialize
 from edlae.cli import main
 from edlae.dataset import (
     SPLIT_FILES,
@@ -230,6 +230,28 @@ class TestTrain:
             assert [r[6] for r in group] == [
                 "yes" if i == ndcg.index(max(ndcg)) else "no" for i in range(4)]
 
+    def test_first_of_equal_scores_is_selected(self, tmp_path, data_csv):
+        # lambda 2 twice: the second half of each (family, k) group repeats
+        # the first, score for score
+        split = ingest(tmp_path, data_csv)
+        out = tmp_path / "run"
+        assert main([
+            "train", "--split", str(split), "--out", str(out), "--family", "both",
+            "--ks", "2,3", "--lambdas", "2,2", "--ps", "0.25,0.5",
+        ]) == 0
+        rows = [line.split("\t") for line in (out / "train_log.tsv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 2 * 4
+        for start in range(0, len(rows), 4):
+            group = rows[start:start + 4]
+            assert [r[:6] for r in group[:2]] == [r[:6] for r in group[2:]]
+            ndcg = [float(r[5]) for r in group]
+            first = ndcg.index(max(ndcg))
+            assert first < 2
+            assert [r[6] for r in group] == ["yes" if i == first else "no" for i in range(4)]
+            family, k, p = group[first][0], group[first][1], float(group[first][3])
+            model = serialize.load_model(out / f"{family}_k{k}.model")
+            assert (model.config.lam, model.config.dropout_p) == (2.0, p)
+
     def test_failed_marker_write_leaves_nothing(self, tmp_path, data_csv, monkeypatch):
         split = ingest(tmp_path, data_csv)
         out = tmp_path / "r"
@@ -272,6 +294,8 @@ class TestOptions:
         (["train", "--lambdas", "1,x"], "--lambdas"),
         (["ingest", "--binarize", "maybe"], "--binarize"),
         (["verify", "--ks", "x"], "--ks"),
+        # the record joins --models with commas, so it could not repeat this run
+        (["eval", "--models", "a.model", "a,b.model"], "--models"),
     ])
     def test_malformed_flag_value_is_an_error_line(self, argv, flag, capsys):
         assert main(argv) == 1
@@ -512,12 +536,16 @@ class TestSplitFiles:
          "error: manifest.txt, line 8: repeated key 'num_items'"),
         (lambda lines: lines[1:],
          "error: manifest.txt, line 1: expected 'edlae split manifest v1', got 'seed = 3'"),
-    ], ids=["repeated-key", "no-header"])
+        (lambda lines: lines[:7] + ["binarized = yes\n"] + lines[8:],
+         "error: manifest.txt: binarized must be true or false, got 'yes'"),
+        (lambda lines: lines[:7] + lines[8:],
+         "error: manifest.txt: binarized must be true or false, got None"),
+    ], ids=["repeated-key", "no-header", "binarized-yes", "no-binarized"])
     def test_bad_manifest_names_file_and_line(self, tmp_path, data_csv, capsys, edit, error):
         split = ingest(tmp_path, data_csv)
         path = split / "manifest.txt"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines[6].startswith("num_items = ")
+        assert lines[6].startswith("num_items = ") and lines[7] == "binarized = true\n"
         path.write_text("".join(edit(lines)), encoding="utf-8")
         out = tmp_path / "run"
         assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1

@@ -275,16 +275,15 @@ class TestTrainGrid:
         x = binary_instance(18, m=120, n=24, density=0.3)
         g = exact_gram(x)
         kinds, ks, lambdas, ps = ["edlae", "ridge"], [2, 5, 9], [0.5, 4.0], [0.0, 0.5]
-        points = list(train_grid(g, kinds, ks, lambdas, ps))
-        # yielded lambda -> p -> kind -> k, each grid point once
-        assert [pos for pos, _ in points] == [
-            (fi, ki, li, pi) for li in range(2) for pi in range(2)
-            for fi in range(2) for ki in range(3)]
-        for (fi, ki, li, pi), model in points:
-            cfg = EdlaeConfig(lam=lambdas[li], dropout_p=ps[pi], rank=ks[ki])
-            assert model.kind == kinds[fi] and model.config == cfg and model.rank == ks[ki]
-            assert model.u.shape == model.v.shape == (24, ks[ki])
-            direct = train_closed_form(g, cfg, kinds[fi])
+        models = train_grid(g, kinds, ks, lambdas, ps)
+        # kind -> k -> lambda -> p, each grid point once
+        points = [(kind, EdlaeConfig(lam=lam, dropout_p=p, rank=k))
+                  for kind in kinds for k in ks for lam in lambdas for p in ps]
+        assert len(models) == len(points)
+        for model, (kind, cfg) in zip(models, points):
+            assert model.kind == kind and model.config == cfg and model.rank == cfg.rank
+            assert model.u.shape == model.v.shape == (24, cfg.rank)
+            direct = train_closed_form(g, cfg, kind)
             scale = np.abs(direct.matrix()).max()
             assert np.abs(model.matrix() - direct.matrix()).max() <= 1e-10 * scale
             lam = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
@@ -310,7 +309,7 @@ class TestTrainGrid:
         cfg = EdlaeConfig(lam=2.0, dropout_p=0.25, rank=n // 3)
         model = train_closed_form(g, cfg, kind)
         oracle = composed_low_rank(g, regularizer(np.diag(g), 2.0, 0.25), kind, n // 3)
-        ((_, point),) = train_grid(g, [kind], [n // 3], [2.0], [0.25])
+        (point,) = train_grid(g, [kind], [n // 3], [2.0], [0.25])
         for other in (oracle, point):
             assert np.array_equal(model.u, other.u) and np.array_equal(model.v, other.v)
         assert point.config == model.config == cfg and point.kind == model.kind == kind
@@ -318,7 +317,7 @@ class TestTrainGrid:
     def test_single_point_equals_train_closed_form(self):
         g = exact_gram(binary_instance(19, m=60, n=12))
         cfg = EdlaeConfig(lam=1.0, dropout_p=0.25, rank=4)
-        ((_, model),) = train_grid(g, ["ridge"], [4], [1.0], [0.25])
+        (model,) = train_grid(g, ["ridge"], [4], [1.0], [0.25])
         direct = train_closed_form(g, cfg, "ridge")
         np.testing.assert_allclose(model.u, direct.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.v, direct.v, rtol=0, atol=1e-12)
