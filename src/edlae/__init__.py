@@ -14,6 +14,7 @@ from .closed_form import (
     EdlaeConfig,
     FullRankModel,
     LowRankModel,
+    StudentGram,
     edlae_objective,
     full_rank_teacher,
     objective_from_gram,
@@ -64,6 +65,7 @@ __all__ = [
     "LowRankModel",
     "MetricResult",
     "SplitSpec",
+    "StudentGram",
     "SvdResult",
     "SymEigResult",
     "deep_ae_forward",

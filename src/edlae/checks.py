@@ -21,8 +21,9 @@ from .closed_form import (
     regularizer,
     student_gram,
     student_projection,
+    teacher_from_inverse,
 )
-from .linalg import _mirror_lower, dense_svd, truncate_svd
+from .linalg import _mirror_lower, dense_svd, sym_inverse, truncate_svd
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,13 @@ def _stacked(x, lam_diag):
     return y, z
 
 
+def teacher_and_student(g, lam_diag, kind="edlae"):
+    """The teacher of family ``kind`` and its student Gram, both from one
+    C = (G + Lambda)^-1, which is left intact."""
+    c = sym_inverse(g + np.diag(lam_diag))
+    return teacher_from_inverse(c, lam_diag, kind), student_gram(c, g, lam_diag, kind)
+
+
 def check_zero_diagonal(trials: int = 50, sizes=(10, 50, 200), lams=(0.1, 1.0, 10.0),
                         seed: int = 0) -> CheckResult:
     """diag(teacher) must vanish for random Gram matrices and ridge levels."""
@@ -75,8 +83,8 @@ def check_efficiency_identity(trials: int = 20, n: int = 30, seed: int = 1) -> C
     for _ in range(trials):
         _, g, lam_diag = _random_instance(rng, 3 * n, n)
         for kind in ZERO_DIAGONAL:
-            teacher = full_rank_teacher(g, lam_diag, kind)
-            fast = student_gram(teacher, g, lam_diag)
+            teacher, student = teacher_and_student(g, lam_diag, kind)
+            fast = student.m
             direct = teacher.b.T @ (g + np.diag(lam_diag)) @ teacher.b
             rel = float(np.linalg.norm(fast - direct) / max(np.linalg.norm(direct), 1e-300))
             worst = max(worst, rel)
@@ -89,14 +97,13 @@ def check_projection_optimality(trials: int = 20, n: int = 24, seed: int = 2) ->
     worst = 0.0
     for _ in range(trials):
         x, g, lam_diag = _random_instance(rng, 3 * n, n)
-        teacher = full_rank_teacher(g, lam_diag)
-        m_student = student_gram(teacher, g, lam_diag)
+        teacher, student = teacher_and_student(g, lam_diag)
         _, z = _stacked(x, lam_diag)
         zb = z @ teacher.b
         svd = dense_svd(zb)
         scale = float(np.linalg.norm(zb))
         for k in sorted({1, n // 4, n // 2}):
-            model = student_projection(teacher, m_student, k)
+            model = student_projection(student, k)
             diff = np.linalg.norm(z @ model.matrix() - truncate_svd(svd, k))
             worst = max(worst, float(diff / scale))
     return CheckResult("projection optimality", worst <= 1e-8, worst, 1e-8)
@@ -109,9 +116,8 @@ def check_cross_term(trials: int = 20, n: int = 24, k: int = 6, seed: int = 3) -
     worst = 0.0
     for _ in range(trials):
         x, g, lam_diag = _random_instance(rng, 3 * n, n)
-        teacher = full_rank_teacher(g, lam_diag)
-        m_student = student_gram(teacher, g, lam_diag)
-        model = student_projection(teacher, m_student, k)
+        teacher, student = teacher_and_student(g, lam_diag)
+        model = student_projection(student, k)
         y, z = _stacked(x, lam_diag)
         b = teacher.b
         uv = model.matrix()
@@ -129,9 +135,8 @@ def check_objective_decomposition(trials: int = 10, n: int = 20, k: int = 5,
     worst = 0.0
     for _ in range(trials):
         x, g, lam_diag = _random_instance(rng, 3 * n, n)
-        teacher = full_rank_teacher(g, lam_diag)
-        m_student = student_gram(teacher, g, lam_diag)
-        model = student_projection(teacher, m_student, k)
+        teacher, student = teacher_and_student(g, lam_diag)
+        model = student_projection(student, k)
         y, z = _stacked(x, lam_diag)
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))

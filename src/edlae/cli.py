@@ -34,7 +34,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import _matmul, _mirror_lower, sym_inverse, top_k_eig
+from .linalg import _mirror_lower, sym_inverse, top_k_eig
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -236,6 +236,9 @@ def cmd_train(opts):
         _require_trained_items(split.train, item_ids)
     out = _prepare_out_dir(opts.out, opts.force)
     g = dataset.gram(split.train)
+    # Past G only the validation users are needed: free the training triples.
+    foldin, holdout = split.validation_foldin, split.validation_holdout
+    del split
     families = ["edlae", "ridge"] if opts.family == "both" else [opts.family]
     # The whole grid is trained before any model is ranked: the chain runs in
     # scipy's BLAS runtime and scoring in numpy's, so the two thread pools
@@ -248,8 +251,8 @@ def cmd_train(opts):
     for start in range(0, len(models), per_group):
         group = models[start:start + per_group]
         # Each score matrix is freed once it is ranked.
-        ndcgs = [evaluate.ndcg_at_k(evaluate.score_users(model, split.validation_foldin),
-                                    split.validation_holdout, 100).mean for model in group]
+        ndcgs = [evaluate.ndcg_at_k(evaluate.score_users(model, foldin), holdout, 100).mean
+                 for model in group]
         best = ndcgs.index(max(ndcgs))  # the first of equal scores
         for i, (model, ndcg) in enumerate(zip(group, ndcgs)):
             cfg = model.config
@@ -362,22 +365,22 @@ def cmd_bench(opts):
         timings.setdefault(stage, []).append(time.perf_counter() - t0)
         return result
 
-    # The stages of one (lambda, p, family) of `train`: one inverse of a new
-    # G + Lambda, the teacher in its storage, the student Gram, one
-    # top-max(ks) eigendecomposition in the student Gram's storage with
-    # U = B V, and a column slice per rank.
+    # The stages of one (lambda, p) of an edlae `train`, through the functions
+    # train_grid calls: one inverse of a new G + Lambda, the student Gram in
+    # C's storage, one top-max(ks) eigendecomposition in the student Gram's
+    # storage, U from G V, and a column slice per rank.
     top = max(ks)
     for _ in range(repeats):
         c = timed("inverse", lambda: sym_inverse(closed_form._regularized(g, lam_diag),
                                                  overwrite_a=True))
-        teacher = timed("teacher", lambda: closed_form.teacher_from_inverse(
-            c, lam_diag, overwrite_c=True))
+        student = timed("student gram from C", lambda: closed_form.student_gram(
+            c, g, lam_diag, overwrite_c=True))
         del c
-        m_student = timed("student gram", lambda: closed_form.student_gram(teacher, g, lam_diag))
-        v = timed(f"top-{top} eig",
-                  lambda: top_k_eig(m_student, top, overwrite_a=True).eigenvectors)
-        u = timed(f"rank-{top} projection U = B V", lambda: _matmul(teacher.b, v))
-        del teacher, m_student
+        eig = timed(f"top-{top} eig", lambda: top_k_eig(student.m, top, overwrite_a=True))
+        u = timed(f"rank-{top} projection U from G V",
+                  lambda: closed_form._teacher_times(student, eig))
+        v = eig.eigenvectors
+        del student, eig
         for k in ks:
             timed(f"slice top-{k} eig, rank-{k} projection",
                   lambda: (u[:, :k].copy(), v[:, :k].copy()))

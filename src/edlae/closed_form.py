@@ -18,24 +18,31 @@ matrix G = X^T X, with C = (G + Lambda)^-1:
 Expanding B^T (G + Lambda) B with C (G + Lambda) = I gives, for either
 family, the O(n^2) form M = (G + Lambda) - S (I + B): for edlae
 (G + Lambda) - diagM(1 / diag C) (I + B), for ridge G - Lambda + Lambda C
-Lambda.
+Lambda.  Off the diagonal that is G + S C S, so M is built from C and G alone.
+Read backwards, the same form gives B = S^-1 (G + Lambda - M) - I, and with
+M V = V diag(lambda_j) for the top eigenpairs, U = B V =
+S^-1 (G V + Lambda V - V diag(lambda_j)) - V.  So edlae's chain never holds
+its teacher: C -> M (in C's storage when C is no longer needed) -> top-k
+eigenpairs (in M's storage) -> U from one product G V.  Ridge's S = Lambda
+is 0 at lambda = p = 0, so ridge keeps its teacher, B = I - C Lambda in C's
+storage, and U = B V.
 
-Every trainer calls ``_projected`` (teacher -> student Gram -> projection)
-on a C from ``_regularized_inverse``.  ``train_grid`` returns the models of
-a (kind, k, lambda, p) grid as a list in that order, the order of
+Every trainer calls ``_projected`` (student Gram -> projection) on a C from
+``_regularized_inverse``.  ``train_grid`` returns the models of a
+(kind, k, lambda, p) grid as a list in that order, the order of
 ``edlae train``'s log, and ``train_closed_form`` is its one-point case.  The
 grid shares work: C depends only on (lambda, p), so one inverse serves both
 families, and the leading eigenvectors of M do not depend on k, so one
 top-max(k) eigendecomposition per family serves every rank as column slices
-of V and U = B V.  The n x n buffers are reused in place: the teacher of
-the last family is built in C's storage, the student Gram in one buffer,
-and the eigensolver works in the student Gram's storage.
+of V and U.  The n x n buffers are reused in place: the last family builds
+its student Gram (edlae) or teacher (ridge) in C's storage, and the
+eigensolver works in the student Gram's storage.
 
 numpy and scipy bundle separate OpenBLAS runtimes whose thread pools slow
 each other when calls alternate between them (see ``linalg``).  The chain's
-BLAS work, the inverse, the eigensolver and U = B V, all runs in scipy's;
-callers that score or evaluate models with numpy products do best to do so
-after the grid is trained, as ``edlae train`` does.
+BLAS work, the inverse, the eigensolver and the product that forms U, all
+runs in scipy's; callers that score or evaluate models with numpy products
+do best to do so after the grid is trained, as ``edlae train`` does.
 """
 
 from __future__ import annotations
@@ -76,11 +83,8 @@ class EdlaeConfig:
 
 @dataclass(frozen=True)
 class FullRankModel:
-    """Full-rank teacher B = I - C S of one family.
-
-    ``scale`` is the diagonal of S, which the student-Gram closed form
-    (G + Lambda) - S (I + B) needs besides B.
-    """
+    """Full-rank teacher B = I - C S of one family; ``scale`` is the
+    diagonal of S."""
 
     b: np.ndarray
     scale: np.ndarray
@@ -184,34 +188,82 @@ def _symmetrize(m):
     return m
 
 
-def student_gram(model: FullRankModel, g: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
-    """Regularized Gram of the teacher's predictions, B^T (G + Lambda) B.
+@dataclass(frozen=True)
+class StudentGram:
+    """Student Gram M = B^T (G + Lambda) B of family ``kind``'s teacher
+    B = I - C S, with what its projection needs: ``scale`` (diag S), G and
+    Lambda, and, for ridge only, the teacher B itself."""
 
-    Evaluated through the closed form (G + Lambda) - S (I + B), assembled in
-    one new buffer.  The result is symmetrized since that form is symmetric
-    only analytically.
+    m: np.ndarray
+    scale: np.ndarray
+    kind: str
+    g: np.ndarray
+    lam_diag: np.ndarray
+    teacher: np.ndarray | None = None
+
+
+def student_gram(c: np.ndarray, g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae",
+                 overwrite_c: bool = False) -> StudentGram:
+    """Regularized Gram of the teacher's predictions, B^T (G + Lambda) B, from
+    the inverse C = (G + Lambda)^-1 of family ``kind``.
+
+    Evaluated through the closed form (G + Lambda) - S (I + B), as -S B + G
+    with lambda - S added to its diagonal, and symmetrized since that form
+    is symmetric only analytically.  The zero-diagonal family's B is built
+    in M's buffer and scaled into M there, so it never needs a buffer of its
+    own: M is built in one new buffer, or in C's storage with
+    ``overwrite_c``.  Ridge keeps B for its projection (``_teacher_times``),
+    in C's storage with ``overwrite_c``, and builds M in a new buffer.
     """
-    g, lam_diag = _check_square_match(g, lam_diag)
-    n = g.shape[0]
-    if model.b.shape != (n, n):
-        raise DimensionMismatch(f"teacher has shape {model.b.shape}, Gram has {g.shape}")
-    m = np.multiply(model.b, -model.scale[:, None])
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != np.shape(c):
+        raise DimensionMismatch(f"inverse has shape {np.shape(c)}, Gram has {g.shape}")
+    teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=overwrite_c)
+    b, scale, lam_diag = teacher.b, teacher.scale, np.asarray(lam_diag, dtype=np.float64)
+    zero_diagonal = ZERO_DIAGONAL[kind]
+    m = np.multiply(b, -scale[:, None], out=b if zero_diagonal else None)
     m += g
-    m.flat[:: n + 1] += lam_diag - model.scale
-    return _symmetrize(m)
+    m.flat[:: g.shape[0] + 1] += lam_diag - scale
+    return StudentGram(m=_symmetrize(m), scale=scale, kind=kind, g=g, lam_diag=lam_diag,
+                       teacher=None if zero_diagonal else b)
 
 
-def student_projection(model: FullRankModel, m_student: np.ndarray, k: int,
-                       overwrite_m: bool = False) -> LowRankModel:
+def _teacher_times(student: StudentGram, eig) -> np.ndarray:
+    """U = B V for the top eigenpairs ``eig`` = (lambda_j, V) of the student
+    Gram, formed in scipy's BLAS runtime (``linalg._matmul``).
+
+    Ridge multiplies by its teacher.  The zero-diagonal family does without
+    B: the closed form M = (G + Lambda) - S (I + B) gives
+    B = S^-1 (G + Lambda - M) - I, and M V = V diag(lambda_j), so
+    U = S^-1 (G V + Lambda V - V diag(lambda_j)) - V, one product G V and
+    then O(n k) work a row block at a time.  Ridge cannot take that route:
+    its S = Lambda is 0 at lambda = p = 0.
+    """
+    v = eig.eigenvectors
+    if student.teacher is not None:
+        return _matmul(student.teacher, v)
+    u = _matmul(student.g, v)
+    for start in range(0, u.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block, v_rows = u[rows], v[rows]
+        block += student.lam_diag[rows, None] * v_rows
+        block -= v_rows * eig.eigenvalues
+        block /= student.scale[rows, None]
+        block -= v_rows
+    return u
+
+
+def student_projection(student: StudentGram, k: int, overwrite_m: bool = False) -> LowRankModel:
     """Project the teacher onto rank k: V = top-k eigenvectors of the student
-    Gram, U = B @ V, so U V^T = B Q_k Q_k^T.  With ``overwrite_m`` the
-    eigensolver works in the student Gram's storage and destroys it.  U is
-    formed in the eigensolver's BLAS runtime (``linalg._matmul``)."""
-    n = model.b.shape[0]
+    Gram, U = B @ V (``_teacher_times``), so U V^T = B Q_k Q_k^T.  With
+    ``overwrite_m`` the eigensolver works in the student Gram's storage and
+    destroys it."""
+    n = student.m.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
-    v = top_k_eig(m_student, k, overwrite_a=overwrite_m).eigenvectors
-    return LowRankModel(u=_matmul(model.b, v), v=v, rank=k, config=None, kind=model.kind)
+    eig = top_k_eig(student.m, k, overwrite_a=overwrite_m)
+    return LowRankModel(u=_teacher_times(student, eig), v=eig.eigenvectors, rank=k,
+                        config=None, kind=student.kind)
 
 
 def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> LowRankModel:
@@ -242,7 +294,7 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
     for lam, p in itertools.product(lambdas, ps):
         lam_diag = regularizer(g_diag, lam, p)
         c = _regularized_inverse(g, lam_diag)
-        # The last kind takes C's storage for its teacher.
+        # The last kind takes C's storage for its student Gram or teacher.
         factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
                    for ki, kind in enumerate(kinds)]
         del c
@@ -254,11 +306,12 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
 
 
 def _projected(c, g, lam_diag, kind, k, overwrite_c):
-    """Rank-k model of family ``kind`` from C = (G + Lambda)^-1: teacher ->
-    student Gram -> projection, the one place the chain is composed.  Frees
-    its n x n buffers; the eigensolver works in the student Gram's storage."""
-    teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=overwrite_c)
-    return student_projection(teacher, student_gram(teacher, g, lam_diag), k, overwrite_m=True)
+    """Rank-k model of family ``kind`` from C = (G + Lambda)^-1: student Gram
+    -> projection, the one place the chain is composed.  Frees its n x n
+    buffers; the eigensolver works in the student Gram's storage, which
+    stays allocated until U is formed."""
+    return student_projection(student_gram(c, g, lam_diag, kind, overwrite_c=overwrite_c), k,
+                              overwrite_m=True)
 
 
 def _objective_matrix(model, n, lam_diag):

@@ -290,11 +290,16 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
 
 
 def gram(x: InteractionMatrix) -> np.ndarray:
-    """Item-item co-occurrence matrix X^T X, dense and exactly symmetric.
+    """Item-item co-occurrence matrix X^T X, dense, exactly symmetric and
+    C-ordered.
 
     The upper triangle of the sparse product is mirrored onto the lower one
     in place, a block at a time, so the output is symmetric by construction,
     not merely up to rounding, and the dense result is the only n x n buffer.
+    The product is a CSC matrix whose dense form is Fortran-ordered; being
+    exactly symmetric, it equals its transpose, which is returned as the
+    C-ordered array the training chain's products and copies read without
+    a transposing copy.
     """
     if x.num_items < 1:
         raise DimensionMismatch("gram requires at least one item")
@@ -303,7 +308,7 @@ def gram(x: InteractionMatrix) -> np.ndarray:
     del csr
     # The lower triangle of g.T is g's upper one: mirror it in place.
     _mirror_lower(g.T)
-    return g
+    return g.T
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ a plain dict loop, the triple check sorts every input with ``np.lexsort``,
 the text parsers and writers of the dataset module work
 one line at a time, fold-in scoring is a scipy sparse product, the ranking
 metrics enumerate full rankings in pure Python, and the factor-pair
-minimizer is multi-restart gradient descent on the written-out objective.  When a test compares the library against one of
+minimizer is multi-restart gradient descent on the written-out objective
+(restarts stacked in arrays, with the one-at-a-time loop kept as its
+bit-for-bit reference).  When a test compares the library against one of
 these, the two sides share no code.  The one exception is the per-metric
 ranking path that ``evaluate.ranking_metrics`` replaced (``per_metric_*``):
 it reuses the library's top-list and input-check helpers, so that tests can
@@ -20,7 +22,7 @@ import os
 
 import numpy as np
 
-from edlae.closed_form import student_gram, student_projection, teacher_from_inverse
+from edlae.closed_form import student_gram, student_projection
 from edlae.dataset import InteractionMatrix
 from edlae.evaluate import MetricResult, _aggregate, _check_eval_inputs, _top_lists
 from edlae.errors import DimensionMismatch, EmptyDataset, ParseError
@@ -267,13 +269,12 @@ def holdout_sets(holdout: InteractionMatrix) -> list:
 
 def composed_low_rank(g, lam_diag, kind, k):
     """Rank-k model of family ``kind``, one stage per call: a new G + Lambda
-    inverted in place, the teacher in C's storage, the student Gram, and a
-    top-k projection that leaves the student Gram intact."""
+    inverted in place, the student Gram in C's storage, and a top-k
+    projection that leaves the student Gram intact."""
     zz = g.copy()
     zz.flat[:: g.shape[0] + 1] += lam_diag
     c = sym_inverse(zz, overwrite_a=True)
-    teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=True)
-    return student_projection(teacher, student_gram(teacher, g, lam_diag), k)
+    return student_projection(student_gram(c, g, lam_diag, kind, overwrite_c=True), k)
 
 
 def objective_uv(x, lam_diag, u, v, remove_diag=True) -> float:
@@ -285,8 +286,11 @@ def objective_uv(x, lam_diag, u, v, remove_diag=True) -> float:
     return float(np.sum(r * r) + np.sum(pen * pen))
 
 
-def gd_min_uv(x, lam_diag, k, restarts=50, steps=2500, seed=0, remove_diag=True) -> float:
-    """Best objective over (U, V) found by multi-restart gradient descent.
+def gd_restarts_loop(x, lam_diag, k, restarts=50, steps=2500, seed=0,
+                     remove_diag=True) -> np.ndarray:
+    """Final objective of each restart of a multi-restart gradient descent
+    over (U, V), one restart after another: the reference for
+    ``gd_restarts``.
 
     Plain descent with an accept/reject step and multiplicative step-size
     adaptation; each restart draws its own start point from a seeded stream.
@@ -294,7 +298,7 @@ def gd_min_uv(x, lam_diag, k, restarts=50, steps=2500, seed=0, remove_diag=True)
     n = x.shape[1]
     xtx = x.T @ x
     zz = xtx + np.diag(lam_diag)
-    best = np.inf
+    finals = np.empty(restarts)
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         u = 0.1 * rng.standard_normal((n, k))
@@ -323,8 +327,76 @@ def gd_min_uv(x, lam_diag, k, restarts=50, steps=2500, seed=0, remove_diag=True)
                 lr *= 0.5
                 if lr < 1e-16:
                     break
-        best = min(best, f)
-    return best
+        finals[r] = f
+    return finals
+
+
+def _diagonals(d):
+    """A view of the diagonal of each stacked square of C-ordered ``d``."""
+    return d.reshape(len(d), -1)[:, :: d.shape[1] + 1]
+
+
+def _objectives_uv(x, lam_diag, u, v, remove_diag):
+    """``objective_uv`` of each stacked pair u[r], v[r], with the same
+    products and the same summation order per pair."""
+    d = u @ v.transpose(0, 2, 1)
+    if remove_diag:
+        diagonal = _diagonals(d)
+        diagonal -= diagonal  # as b - np.diag(np.diag(b)) forms it: d_ii - d_ii
+    r = x - x @ d
+    pen = np.sqrt(lam_diag)[:, None] * d
+    return (np.sum((r * r).reshape(len(d), -1), axis=1)
+            + np.sum((pen * pen).reshape(len(d), -1), axis=1))
+
+
+def gd_restarts(x, lam_diag, k, restarts=50, steps=2500, seed=0, remove_diag=True) -> np.ndarray:
+    """``gd_restarts_loop`` with the restarts stacked as (restarts, n, k)
+    arrays.  Each restart keeps its own start point, step size, stall count
+    and stop, and only the restarts still running take a step."""
+    n = x.shape[1]
+    xtx = x.T @ x
+    zz = xtx + np.diag(lam_diag)
+    draws = []
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        draws.append([0.1 * rng.standard_normal((n, k)) for _ in "uv"])  # u, then v
+    u, v = (np.stack(side) for side in zip(*draws))
+    lr = np.full(restarts, 1e-3)
+    f = _objectives_uv(x, lam_diag, u, v, remove_diag)
+    stall = np.zeros(restarts, dtype=np.int64)
+    live = np.arange(restarts)
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        ul, vl, step = u[live], v[live], lr[live][:, None, None]
+        d = ul @ vl.transpose(0, 2, 1)
+        if remove_diag:
+            diagonal = _diagonals(d)
+            diagonal -= diagonal
+        grad_d = -2.0 * (xtx - zz @ d)
+        if remove_diag:
+            _diagonals(grad_d)[:] = 0.0  # np.fill_diagonal(grad_d, 0.0)
+        u2 = ul - step * (grad_d @ vl)
+        v2 = vl - step * (grad_d.transpose(0, 2, 1) @ ul)
+        f2 = _objectives_uv(x, lam_diag, u2, v2, remove_diag)
+        before = f[live]
+        accept = np.isfinite(f2) & (f2 < before)
+        took, missed = live[accept], live[~accept]
+        small = before[accept] - f2[accept] < 1e-14 * np.maximum(before[accept], 1.0)
+        stall[took] = np.where(small, stall[took] + 1, 0)
+        u[took], v[took], f[took] = u2[accept], v2[accept], f2[accept]
+        lr[took] *= 1.05
+        lr[missed] *= 0.5
+        going = np.empty(live.size, dtype=bool)
+        going[accept], going[~accept] = stall[took] <= 40, lr[missed] >= 1e-16
+        live = live[going]
+    return f
+
+
+def gd_min_uv(x, lam_diag, k, restarts=50, steps=2500, seed=0, remove_diag=True) -> float:
+    """Best objective over (U, V) found by multi-restart gradient descent
+    (``gd_restarts``)."""
+    return float(gd_restarts(x, lam_diag, k, restarts, steps, seed, remove_diag).min())
 
 
 def fd_gradient(params, x, step=1e-6) -> np.ndarray:

@@ -8,12 +8,12 @@ import time
 import numpy as np
 
 from edlae.baselines import ridge_low_rank
+from edlae.checks import teacher_and_student
 from edlae.closed_form import (
     EdlaeConfig,
     edlae_objective,
     full_rank_teacher,
     regularizer,
-    student_gram,
     student_projection,
     train_closed_form,
 )
@@ -46,7 +46,8 @@ def stacked(x, lam_diag):
 
 
 def teacher_instances(count=20, seed=0):
-    """Random implicit-feedback instances with their trained teachers."""
+    """Random implicit-feedback instances with their trained teachers and
+    student Grams."""
     rng = np.random.default_rng(seed)
     sizes = (8, 16, 32, 50)
     out = []
@@ -55,8 +56,7 @@ def teacher_instances(count=20, seed=0):
         x = (rng.random((3 * n, n)) < 0.3).astype(np.float64)
         g = exact_gram(x)
         lam_diag = regularizer(np.diag(g), 1.0, 0.25)
-        teacher = full_rank_teacher(g, lam_diag)
-        out.append((x, g, lam_diag, teacher))
+        out.append((x, g, lam_diag, *teacher_and_student(g, lam_diag)))
     return out
 
 
@@ -88,15 +88,14 @@ def test_hand_derived_2x2_teacher():
 
 def test_projection_optimality():
     worst = 0.0
-    for x, g, lam_diag, teacher in teacher_instances(20, seed=200):
+    for x, g, lam_diag, teacher, student in teacher_instances(20, seed=200):
         n = g.shape[0]
-        m_student = student_gram(teacher, g, lam_diag)
         _, z = stacked(x, lam_diag)
         zb = z @ teacher.b
         svd = dense_svd(zb)
         scale = np.linalg.norm(zb)
         for k in sorted({1, n // 4, n // 2}):
-            model = student_projection(teacher, m_student, k)
+            model = student_projection(student, k)
             diff = np.linalg.norm(z @ model.matrix() - truncate_svd(svd, k))
             worst = max(worst, float(diff / scale))
     assert worst <= 1e-8
@@ -106,10 +105,9 @@ def test_projection_optimality():
 def test_cross_term_and_decomposition():
     worst_cross = 0.0
     worst_decomp = 0.0
-    for x, g, lam_diag, teacher in teacher_instances(20, seed=300):
+    for x, g, lam_diag, teacher, student in teacher_instances(20, seed=300):
         n = g.shape[0]
-        m_student = student_gram(teacher, g, lam_diag)
-        model = student_projection(teacher, m_student, max(1, n // 4))
+        model = student_projection(student, max(1, n // 4))
         y, z = stacked(x, lam_diag)
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))
@@ -128,12 +126,11 @@ def test_efficiency_identity():
     # edlae: B^T (G + Lambda) B = (G + Lambda) - diagM(1 / diag C) (I + B);
     # ridge: B^T (G + Lambda) B = G - Lambda + Lambda C Lambda
     worst = {"edlae": 0.0, "ridge": 0.0}
-    for x, g, lam_diag, teacher in teacher_instances(20, seed=400):
+    for x, g, lam_diag, teacher, student in teacher_instances(20, seed=400):
         zz = g + np.diag(lam_diag)
-        ridge = full_rank_teacher(g, lam_diag, "ridge")
+        ridge = teacher_and_student(g, lam_diag, "ridge")[1]
         ridge_b = np.linalg.solve(zz, g)  # (G + Lambda)^-1 G, formed independently
-        for kind, model, b in (("edlae", teacher, teacher.b), ("ridge", ridge, ridge_b)):
-            fast = student_gram(model, g, lam_diag)
+        for kind, fast, b in (("edlae", student.m, teacher.b), ("ridge", ridge.m, ridge_b)):
             direct = b.T @ zz @ b
             rel = float(np.linalg.norm(fast - direct) / np.linalg.norm(direct))
             worst[kind] = max(worst[kind], rel)

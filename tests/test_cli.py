@@ -767,15 +767,15 @@ class TestBench:
         code = main(["bench", "--n", "40", "--ks", "2,8", "--repeats", "2", "--out", str(out)])
         assert code == 0
         text = (out / "bench.txt").read_text()
-        assert "teacher" in text and "top-2 eig" in text and "rank-8 projection" in text
+        assert "student gram from C" in text and "top-2 eig" in text
+        assert "rank-8 projection U from G V" in text
         assert "mean (s)" in capsys.readouterr().out
 
     def test_projection_stage_uses_the_trainers_product(self, monkeypatch):
-        # bench times U = B V with the product student_projection runs
+        # bench forms U through student_projection's own product, G V
         calls = []
-        product = edlae.cli._matmul
-        assert product is edlae.closed_form._matmul
-        monkeypatch.setattr(edlae.cli, "_matmul",
+        product = edlae.closed_form._matmul
+        monkeypatch.setattr(edlae.closed_form, "_matmul",
                             lambda a, b: calls.append(b.shape) or product(a, b))
         assert main(["bench", "--n", "20", "--ks", "2,5", "--repeats", "2"]) == 0
         assert calls == [(20, 5), (20, 5)]

@@ -1,9 +1,12 @@
 """Tests for the closed-form teacher-student trainer and its objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from edlae import closed_form
+from edlae.checks import teacher_and_student
 from edlae.closed_form import (
     EdlaeConfig,
     FullRankModel,
@@ -21,7 +24,14 @@ from edlae.closed_form import (
 from edlae.errors import DimensionMismatch, InvalidDropout, NotPositiveDefinite
 from edlae.linalg import dense_svd, sym_inverse, truncate_svd
 
-from oracles import binary_instance, composed_low_rank, exact_gram, gd_min_uv
+from oracles import (
+    binary_instance,
+    composed_low_rank,
+    exact_gram,
+    gd_min_uv,
+    gd_restarts,
+    gd_restarts_loop,
+)
 
 
 class TestRegularizer:
@@ -117,17 +127,15 @@ class TestStudentGram:
     def test_zero_teacher_gives_zero(self):
         g = np.diag([3.0, 5.0, 2.0])
         lam = np.full(3, 0.5)
-        teacher = full_rank_teacher(g, lam)
-        m = student_gram(teacher, g, lam)
+        m = teacher_and_student(g, lam)[1].m
         assert np.abs(m).max() <= 1e-12 * np.abs(g).max()
 
     def test_hand_2x2_matches_triple_product(self):
         g = np.array([[2.0, 1.0], [1.0, 2.0]])
         lam = np.ones(2)
-        teacher = full_rank_teacher(g, lam)
-        fast = student_gram(teacher, g, lam)
+        teacher, student = teacher_and_student(g, lam)
         direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
-        assert np.abs(fast - direct).max() <= 1e-12
+        assert np.abs(student.m - direct).max() <= 1e-12
 
     def test_identity_matches_direct_random(self):
         rng = np.random.default_rng(2)
@@ -135,17 +143,16 @@ class TestStudentGram:
             x = (rng.random((80, 20)) < 0.3).astype(float)
             g = exact_gram(x)
             lam = regularizer(np.diag(g), 2.0, 0.25)
-            teacher = full_rank_teacher(g, lam)
-            fast = student_gram(teacher, g, lam)
+            teacher, student = teacher_and_student(g, lam)
             direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
-            rel = np.linalg.norm(fast - direct) / np.linalg.norm(direct)
+            rel = np.linalg.norm(student.m - direct) / np.linalg.norm(direct)
             assert rel <= 1e-10
 
     def test_output_symmetric(self):
         x = binary_instance(3, m=50, n=10)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.5)
-        m = student_gram(full_rank_teacher(g, lam), g, lam)
+        m = teacher_and_student(g, lam)[1].m
         assert np.array_equal(m, m.T)
 
     def test_partial_last_block(self, monkeypatch):
@@ -155,17 +162,48 @@ class TestStudentGram:
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.5)
         for kind in ("edlae", "ridge"):
-            teacher = full_rank_teacher(g, lam, kind)
-            fast = student_gram(teacher, g, lam)
+            teacher, student = teacher_and_student(g, lam, kind)
+            fast = student.m
             direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
             assert np.array_equal(fast, fast.T)
             assert np.linalg.norm(fast - direct) <= 1e-10 * np.linalg.norm(direct)
 
     def test_dimension_mismatch(self):
-        g = np.eye(3)
-        teacher = full_rank_teacher(g, np.ones(3))
+        c = sym_inverse(np.eye(3) * 2.0)
         with pytest.raises(DimensionMismatch):
-            student_gram(teacher, np.eye(4), np.ones(4))
+            student_gram(c, np.eye(4), np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            student_gram(c, np.eye(3), np.ones(4))
+
+
+    @pytest.mark.parametrize("kind", ["edlae", "ridge"])
+    def test_bit_equal_to_closed_form_of_the_explicit_teacher(self, kind):
+        # (G + Lambda) - S (I + B) evaluated from a formed teacher, as -S B + G
+        # with Lambda - S added to the diagonal, then symmetrized
+        g = exact_gram(binary_instance(21, m=120, n=40, density=0.3))
+        lam = regularizer(np.diag(g), 2.0, 0.25)
+        teacher, student = teacher_and_student(g, lam, kind)
+        want = teacher.b * -teacher.scale[:, None] + g
+        want.flat[::41] += lam - teacher.scale
+        want = (want + want.T) * 0.5
+        assert np.array_equal(student.m, want)
+        assert np.array_equal(student.scale, teacher.scale)
+
+    @pytest.mark.parametrize("kind", ["edlae", "ridge"])
+    def test_overwrite_builds_in_c(self, kind):
+        # edlae builds M in C's storage and keeps no teacher; ridge keeps its
+        # teacher there and builds M in a new buffer
+        g = exact_gram(binary_instance(22, m=60, n=15, density=0.3))
+        lam = regularizer(np.diag(g), 1.0, 0.5)
+        c = sym_inverse(g + np.diag(lam))
+        kept = student_gram(c.copy(), g, lam, kind)
+        student = student_gram(c, g, lam, kind, overwrite_c=True)
+        assert np.array_equal(student.m, kept.m)
+        if kind == "edlae":
+            assert student.teacher is None and np.shares_memory(student.m, c)
+        else:
+            assert np.shares_memory(student.teacher, c) and not np.shares_memory(student.m, c)
+            assert np.array_equal(student.teacher, kept.teacher)
 
 
 class TestStudentProjection:
@@ -173,16 +211,14 @@ class TestStudentProjection:
         x = binary_instance(4, m=40, n=8)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.25)
-        teacher = full_rank_teacher(g, lam)
-        m = student_gram(teacher, g, lam)
-        model = student_projection(teacher, m, 8)
+        teacher, student = teacher_and_student(g, lam)
+        model = student_projection(student, 8)
         assert np.abs(model.matrix() - teacher.b).max() <= 1e-10
 
     def test_zero_teacher(self):
         g = np.diag([2.0, 3.0, 4.0])
         lam = np.ones(3)
-        teacher = full_rank_teacher(g, lam)
-        model = student_projection(teacher, student_gram(teacher, g, lam), 2)
+        model = student_projection(teacher_and_student(g, lam)[1], 2)
         np.testing.assert_allclose(model.u, 0.0, atol=1e-12)
 
     def test_matches_truncated_svd_of_predictions(self):
@@ -191,13 +227,12 @@ class TestStudentProjection:
         x = (rng.random((30, 6)) < 0.5).astype(float)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.25)
-        teacher = full_rank_teacher(g, lam)
-        m = student_gram(teacher, g, lam)
+        teacher, student = teacher_and_student(g, lam)
         z = np.vstack([x, np.diag(np.sqrt(lam))])
         zb = z @ teacher.b
         svd = dense_svd(zb)
         for k in (1, 2, 3):
-            model = student_projection(teacher, m, k)
+            model = student_projection(student, k)
             diff = np.linalg.norm(z @ model.matrix() - truncate_svd(svd, k))
             assert diff <= 1e-8 * np.linalg.norm(zb)
 
@@ -205,22 +240,32 @@ class TestStudentProjection:
         x = binary_instance(6, m=40, n=10)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.5)
-        teacher = full_rank_teacher(g, lam)
-        model = student_projection(teacher, student_gram(teacher, g, lam), 4)
+        model = student_projection(teacher_and_student(g, lam)[1], 4)
         np.testing.assert_allclose(model.v.T @ model.v, np.eye(4), atol=1e-8)
 
     @pytest.mark.parametrize("kind", ["edlae", "ridge"])
     @pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (7, 5), (7, 7), (300, 1), (300, 5),
                                       (300, 300)])
     def test_u_matches_numpy_product(self, n, k, kind):
-        # U = B V is formed in scipy's BLAS (linalg._matmul), not by numpy's @
+        # Ridge forms U = B V by one product in scipy's BLAS (linalg._matmul),
+        # which matches numpy's @ to rounding.  Edlae never holds B: it forms
+        # U = S^-1 (G V + Lambda V - V diag(lambda_j)) - V from one G V, whose
+        # distance from B V is the eigensolver's residual scaled by S^-1.
+        self.check_u(n, k, kind, lam=2.0, p=0.25, bound={"ridge": 1e-15, "edlae": 1e-12}[kind])
+
+    @pytest.mark.parametrize("n, k", [(7, 5), (300, 5), (300, 300)])
+    def test_edlae_u_at_zero_lambda(self, n, k):
+        # Lambda = (p / (1 - p)) diag(G) alone, so S^-1 is as large as it gets
+        self.check_u(n, k, "edlae", lam=0.0, p=0.25, bound=1e-12)
+
+    @staticmethod
+    def check_u(n, k, kind, lam, p, bound):
         g = exact_gram(binary_instance(n, m=max(3 * n, 10), n=n, density=0.3))
-        lam = regularizer(np.diag(g), 2.0, 0.25)
-        teacher = full_rank_teacher(g, lam, kind)
-        model = student_projection(teacher, student_gram(teacher, g, lam), k)
+        teacher, student = teacher_and_student(g, regularizer(np.diag(g), lam, p), kind)
+        model = student_projection(student, k)
         want = teacher.b @ model.v
         assert model.u.shape == want.shape and model.u.flags.c_contiguous
-        np.testing.assert_allclose(model.u, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        np.testing.assert_allclose(model.u, want, rtol=0, atol=bound * np.abs(want).max())
 
 
 class TestTrainClosedForm:
@@ -270,6 +315,16 @@ class TestTrainClosedForm:
             assert abs(obj_cf - obj_gd) <= 0.02 * obj_gd
 
 
+    @pytest.mark.parametrize("remove_diag", [True, False])
+    def test_batched_descent_oracle_equals_the_loop(self, remove_diag):
+        # every restart's final objective, bit for bit
+        for seed, k in ((0, 2), (3, 4)):
+            x = binary_instance(seed, m=40, n=8, density=0.3)
+            lam = regularizer(np.diag(exact_gram(x)), 5.0, 0.5)
+            args = (x, lam, k, 6, 600, seed, remove_diag)
+            assert np.array_equal(gd_restarts(*args), gd_restarts_loop(*args))
+
+
 class TestTrainGrid:
     def test_sliced_models_match_per_config_training(self):
         x = binary_instance(18, m=120, n=24, density=0.3)
@@ -294,12 +349,11 @@ class TestTrainGrid:
     def test_projection_in_student_gram_storage_is_bit_identical(self, kind):
         g = exact_gram(binary_instance(20, m=90, n=30, density=0.3))
         lam = regularizer(np.diag(g), 2.0, 0.25)
-        teacher = full_rank_teacher(g, lam, kind)
-        m = student_gram(teacher, g, lam)
-        kept = m.copy()
-        copied = student_projection(teacher, m, 6)
-        assert np.array_equal(m, kept)
-        in_place = student_projection(teacher, m, 6, overwrite_m=True)
+        student = teacher_and_student(g, lam, kind)[1]
+        kept = student.m.copy()
+        copied = student_projection(student, 6)
+        assert np.array_equal(student.m, kept)
+        in_place = student_projection(student, 6, overwrite_m=True)
         assert np.array_equal(copied.u, in_place.u) and np.array_equal(copied.v, in_place.v)
 
     @pytest.mark.parametrize("kind", ["edlae", "ridge"])
@@ -313,6 +367,31 @@ class TestTrainGrid:
         for other in (oracle, point):
             assert np.array_equal(model.u, other.u) and np.array_equal(model.v, other.v)
         assert point.config == model.config == cfg and point.kind == model.kind == kind
+
+    @pytest.mark.parametrize("kinds, bound", [(["edlae"], 2.0), (["edlae", "ridge"], 3.2)])
+    def test_traced_peak_in_n2(self, kinds, bound):
+        # Above its entry the grid holds C and one student Gram per (lambda, p)
+        # (edlae's in C's storage when it is the last family), never edlae's
+        # teacher, plus O(n k) factors.
+        n = 600
+        g = exact_gram(binary_instance(600, m=3 * n, n=n, density=0.05))
+        train_grid(g, ["edlae"], [2], [8.0], [0.5])  # load scipy's LAPACK first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_grid(g, kinds, [64], [8.0], [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (8.0 * n * n) <= bound
+
+    def test_ridge_at_zero_lambda_and_p(self):
+        # Lambda = 0 makes ridge's S = 0: its teacher is B = C G = I, so U = V
+        g = exact_gram(binary_instance(23, m=60, n=12, density=0.4))
+        (model,) = train_grid(g, ["ridge"], [5], [0.0], [0.0])
+        assert np.isfinite(model.u).all() and np.isfinite(model.v).all()
+        np.testing.assert_allclose(model.u, model.v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.v.T @ model.v, np.eye(5), atol=1e-12)
 
     def test_single_point_equals_train_closed_form(self):
         g = exact_gram(binary_instance(19, m=60, n=12))
@@ -356,8 +435,8 @@ class TestObjective:
             x = (rng.random((60, 14)) < 0.3).astype(float)
             g = exact_gram(x)
             lam = regularizer(np.diag(g), 1.0, 0.25)
-            teacher = full_rank_teacher(g, lam)
-            model = student_projection(teacher, student_gram(teacher, g, lam), 4)
+            teacher, student = teacher_and_student(g, lam)
+            model = student_projection(student, 4)
             n = g.shape[0]
             y = np.vstack([x, np.zeros((n, n))])
             z = np.vstack([x, np.diag(np.sqrt(lam))])
@@ -371,8 +450,8 @@ class TestObjective:
         x = (rng.random((50, 12)) < 0.35).astype(float)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.25)
-        teacher = full_rank_teacher(g, lam)
-        model = student_projection(teacher, student_gram(teacher, g, lam), 3)
+        teacher, student = teacher_and_student(g, lam)
+        model = student_projection(student, 3)
         n = g.shape[0]
         y = np.vstack([x, np.zeros((n, n))])
         z = np.vstack([x, np.diag(np.sqrt(lam))])

@@ -185,6 +185,14 @@ class TestGram:
         g = gram(x)
         assert np.array_equal(g, g.T)
 
+    def test_c_ordered_and_equal_to_the_dense_product(self):
+        rng = np.random.default_rng(4)
+        dense = (rng.random((70, 40)) < 0.3).astype(np.float64)
+        u, i = np.nonzero(dense)
+        x = InteractionMatrix.from_triples(70, 40, u, i, np.ones(u.size))
+        g = gram(x)
+        assert g.flags.c_contiguous and np.array_equal(g, dense.T @ dense)
+
     def test_mirrors_the_upper_triangle_of_the_product(self):
         rng = np.random.default_rng(2)
         u, i = np.nonzero(rng.random((80, 300)) < 0.1)
