@@ -4,8 +4,8 @@ Each check exercises an identity the closed-form trainer relies on: the
 teacher's zero diagonal, the vanishing cross-term and additive objective
 decomposition, optimality of the eigenvector projection against a dense SVD
 oracle, and the closed-form student Grams of both families against the
-direct triple product.  Checks return results; they never raise on a failed
-bound.
+direct triple product.  Each check takes only a seed; its trials, sizes and
+ranks are fixed.  Checks return results; they never raise on a failed bound.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class CheckResult:
         return f"{status}  {self.name}: worst {self.worst:.3e} (bound {self.bound:.3e})"
 
 
-def _random_instance(rng, m, n, lam=1.0, p=0.25, density=0.3):
-    x = (rng.random((m, n)) < density).astype(np.float64)
+def _random_instance(rng, m, n, lam=1.0, p=0.25):
+    x = (rng.random((m, n)) < 0.3).astype(np.float64)
     g = x.T @ x
     _mirror_lower(g.T)  # exactly symmetric, as dataset.gram makes G
     lam_diag = regularizer(np.diag(g), lam, p)
@@ -61,27 +61,25 @@ def teacher_and_student(g, lam_diag, kind="edlae"):
     return teacher_from_inverse(c, lam_diag, kind), student_gram(c, g, lam_diag, kind)
 
 
-def check_zero_diagonal(trials: int = 50, sizes=(10, 50, 200), lams=(0.1, 1.0, 10.0),
-                        seed: int = 0) -> CheckResult:
+def check_zero_diagonal(seed: int) -> CheckResult:
     """diag(teacher) must vanish for random Gram matrices and ridge levels."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for trial in range(trials):
-        n = int(sizes[trial % len(sizes)])
-        lam = float(lams[(trial // len(sizes)) % len(lams)])
-        _, g, _ = _random_instance(rng, 2 * n, n, lam=lam, p=0.0)
-        lam_diag = regularizer(np.diag(g), lam, 0.0)
+    for trial in range(50):
+        n = (10, 50, 200)[trial % 3]
+        lam = (0.1, 1.0, 10.0)[trial // 3 % 3]
+        _, g, lam_diag = _random_instance(rng, 2 * n, n, lam=lam, p=0.0)
         teacher = full_rank_teacher(g, lam_diag)
         worst = max(worst, float(np.abs(np.diag(teacher.b)).max()))
     return CheckResult("zero-diagonal teacher", worst <= 1e-12, worst, 1e-12)
 
 
-def check_efficiency_identity(trials: int = 20, n: int = 30, seed: int = 1) -> CheckResult:
+def check_efficiency_identity(seed: int) -> CheckResult:
     """Closed-form student Grams of both families vs the direct triple product."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        _, g, lam_diag = _random_instance(rng, 3 * n, n)
+    for _ in range(20):
+        _, g, lam_diag = _random_instance(rng, 3 * 30, 30)
         for kind in ZERO_DIAGONAL:
             teacher, student = teacher_and_student(g, lam_diag, kind)
             fast = student.m
@@ -91,33 +89,33 @@ def check_efficiency_identity(trials: int = 20, n: int = 30, seed: int = 1) -> C
     return CheckResult("student-gram identities", worst <= 1e-10, worst, 1e-10)
 
 
-def check_projection_optimality(trials: int = 20, n: int = 24, seed: int = 2) -> CheckResult:
+def check_projection_optimality(seed: int) -> CheckResult:
     """Z B Q_k Q_k^T must match the rank-k truncated SVD of Z B."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        x, g, lam_diag = _random_instance(rng, 3 * n, n)
+    for _ in range(20):
+        x, g, lam_diag = _random_instance(rng, 3 * 24, 24)
         teacher, student = teacher_and_student(g, lam_diag)
         _, z = _stacked(x, lam_diag)
         zb = z @ teacher.b
         svd = dense_svd(zb)
         scale = float(np.linalg.norm(zb))
-        for k in sorted({1, n // 4, n // 2}):
+        for k in (1, 6, 12):
             model = student_projection(student, k)
             diff = np.linalg.norm(z @ model.matrix() - truncate_svd(svd, k))
             worst = max(worst, float(diff / scale))
     return CheckResult("projection optimality", worst <= 1e-8, worst, 1e-8)
 
 
-def check_cross_term(trials: int = 20, n: int = 24, k: int = 6, seed: int = 3) -> CheckResult:
+def check_cross_term(seed: int) -> CheckResult:
     """Residuals of the teacher are orthogonal to corrections toward the
     student, so the objective splits additively."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        x, g, lam_diag = _random_instance(rng, 3 * n, n)
+    for _ in range(20):
+        x, g, lam_diag = _random_instance(rng, 3 * 24, 24)
         teacher, student = teacher_and_student(g, lam_diag)
-        model = student_projection(student, k)
+        model = student_projection(student, 6)
         y, z = _stacked(x, lam_diag)
         b = teacher.b
         uv = model.matrix()
@@ -128,15 +126,14 @@ def check_cross_term(trials: int = 20, n: int = 24, k: int = 6, seed: int = 3) -
     return CheckResult("cross-term elimination", worst <= 1e-8, worst, 1e-8)
 
 
-def check_objective_decomposition(trials: int = 10, n: int = 20, k: int = 5,
-                                  seed: int = 4) -> CheckResult:
+def check_objective_decomposition(seed: int) -> CheckResult:
     """Full objective == teacher residual + projection residual."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        x, g, lam_diag = _random_instance(rng, 3 * n, n)
+    for _ in range(10):
+        x, g, lam_diag = _random_instance(rng, 3 * 20, 20)
         teacher, student = teacher_and_student(g, lam_diag)
-        model = student_projection(student, k)
+        model = student_projection(student, 5)
         y, z = _stacked(x, lam_diag)
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))
@@ -148,7 +145,7 @@ def check_objective_decomposition(trials: int = 10, n: int = 20, k: int = 5,
     return CheckResult("objective decomposition", worst <= 1e-6, worst, 1e-6)
 
 
-def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
+def run_invariant_checks(seed: int) -> list[CheckResult]:
     return [
         check_zero_diagonal(seed=seed),
         check_efficiency_identity(seed=seed + 1),

@@ -34,7 +34,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import _mirror_lower, sym_inverse, top_k_eig
+from .linalg import SVD_ORACLE_CAP, _mirror_lower, sym_inverse, top_k_eig
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -43,7 +43,8 @@ RESOLVED_CONFIG = "config.resolved.txt"
 
 
 # An option's parser reads its text, from a flag or the config file, and
-# raises ValueError, naming the text, when it cannot.
+# raises ValueError, naming the text, when it cannot or when the value is
+# outside the option's range.
 
 
 def _list(parse, text):
@@ -55,6 +56,38 @@ def _list(parse, text):
 
 _int_list = functools.partial(_list, int)
 _float_list = functools.partial(_list, float)
+
+
+def _ranks(text):
+    """Ranks to train, none repeated: each (family, k) selects and saves one
+    model."""
+    ranks = _int_list(text)
+    for k in ranks:
+        if ranks.count(k) > 1:
+            raise ValueError(f"rank {k} is given more than once")
+    return ranks
+
+
+def _at_least(low):
+    """A parser of integers that rejects one below ``low``: counts of runs,
+    trials and steps start at 1, numpy's seeds at 0."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _step_size(text):
+    """A finite step size above 0: with a NaN one every step fails, and the
+    untrained model is reported."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _paths(value):
@@ -98,12 +131,12 @@ OPTIONS = {
         ("validation_fraction", float, 0.1),
         ("test_fraction", float, 0.1),
         ("foldin_fraction", float, 0.8),
-        ("seed", int, 0),
+        ("seed", _at_least(0), 0),
     ),
     "train": (
         ("split", str, _REQUIRED),
         ("family", _choice("edlae", "ridge", "both"), "edlae"),
-        ("ks", _int_list, [8]),
+        ("ks", _ranks, [8]),
         ("lambdas", _float_list, [1.0]),
         ("ps", _float_list, [0.5]),
     ),
@@ -115,17 +148,17 @@ OPTIONS = {
         ("m", int, 30),
         ("n", int, 20),
         ("ks", _int_list, [2, 5, 10]),
-        ("trials", int, 81),
-        ("steps", int, 400),
-        ("restarts", int, 5),
-        ("lr", float, 5e-4),
-        ("seed", int, 0),
+        ("trials", _at_least(1), 81),
+        ("steps", _at_least(1), 400),
+        ("restarts", _at_least(1), 5),
+        ("lr", _step_size, 5e-4),
+        ("seed", _at_least(0), 0),
     ),
     "bench": (
         ("n", int, 1000),
         ("ks", _int_list, [10, 100, 500]),
-        ("repeats", int, 3),
-        ("seed", int, 0),
+        ("repeats", _at_least(1), 3),
+        ("seed", _at_least(0), 0),
     ),
 }
 
@@ -307,9 +340,12 @@ def cmd_eval(opts):
 
 def cmd_verify(opts):
     m, n = opts.m, opts.n
+    if min(m, n) > SVD_ORACLE_CAP:
+        raise ConfigError(f"min(--m, --n) = {min(m, n)} exceeds the dense SVD oracle's cap "
+                          f"{SVD_ORACLE_CAP}")
     for k in opts.ks:
-        if k >= min(m, n):
-            raise ConfigError(f"k={k} must be below min(m, n)={min(m, n)}")
+        if not 1 <= k < min(m, n):
+            raise ConfigError(f"--ks: k={k} must be in [1, min(m, n)={min(m, n)})")
     out = opts.out
     if out is not None:
         out = _prepare_out_dir(out, opts.force)
@@ -321,11 +357,10 @@ def cmd_verify(opts):
         m=m, n=n, ks=opts.ks, trials=opts.trials, restarts=opts.restarts, steps=opts.steps,
         lr=opts.lr, seed=opts.seed,
     )
-    gaps = [t.gap for t in report.trials]
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status}  deep-vs-linear bound: {len(report.trials)} trials, "
-        f"min gap {min(gaps):.3e}, failures {len(report.failures())}"
+        f"min gap {report.min_gap:.3e}, failures {len(report.failures())}"
     )
     if out is not None:
         jsonl = io.StringIO()

@@ -5,8 +5,8 @@ layers whose last hidden width is k and W_out is a plain linear map; any
 such model's output matrix has rank at most k, so its training squared
 error can never drop below the rank-k truncated-SVD error of X.  This
 module trains such models by full-batch gradient descent with hand-written
-backpropagation and checks that bound empirically over many trials,
-architectures, and data generators.
+backpropagation and checks that bound empirically over many trials, the
+architectures of DEFAULT_ARCHS and the data generators of DEFAULT_GENERATORS.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .closed_form import LowRankModel
 from .errors import DimensionMismatch, Divergence
 from .linalg import dense_svd
 
@@ -113,6 +112,17 @@ def init_params(n: int, k: int, arch: ArchSpec, seed: int) -> DeepAEParams:
     return DeepAEParams(weights, biases, np.zeros((k, n)), arch.activation)
 
 
+def _encode(params: DeepAEParams, x: np.ndarray):
+    """Each encoder layer's pre-activation, and the activations with x first:
+    layer i maps acts[i] to acts[i + 1]."""
+    act, _ = ACTIVATIONS[params.activation]
+    pres, acts = [], [x]
+    for w, b in zip(params.weights, params.biases):
+        pres.append(acts[-1] @ w + b)
+        acts.append(act(pres[-1]))
+    return pres, acts
+
+
 def deep_ae_forward(params: DeepAEParams, x: np.ndarray) -> np.ndarray:
     """Row-wise encoder application followed by the linear output map."""
     x = np.asarray(x, dtype=np.float64)
@@ -120,11 +130,7 @@ def deep_ae_forward(params: DeepAEParams, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"input has shape {x.shape}, encoder expects {params.weights[0].shape[0]} columns"
         )
-    act, _ = ACTIVATIONS[params.activation]
-    h = x
-    for w, b in zip(params.weights, params.biases):
-        h = act(h @ w + b)
-    return h @ params.w_out
+    return _encode(params, x)[1][-1] @ params.w_out
 
 
 def squared_error(x: np.ndarray, xhat: np.ndarray) -> float:
@@ -139,51 +145,45 @@ def squared_error(x: np.ndarray, xhat: np.ndarray) -> float:
 
 def se_and_gradients(params: DeepAEParams, x: np.ndarray):
     """Squared error and its gradient w.r.t. every parameter (backprop)."""
-    act, act_grad = ACTIVATIONS[params.activation]
-    pre, post = [], []
-    h = x
-    for w, b in zip(params.weights, params.biases):
-        z = h @ w + b
-        h_new = act(z)
-        pre.append(z)
-        post.append(h_new)
-        h = h_new
-    out = h @ params.w_out
-    diff = out - x
+    _, act_grad = ACTIVATIONS[params.activation]
+    pres, acts = _encode(params, x)
+    diff = acts[-1] @ params.w_out - x
     se = float(np.sum(diff * diff))
 
     d_out = 2.0 * diff
-    g_w_out = post[-1].T @ d_out
+    g_w_out = acts[-1].T @ d_out
     d_h = d_out @ params.w_out.T
     g_weights = [None] * len(params.weights)
     g_biases = [None] * len(params.biases)
     for layer in range(len(params.weights) - 1, -1, -1):
-        d_z = d_h * act_grad(pre[layer], post[layer])
-        below = post[layer - 1] if layer > 0 else x
-        g_weights[layer] = below.T @ d_z
+        d_z = d_h * act_grad(pres[layer], acts[layer + 1])
+        g_weights[layer] = acts[layer].T @ d_z
         g_biases[layer] = d_z.sum(axis=0)
         if layer > 0:
             d_h = d_z @ params.weights[layer].T
     return se, (g_weights, g_biases, g_w_out)
 
 
+# Step halvings train_deep_ae allows before it gives up on a run.
+_MAX_HALVINGS = 60
+
+
 def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
-                  lr: float = 1e-3, seed: int = 0, max_halvings: int = 60):
+                  lr: float = 1e-3, seed: int = 0):
     """Full-batch gradient descent on the reconstruction squared error.
 
     The step size is fixed; when the loss turns non-finite the trainer
     restarts from the best parameters seen and halves the step.  Returns
-    (params, best squared error seen).  Raises Divergence if halving cannot
-    restore a finite loss.
+    (params, best squared error seen).  Raises Divergence if _MAX_HALVINGS
+    halvings cannot restore a finite loss.
     """
     x = np.asarray(x, dtype=np.float64)
     m, n = x.shape
     if not 1 <= k < min(m, n):
         raise DimensionMismatch(f"bottleneck k must satisfy 1 <= k < min{m, n}, got {k}")
     params = init_params(n, k, arch, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        best_se = squared_error(x, deep_ae_forward(params, x))
-    best_params = params.copy()
+    # the first step's loss is the initial parameters' loss
+    best_se, best_params = np.inf, params.copy()
     halvings = 0
     for _ in range(steps):
         # overflow here is expected when the step is too large; the halving
@@ -195,7 +195,7 @@ def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
             params = best_params.copy()
             lr *= 0.5
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > _MAX_HALVINGS:
                 raise Divergence(
                     f"loss stayed non-finite after {halvings} step halvings; lower the learning rate"
                 )
@@ -216,22 +216,17 @@ def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
     return best_params, best_se
 
 
-def linear_ae_optimum(x: np.ndarray, k: int):
-    """Best achievable squared error of a rank-k linear AE, with a witness.
+def linear_ae_optimum(x: np.ndarray, k: int) -> float:
+    """Best achievable squared error of a rank-k linear AE.
 
     The optimum equals the truncated-SVD error, i.e. the sum of the squared
-    discarded singular values; the witness model is V_k on both sides, so
-    predictions are X @ V_k @ V_k^T.
+    discarded singular values, reached by predicting X @ V_k @ V_k^T.
     """
     x = np.asarray(x, dtype=np.float64)
     m, n = x.shape
     if not 1 <= k < min(m, n):
         raise DimensionMismatch(f"k must satisfy 1 <= k < min{m, n}, got {k}")
-    svd = dense_svd(x)
-    se_linear = float(np.sum(svd.singular[k:] ** 2))
-    v_k = svd.right[:, :k].copy()
-    model = LowRankModel(u=v_k, v=v_k.copy(), rank=k, config=None, kind="linear-svd")
-    return model, se_linear
+    return float(np.sum(dense_svd(x).singular[k:] ** 2))
 
 
 def _gen_gaussian(rng, m, n):
@@ -292,43 +287,46 @@ class BoundReport:
     def passed(self) -> bool:
         return not self.failures()
 
+    @property
+    def min_gap(self) -> float:
+        return min((t.gap for t in self.trials), default=0.0)
+
     def write_jsonl(self, stream) -> None:
         for trial in self.trials:
             stream.write(trial.to_json() + "\n")
         stream.write(self.summary() + "\n")
 
     def summary(self) -> str:
-        gaps = np.array([t.gap for t in self.trials]) if self.trials else np.zeros(0)
         return json.dumps(
             {
                 "trials": len(self.trials),
                 "failures": len(self.failures()),
-                "min_gap": float(gaps.min()) if gaps.size else 0.0,
+                "min_gap": self.min_gap,
                 "passed": self.passed,
             }
         )
 
 
-def verify_linear_bound(m: int = 30, n: int = 20, ks=(2, 5, 10), generators=None,
-                        trials: int = 81, restarts: int = 5, steps: int = 400,
-                        lr: float = 5e-4, seed: int = 0) -> BoundReport:
+def verify_linear_bound(m: int, n: int, ks, trials: int, restarts: int, steps: int,
+                        lr: float, seed: int) -> BoundReport:
     """Train deep AEs across architectures, generators, ranks, and seeds and
     record their best squared error against the rank-k linear optimum.
 
     Runs exactly ``trials`` trials, cycling round-robin through the
     (generator, architecture, k) grid with per-trial rng streams derived
-    from (seed, trial index).  Every k must satisfy k < min(m, n).  Trial
-    failures are recorded in the report, never raised.
+    from (seed, trial index); each keeps the best of ``restarts`` runs.
+    Every k must satisfy k < min(m, n).  Trial failures are recorded in the
+    report, never raised.
     """
-    generators = DEFAULT_GENERATORS if generators is None else generators
     for k in ks:
         if not 1 <= k < min(m, n):
             raise ValueError(f"every k must satisfy 1 <= k < min(m, n) = {min(m, n)}, got {k}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, count in (("trials", trials), ("restarts", restarts)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     combos = [
         (gen_name, gen, arch, k)
-        for gen_name, gen in generators.items()
+        for gen_name, gen in DEFAULT_GENERATORS.items()
         for arch in DEFAULT_ARCHS
         for k in ks
     ]
@@ -338,11 +336,9 @@ def verify_linear_bound(m: int = 30, n: int = 20, ks=(2, 5, 10), generators=None
         trial_seed = int(np.random.default_rng((seed, index)).integers(2**31))
         rng = np.random.default_rng((seed, index, 1))
         x = gen(rng, m, n)
-        _, se_linear = linear_ae_optimum(x, k)
-        se_deep = np.inf
-        for restart in range(restarts):
-            _, se = train_deep_ae(x, arch, k, steps=steps, lr=lr, seed=trial_seed + restart)
-            se_deep = min(se_deep, se)
+        se_linear = linear_ae_optimum(x, k)
+        se_deep = min(train_deep_ae(x, arch, k, steps=steps, lr=lr, seed=trial_seed + restart)[1]
+                      for restart in range(restarts))
         records.append(
             TrialRecord(
                 seed=trial_seed,

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
 
 # dense_svd is a verification oracle, not a production path; refuse instances
-# whose smaller dimension exceeds this cap.  Module-level so callers can
-# raise it deliberately.
+# whose smaller dimension exceeds this cap.
 SVD_ORACLE_CAP = 512
 
 _SYMMETRY_TOL = 1e-10
@@ -195,17 +194,15 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     return SymEigResult(vals[::-1].copy(), _reverse_and_sign_columns(vecs))
 
 
-def dense_svd(m: np.ndarray, cap: int | None = None) -> SvdResult:
+def dense_svd(m: np.ndarray) -> SvdResult:
     """Thin SVD of a dense matrix; verification oracle for small instances.
 
-    Raises OracleCapExceeded when min(m, n) is above the cap (default
-    SVD_ORACLE_CAP).
+    Raises OracleCapExceeded when min(m, n) is above SVD_ORACLE_CAP.
     """
     m = _as_matrix(m)
-    cap = SVD_ORACLE_CAP if cap is None else cap
-    if min(m.shape) > cap:
+    if min(m.shape) > SVD_ORACLE_CAP:
         raise OracleCapExceeded(
-            f"dense_svd called on {m.shape[0]}x{m.shape[1]} instance, cap is {cap}"
+            f"dense_svd called on {m.shape[0]}x{m.shape[1]} instance, cap is {SVD_ORACLE_CAP}"
         )
     left, singular, right_t = np.linalg.svd(m, full_matrices=False)
     right = right_t.T.copy()

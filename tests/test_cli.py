@@ -212,6 +212,15 @@ class TestTrain:
         assert option in capsys.readouterr().err
         assert not out.exists()  # failed before touching --out
 
+    def test_repeated_rank_rejected_before_out(self, tmp_path, data_csv, capsys):
+        # each (family, k) selects and saves one model
+        split = ingest(tmp_path, data_csv)
+        out = tmp_path / "r"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2,3,3"]) == 1
+        err = capsys.readouterr().err
+        assert "--ks" in err and "rank 3" in err
+        assert not out.exists()
+
     def test_log_order_and_selection(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
         out = tmp_path / "run"
@@ -294,6 +303,8 @@ class TestOptions:
         (["train", "--lambdas", "1,x"], "--lambdas"),
         (["ingest", "--binarize", "maybe"], "--binarize"),
         (["verify", "--ks", "x"], "--ks"),
+        # numpy's generators take no negative seed
+        (["ingest", "--seed", "-1"], "--seed"),
         # the record joins --models with commas, so it could not repeat this run
         (["eval", "--models", "a.model", "a,b.model"], "--models"),
     ])
@@ -724,6 +735,11 @@ SMALL_VERIFY = ["verify", "--m", "12", "--n", "8", "--ks", "2", "--trials", "4",
                 "--steps", "40", "--restarts", "1"]
 
 
+def canned_checks(seed):
+    """Stands in for the invariant suite where a test needs only the bound."""
+    return [checks.CheckResult("canned", True, 0.0, 1.0)]
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "verify"
@@ -737,9 +753,8 @@ class TestVerify:
         assert (out / "invariant_checks.txt").exists()
 
     def test_failed_write_leaves_whole_files_and_rerun(self, tmp_path, monkeypatch):
-        # one small invariant check keeps the two runs fast
-        monkeypatch.setattr(checks, "run_invariant_checks",
-                            lambda seed: [checks.check_zero_diagonal(trials=2, sizes=(10,))])
+        # a canned invariant suite keeps the two runs fast
+        monkeypatch.setattr(checks, "run_invariant_checks", canned_checks)
         out = tmp_path / "verify"
         replace = fail_replace_onto(monkeypatch, "invariant_checks.txt")
         assert main([*SMALL_VERIFY, "--out", str(out)]) == 1
@@ -759,6 +774,42 @@ class TestVerify:
     def test_empty_ks_rejected(self, capsys):
         assert main(["verify", "--ks", "", "--trials", "1"]) == 1
         assert "--ks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flags", [
+        (["--restarts", "0"], ["--restarts"]),
+        (["--steps", "0"], ["--steps"]),
+        (["--trials", "0"], ["--trials"]),
+        (["--lr", "nan"], ["--lr"]),
+        (["--lr", "inf"], ["--lr"]),
+        (["--lr", "0"], ["--lr"]),
+        (["--lr", "-0.5"], ["--lr"]),
+        (["--ks", "0"], ["--ks"]),
+        (["--ks", "2,-1"], ["--ks"]),
+        (["--seed", "-1"], ["--seed"]),
+        # the dense SVD oracle refuses min(m, n) above its cap of 512
+        (["--m", "600", "--n", "513"], ["--m", "--n"]),
+    ])
+    def test_run_that_trains_nothing_rejected_first(self, tmp_path, capsys, args, flags):
+        # rejected before the invariant suite prints and before --out exists
+        out = tmp_path / "verify"
+        assert main([*SMALL_VERIFY, *args, "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert all(flag in printed.err for flag in flags), printed.err
+        assert not out.exists()
+
+    def test_bound_report_is_strict_json(self, tmp_path, monkeypatch):
+        # Infinity or NaN in bound_report.jsonl is not JSON
+        monkeypatch.setattr(checks, "run_invariant_checks", canned_checks)
+        out = tmp_path / "verify"
+        assert main([*SMALL_VERIFY, "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in bound_report.jsonl")
+
+        lines = (out / "bound_report.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert len(records) == 5 and records[-1]["passed"] is True
 
 
 class TestBench:
@@ -789,6 +840,12 @@ class TestBench:
         monkeypatch.setattr(os, "replace", replace)
         assert main(args) == 0  # no marker, so no --force needed
         assert {p.name for p in out.iterdir()} == {"bench.txt", "config.resolved.txt"}
+
+    def test_zero_repeats_rejected_before_out(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--n", "20", "--ks", "2", "--repeats", "0", "--out", str(out)]) == 1
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scipy_imported_before_first_sample(self):
         # In a fresh process: the first timed inverse must not pay for the import.

@@ -100,10 +100,11 @@ class TestTrainDeepAE:
         assert se <= np.sum(x * x)
 
     def test_divergence_raises_without_halving_budget(self):
+        # the loss of this X overflows at every step, so each step spends a
+        # halving and 100 steps outrun the module's budget of 60
         x = 1e200 * np.ones((4, 5))
         with pytest.raises(Divergence):
-            train_deep_ae(x, ArchSpec("lin", (), "linear"), 2, steps=50, lr=1e200,
-                          seed=7, max_halvings=0)
+            train_deep_ae(x, ArchSpec("lin", (), "linear"), 2, steps=100, lr=1e200, seed=7)
 
     def test_halving_recovers_from_bad_step_size(self):
         x = np.random.default_rng(8).standard_normal((10, 6))
@@ -120,25 +121,22 @@ class TestLinearOptimum:
     def test_padded_diagonal_case(self):
         # X = diag(3,2,1) padded with a zero row; discarding sigma=1 leaves SE 1
         x = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros(3)])
-        _, se = linear_ae_optimum(x, 2)
+        se = linear_ae_optimum(x, 2)
         assert se == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_k_data_gives_zero(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 8))
-        _, se = linear_ae_optimum(x, 2)
+        se = linear_ae_optimum(x, 2)
         assert se <= 1e-18 * np.sum(x * x) + 1e-20
 
     def test_matches_truncation_oracle(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((10, 8))
-        model, se = linear_ae_optimum(x, 3)
+        se = linear_ae_optimum(x, 3)
         svd = dense_svd(x)
         direct = np.linalg.norm(x - truncate_svd(svd, 3)) ** 2
         assert abs(se - direct) <= 1e-10 * max(direct, 1.0)
-        # the witness model reproduces the optimum: X V_k V_k^T
-        pred_se = squared_error(x, x @ model.u @ model.v.T)
-        assert abs(pred_se - se) <= 1e-9 * max(se, 1.0)
 
     def test_k_precondition(self):
         with pytest.raises(DimensionMismatch):
@@ -148,7 +146,7 @@ class TestLinearOptimum:
 class TestLinearBound:
     def test_small_suite_passes(self):
         report = verify_linear_bound(m=15, n=10, ks=(2, 4), trials=12, restarts=2,
-                                     steps=150, seed=0)
+                                     steps=150, lr=5e-4, seed=0)
         assert len(report.trials) == 12
         assert report.passed
         assert all(t.se_deep >= t.se_linear * (1 - 1e-6) for t in report.trials)
@@ -156,17 +154,17 @@ class TestLinearBound:
     def test_rank_deficient_data_trivially_passes(self):
         rng = np.random.default_rng(12)
         low = rng.standard_normal((15, 2)) @ rng.standard_normal((2, 10))
-        generators = {"rank2": lambda r, m, n: low}
-        report = verify_linear_bound(m=15, n=10, ks=(4,), trials=2, restarts=1,
-                                     steps=50, generators=generators, seed=1)
-        assert report.passed
-        for t in report.trials:
-            assert t.se_linear <= 1e-16 and t.se_deep >= 0.0
+        se_linear = linear_ae_optimum(low, 4)
+        assert se_linear <= 1e-16
+        for arch in DEFAULT_ARCHS:
+            _, se_deep = train_deep_ae(low, arch, 4, steps=50, lr=5e-4, seed=1)
+            assert se_deep >= 0.0
+            assert se_deep - se_linear >= -1e-6 * se_linear
 
     def test_degenerate_linear_arch_converges_to_optimum(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((12, 8))
-        _, se_linear = linear_ae_optimum(x, 3)
+        se_linear = linear_ae_optimum(x, 3)
         arch = ArchSpec("lin", (), "linear")
         _, se_short = train_deep_ae(x, arch, 3, steps=2000, lr=3e-4, seed=13)
         _, se_long = train_deep_ae(x, arch, 3, steps=8000, lr=3e-4, seed=13)
@@ -179,12 +177,21 @@ class TestLinearBound:
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
-            verify_linear_bound(m=10, n=8, ks=(8,), trials=1)
+            verify_linear_bound(m=10, n=8, ks=(8,), trials=1, restarts=1, steps=1, lr=5e-4,
+                                seed=0)
+
+    @pytest.mark.parametrize("trials, restarts", [(0, 1), (1, 0)])
+    def test_run_without_training_rejected(self, trials, restarts):
+        # no trial, or no restart, would leave se_deep at inf and pass
+        with pytest.raises(ValueError, match="trials" if trials < 1 else "restarts"):
+            verify_linear_bound(m=10, n=8, ks=(2,), trials=trials, restarts=restarts, steps=1,
+                                lr=5e-4, seed=0)
 
     def test_report_jsonl(self, tmp_path):
         import json
 
-        report = verify_linear_bound(m=12, n=8, ks=(2,), trials=3, restarts=1, steps=50, seed=2)
+        report = verify_linear_bound(m=12, n=8, ks=(2,), trials=3, restarts=1, steps=50,
+                                     lr=5e-4, seed=2)
         path = tmp_path / "report.jsonl"
         with open(path, "w") as handle:
             report.write_jsonl(handle)

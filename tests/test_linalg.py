@@ -8,7 +8,7 @@ import scipy.linalg
 
 from edlae import linalg
 from edlae.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
-from edlae.linalg import SvdResult, dense_svd, sym_inverse, top_k_eig, truncate_svd
+from edlae.linalg import SVD_ORACLE_CAP, SvdResult, dense_svd, sym_inverse, top_k_eig, truncate_svd
 
 
 def random_symmetric(rng, n):
@@ -343,7 +343,7 @@ class TestDenseSvd:
 
     def test_cap(self):
         with pytest.raises(OracleCapExceeded):
-            dense_svd(np.ones((10, 10)), cap=8)
+            dense_svd(np.ones((514, SVD_ORACLE_CAP + 1)))
 
     def test_descending_order(self):
         rng = np.random.default_rng(12)
