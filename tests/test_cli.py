@@ -303,10 +303,10 @@ class TestOptions:
         (["train", "--lambdas", "1,x"], "--lambdas"),
         (["ingest", "--binarize", "maybe"], "--binarize"),
         (["verify", "--ks", "x"], "--ks"),
-        # numpy's generators take no negative seed
-        (["ingest", "--seed", "-1"], "--seed"),
         # the record joins --models with commas, so it could not repeat this run
         (["eval", "--models", "a.model", "a,b.model"], "--models"),
+        # numpy's generators take no negative seed
+        (["ingest", "--seed", "-1"], "--seed"),
     ])
     def test_malformed_flag_value_is_an_error_line(self, argv, flag, capsys):
         assert main(argv) == 1
