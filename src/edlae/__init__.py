@@ -12,7 +12,6 @@ out-fit the rank-k linear optimum on training error.
 from .baselines import ridge_low_rank
 from .closed_form import (
     EdlaeConfig,
-    FullRankModel,
     LowRankModel,
     StudentGram,
     edlae_objective,
@@ -21,7 +20,6 @@ from .closed_form import (
     regularizer,
     student_gram,
     student_projection,
-    teacher_from_inverse,
     train_closed_form,
     train_grid,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "BoundReport",
     "EdlaeConfig",
     "EvalSplit",
-    "FullRankModel",
     "InteractionMatrix",
     "LowRankModel",
     "MetricResult",
@@ -90,7 +87,6 @@ __all__ = [
     "student_gram",
     "student_projection",
     "sym_inverse",
-    "teacher_from_inverse",
     "top_k_eig",
     "train_closed_form",
     "train_deep_ae",

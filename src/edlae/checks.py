@@ -4,8 +4,10 @@ Each check exercises an identity the closed-form trainer relies on: the
 teacher's zero diagonal, the vanishing cross-term and additive objective
 decomposition, optimality of the eigenvector projection against a dense SVD
 oracle, and the closed-form student Grams of both families against the
-direct triple product.  Each check takes only a seed; its trials, sizes and
-ranks are fixed.  Checks return results; they never raise on a failed bound.
+direct triple product.  The teacher B is ``full_rank_teacher``'s ndarray,
+and the student Gram is built from its own, bit-equal, inverse.  Each check
+takes only a seed; its trials, sizes and ranks are fixed.  Checks return
+results; they never raise on a failed bound.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .closed_form import (
     regularizer,
     student_gram,
     student_projection,
-    teacher_from_inverse,
 )
 from .linalg import _mirror_lower, dense_svd, sym_inverse, truncate_svd
 
@@ -55,10 +56,11 @@ def _stacked(x, lam_diag):
 
 
 def teacher_and_student(g, lam_diag, kind="edlae"):
-    """The teacher of family ``kind`` and its student Gram, both from one
-    C = (G + Lambda)^-1, which is left intact."""
-    c = sym_inverse(g + np.diag(lam_diag))
-    return teacher_from_inverse(c, lam_diag, kind), student_gram(c, g, lam_diag, kind)
+    """The teacher B of family ``kind`` and its student Gram, each from its
+    own (bit-equal) C = (G + Lambda)^-1."""
+    return (full_rank_teacher(g, lam_diag, kind),
+            student_gram(sym_inverse(g + np.diag(lam_diag)), g, lam_diag, kind,
+                         overwrite_c=True))
 
 
 def check_zero_diagonal(seed: int) -> CheckResult:
@@ -69,8 +71,8 @@ def check_zero_diagonal(seed: int) -> CheckResult:
         n = (10, 50, 200)[trial % 3]
         lam = (0.1, 1.0, 10.0)[trial // 3 % 3]
         _, g, lam_diag = _random_instance(rng, 2 * n, n, lam=lam, p=0.0)
-        teacher = full_rank_teacher(g, lam_diag)
-        worst = max(worst, float(np.abs(np.diag(teacher.b)).max()))
+        b = full_rank_teacher(g, lam_diag)
+        worst = max(worst, float(np.abs(np.diag(b)).max()))
     return CheckResult("zero-diagonal teacher", worst <= 1e-12, worst, 1e-12)
 
 
@@ -81,9 +83,9 @@ def check_efficiency_identity(seed: int) -> CheckResult:
     for _ in range(20):
         _, g, lam_diag = _random_instance(rng, 3 * 30, 30)
         for kind in ZERO_DIAGONAL:
-            teacher, student = teacher_and_student(g, lam_diag, kind)
+            b, student = teacher_and_student(g, lam_diag, kind)
             fast = student.m
-            direct = teacher.b.T @ (g + np.diag(lam_diag)) @ teacher.b
+            direct = b.T @ (g + np.diag(lam_diag)) @ b
             rel = float(np.linalg.norm(fast - direct) / max(np.linalg.norm(direct), 1e-300))
             worst = max(worst, rel)
     return CheckResult("student-gram identities", worst <= 1e-10, worst, 1e-10)
@@ -95,9 +97,9 @@ def check_projection_optimality(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         x, g, lam_diag = _random_instance(rng, 3 * 24, 24)
-        teacher, student = teacher_and_student(g, lam_diag)
+        b, student = teacher_and_student(g, lam_diag)
         _, z = _stacked(x, lam_diag)
-        zb = z @ teacher.b
+        zb = z @ b
         svd = dense_svd(zb)
         scale = float(np.linalg.norm(zb))
         for k in (1, 6, 12):
@@ -114,10 +116,9 @@ def check_cross_term(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         x, g, lam_diag = _random_instance(rng, 3 * 24, 24)
-        teacher, student = teacher_and_student(g, lam_diag)
+        b, student = teacher_and_student(g, lam_diag)
         model = student_projection(student, 6)
         y, z = _stacked(x, lam_diag)
-        b = teacher.b
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))
         cross = float(np.trace((y - z @ b).T @ z @ (b - d_uv)))
@@ -132,13 +133,13 @@ def check_objective_decomposition(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         x, g, lam_diag = _random_instance(rng, 3 * 20, 20)
-        teacher, student = teacher_and_student(g, lam_diag)
+        b, student = teacher_and_student(g, lam_diag)
         model = student_projection(student, 5)
         y, z = _stacked(x, lam_diag)
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))
-        teacher_resid = float(np.sum((y - z @ teacher.b) ** 2))
-        projection_resid = float(np.sum((z @ teacher.b - z @ d_uv) ** 2))
+        teacher_resid = float(np.sum((y - z @ b) ** 2))
+        projection_resid = float(np.sum((z @ b - z @ d_uv) ** 2))
         objective = edlae_objective(x, lam_diag, model)
         rel = abs(objective - (teacher_resid + projection_resid)) / objective
         worst = max(worst, rel)

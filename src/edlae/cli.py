@@ -55,7 +55,6 @@ def _list(parse, text):
 
 
 _int_list = functools.partial(_list, int)
-_float_list = functools.partial(_list, float)
 
 
 def _ranks(text):
@@ -66,6 +65,20 @@ def _ranks(text):
         if ranks.count(k) > 1:
             raise ValueError(f"rank {k} is given more than once")
     return ranks
+
+
+def _floats_in(low, high):
+    """A parser of float lists that rejects a value outside [low, high), NaN
+    included."""
+
+    def parse(text):
+        values = _list(float, text)
+        for value in values:
+            if not low <= value < high:
+                raise ValueError(f"expected numbers in [{low:g}, {high:g}), got {value!r}")
+        return values
+
+    return parse
 
 
 def _at_least(low):
@@ -137,8 +150,8 @@ OPTIONS = {
         ("split", str, _REQUIRED),
         ("family", _choice("edlae", "ridge", "both"), "edlae"),
         ("ks", _ranks, [8]),
-        ("lambdas", _float_list, [1.0]),
-        ("ps", _float_list, [0.5]),
+        ("lambdas", _floats_in(0.0, float("inf")), [1.0]),
+        ("ps", _floats_in(0.0, 1.0), [0.5]),
     ),
     "eval": (
         ("split", str, _REQUIRED),
@@ -262,9 +275,6 @@ def cmd_train(opts):
     for k in ks:
         if not 1 <= k <= n:
             raise ConfigError(f"rank {k} outside [1, {n}] for this split")
-    for lam in lambdas:  # reject a bad lambda or p before --out is touched
-        for p in ps:
-            closed_form.EdlaeConfig(lam=lam, dropout_p=p, rank=ks[0])
     if 0.0 in lambdas:
         _require_trained_items(split.train, item_ids)
     out = _prepare_out_dir(opts.out, opts.force)

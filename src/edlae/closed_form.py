@@ -25,7 +25,8 @@ S^-1 (G V + Lambda V - V diag(lambda_j)) - V.  So edlae's chain never holds
 its teacher: C -> M (in C's storage when C is no longer needed) -> top-k
 eigenpairs (in M's storage) -> U from one product G V.  Ridge's S = Lambda
 is 0 at lambda = p = 0, so ridge keeps its teacher, B = I - C Lambda in C's
-storage, and U = B V.
+storage, and U = B V.  ``full_rank_teacher`` returns B itself, for the
+checks and tests; every model is a ``LowRankModel``.
 
 Every trainer calls ``_projected`` (student Gram -> projection) on a C from
 ``_regularized_inverse``.  ``train_grid`` returns the models of a
@@ -82,27 +83,18 @@ class EdlaeConfig:
 
 
 @dataclass(frozen=True)
-class FullRankModel:
-    """Full-rank teacher B = I - C S of one family; ``scale`` is the
-    diagonal of S."""
-
-    b: np.ndarray
-    scale: np.ndarray
-    kind: str = "edlae"
-
-    def matrix(self) -> np.ndarray:
-        return self.b
-
-
-@dataclass(frozen=True)
 class LowRankModel:
-    """Rank-k factor pair; predictions are x @ u @ v.T per user row x."""
+    """Rank-k factor pair; predictions are x @ u @ v.T per user row x.  The
+    rank k is read off the factors."""
 
     u: np.ndarray
     v: np.ndarray
-    rank: int
     config: EdlaeConfig | None = None
     kind: str = "edlae"
+
+    @property
+    def rank(self) -> int:
+        return self.u.shape[1]
 
     def matrix(self) -> np.ndarray:
         return self.u @ self.v.T
@@ -154,26 +146,24 @@ def _regularized_inverse(g, lam_diag):
     return sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
 
 
-def teacher_from_inverse(c: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae",
-                         overwrite_c: bool = False) -> FullRankModel:
-    """Full-rank teacher B = I - C S of family ``kind`` from the inverse
-    C = (G + Lambda)^-1.  With ``overwrite_c`` B is built in C's storage, so
-    C is no longer available to the caller."""
-    c, lam_diag = _check_square_match(c, lam_diag)
+def _teacher(c, lam_diag, kind, overwrite_c):
+    """Full-rank teacher B = I - C S of family ``kind`` and diag S, from the
+    inverse C = (G + Lambda)^-1.  With ``overwrite_c`` B is built in C's
+    storage, so C is no longer available to the caller."""
     zero_diagonal = ZERO_DIAGONAL[kind]
     c_diag = np.diag(c).copy()
     scale = 1.0 / c_diag if zero_diagonal else lam_diag
     b = np.multiply(c, -scale[None, :], out=c if overwrite_c else None)
     np.fill_diagonal(b, 0.0 if zero_diagonal else 1.0 - c_diag * scale)
-    return FullRankModel(b=b, scale=scale, kind=kind)
+    return b, scale
 
 
-def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") -> FullRankModel:
-    """Exact full-rank optimum of family ``kind`` (a key of ZERO_DIAGONAL),
+def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") -> np.ndarray:
+    """Exact full-rank optimum B of family ``kind`` (a key of ZERO_DIAGONAL),
     built in the storage of a new C.  Raises NotPositiveDefinite as
     ``sym_inverse`` does."""
-    return teacher_from_inverse(_regularized_inverse(g, lam_diag), lam_diag, kind,
-                                overwrite_c=True)
+    g, lam_diag = _check_square_match(g, lam_diag)
+    return _teacher(_regularized_inverse(g, lam_diag), lam_diag, kind, overwrite_c=True)[0]
 
 
 def _symmetrize(m):
@@ -218,8 +208,8 @@ def student_gram(c: np.ndarray, g: np.ndarray, lam_diag: np.ndarray, kind: str =
     g = np.asarray(g, dtype=np.float64)
     if g.shape != np.shape(c):
         raise DimensionMismatch(f"inverse has shape {np.shape(c)}, Gram has {g.shape}")
-    teacher = teacher_from_inverse(c, lam_diag, kind, overwrite_c=overwrite_c)
-    b, scale, lam_diag = teacher.b, teacher.scale, np.asarray(lam_diag, dtype=np.float64)
+    c, lam_diag = _check_square_match(c, lam_diag)
+    b, scale = _teacher(c, lam_diag, kind, overwrite_c)
     zero_diagonal = ZERO_DIAGONAL[kind]
     m = np.multiply(b, -scale[:, None], out=b if zero_diagonal else None)
     m += g
@@ -262,8 +252,7 @@ def student_projection(student: StudentGram, k: int, overwrite_m: bool = False) 
     if not 1 <= k <= n:
         raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
     eig = top_k_eig(student.m, k, overwrite_a=overwrite_m)
-    return LowRankModel(u=_teacher_times(student, eig), v=eig.eigenvectors, rank=k,
-                        config=None, kind=student.kind)
+    return LowRankModel(u=_teacher_times(student, eig), v=eig.eigenvectors, kind=student.kind)
 
 
 def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> LowRankModel:
@@ -298,7 +287,7 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
         factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
                    for ki, kind in enumerate(kinds)]
         del c
-        points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(), rank=k,
+        points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(),
                                     config=EdlaeConfig(lam=lam, dropout_p=p, rank=k),
                                     kind=full.kind)
                        for full in factors for k in ks])
@@ -314,57 +303,47 @@ def _projected(c, g, lam_diag, kind, k, overwrite_c):
                               overwrite_m=True)
 
 
-def _objective_matrix(model, n, lam_diag):
-    """The model's dense matrix D, with its diagonal removed when its family
-    constrains it, after checking it against n items and Lambda."""
-    d = model.matrix()
+def edlae_objective(x: np.ndarray, lam_diag: np.ndarray, model: LowRankModel) -> float:
+    """Exact training objective of the model's family:
+
+        || X - X D ||_F^2 + || Lambda^(1/2) D ||_F^2
+
+    where D is U V^T of the ``LowRankModel`` with its diagonal removed for
+    the zero-diagonal family and kept for ridge.  X is a dense array
+    (``InteractionMatrix.to_dense()`` gives one).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lam_diag = np.asarray(lam_diag, dtype=np.float64)
+    n, d = x.shape[1], model.matrix()
     if d.shape != (n, n) or lam_diag.shape != (n,):
         raise DimensionMismatch(
             f"inconsistent shapes: {n} items, model {d.shape}, Lambda {lam_diag.shape}"
         )
     if ZERO_DIAGONAL[model.kind]:
         d = d - np.diag(np.diag(d))
-    return d
-
-
-def edlae_objective(x: np.ndarray, lam_diag: np.ndarray, model) -> float:
-    """Exact training objective of the model's family:
-
-        || X - X D ||_F^2 + || Lambda^(1/2) D ||_F^2
-
-    where D is the model's dense matrix (U V^T for low-rank models) with its
-    diagonal removed for the zero-diagonal family and kept for ridge.  X is
-    a dense array (``InteractionMatrix.to_dense()`` gives one).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    lam_diag = np.asarray(lam_diag, dtype=np.float64)
-    d = _objective_matrix(model, x.shape[1], lam_diag)
     resid = x - x @ d
     penalty = np.sqrt(lam_diag)[:, None] * d
     return float(np.sum(resid * resid) + np.sum(penalty * penalty))
 
 
-def objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model) -> float:
+def objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model: LowRankModel) -> float:
     """Same objective evaluated from the Gram matrix (no raw X needed):
 
         tr(G) - 2 tr(G D) + tr(D^T Z D),  Z = G + Lambda,
 
-    from the factors of D = U V^T - delta diagM(w), w = diag(U V^T), where
-    delta is 1 for the zero-diagonal family and 0 for ridge, in O(n^2 k):
+    from the factors of the ``LowRankModel``'s D = U V^T - delta diagM(w),
+    w = diag(U V^T), where delta is 1 for the zero-diagonal family and 0 for
+    ridge, in O(n^2 k):
 
         tr(G D)       = sum((G U) * V) - delta sum(diag(G) w)
         tr(D^T Z D)   = tr((U^T Z U)(V^T V)) - 2 delta w . diag(Z U V^T)
                         + delta sum(diag(Z) w^2)
 
-    with diag(Z U V^T) the row sums of (Z U) * V.  A full-rank model is the
-    pair U = B, V = I.
+    with diag(Z U V^T) the row sums of (Z U) * V.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
     n = g.shape[0]
-    if isinstance(model, LowRankModel):
-        u, v = np.asarray(model.u, dtype=np.float64), np.asarray(model.v, dtype=np.float64)
-    else:
-        u, v = model.matrix(), np.eye(n)
+    u, v = np.asarray(model.u, dtype=np.float64), np.asarray(model.v, dtype=np.float64)
     if u.shape[0] != n or v.shape != u.shape:
         raise DimensionMismatch(
             f"inconsistent shapes: {n} items, factors {u.shape} and {v.shape}"

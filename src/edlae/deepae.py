@@ -321,9 +321,11 @@ def verify_linear_bound(m: int, n: int, ks, trials: int, restarts: int, steps: i
     for k in ks:
         if not 1 <= k < min(m, n):
             raise ValueError(f"every k must satisfy 1 <= k < min(m, n) = {min(m, n)}, got {k}")
-    for name, count in (("trials", trials), ("restarts", restarts)):
+    for name, count in (("trials", trials), ("restarts", restarts), ("steps", steps)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
+    if not 0.0 < lr < float("inf"):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     combos = [
         (gen_name, gen, arch, k)
         for gen_name, gen in DEFAULT_GENERATORS.items()

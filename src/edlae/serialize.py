@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .closed_form import EdlaeConfig, LowRankModel
-from .errors import ModelFormatError, ParseError
+from .errors import InvalidDropout, ModelFormatError, ParseError
 
 _HEADER = struct.Struct("<4sIQQdd")
 VERSION = 1
@@ -117,9 +117,17 @@ def read_record(path, header=None, file=None) -> dict[str, str]:
 
 
 def load_model(path) -> LowRankModel:
-    """Load and validate a serialized low-rank model."""
+    """Load and validate a serialized low-rank model.  Every fault of the
+    file is a ModelFormatError whose message starts with ``path``."""
     with open(path, "rb") as handle:
         blob = handle.read()
+    try:
+        return _decode_model(blob)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{os.fspath(path)}: {exc}") from None
+
+
+def _decode_model(blob) -> LowRankModel:
     if len(blob) < _HEADER.size:
         raise ModelFormatError(f"file too short for header ({len(blob)} bytes)")
     magic, version, n, k, lam, p = _HEADER.unpack_from(blob)
@@ -127,15 +135,16 @@ def load_model(path) -> LowRankModel:
         raise ModelFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ModelFormatError(f"unsupported version {version}, expected {VERSION}")
+    try:  # k >= 1, lambda finite and >= 0, 0 <= p < 1
+        config = EdlaeConfig(lam=lam, dropout_p=p, rank=int(k))
+    except (ValueError, InvalidDropout) as exc:
+        raise ModelFormatError(f"header: {exc}") from None
     expected = _HEADER.size + 2 * n * k * 8
     if len(blob) != expected:
         raise ModelFormatError(f"payload is {len(blob)} bytes, expected {expected}")
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     if not np.isfinite(flat).all():
         raise ModelFormatError("payload contains non-finite values")
-    if not (np.isfinite(lam) and np.isfinite(p)):
-        raise ModelFormatError("header contains non-finite hyperparameters")
     u = flat[: n * k].reshape(n, k).astype(np.float64)
     v = flat[n * k :].reshape(n, k).astype(np.float64)
-    config = EdlaeConfig(lam=lam, dropout_p=p, rank=int(k))
-    return LowRankModel(u=u, v=v, rank=int(k), config=config, kind=KIND_BY_MAGIC[magic])
+    return LowRankModel(u=u, v=v, config=config, kind=KIND_BY_MAGIC[magic])

@@ -70,7 +70,7 @@ def test_zero_diagonal_teacher():
         x = (rng.random((2 * n, n)) < 0.2).astype(np.float64)
         g = exact_gram(x)
         teacher = full_rank_teacher(g, regularizer(np.diag(g), lam, 0.0))
-        worst = max(worst, float(np.abs(np.diag(teacher.b)).max()))
+        worst = max(worst, float(np.abs(np.diag(teacher)).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 10.0
@@ -81,7 +81,7 @@ def test_hand_derived_2x2_teacher():
     g = np.array([[2.0, 1.0], [1.0, 2.0]])
     teacher = full_rank_teacher(g, np.ones(2))
     expected = np.array([[0.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]])
-    worst = np.abs(teacher.b - expected).max()
+    worst = np.abs(teacher - expected).max()
     assert worst <= 1e-12
     report(f"hand-derived 2x2 teacher (worst {worst:.1e})")
 
@@ -91,7 +91,7 @@ def test_projection_optimality():
     for x, g, lam_diag, teacher, student in teacher_instances(20, seed=200):
         n = g.shape[0]
         _, z = stacked(x, lam_diag)
-        zb = z @ teacher.b
+        zb = z @ teacher
         svd = dense_svd(zb)
         scale = np.linalg.norm(zb)
         for k in sorted({1, n // 4, n // 2}):
@@ -111,10 +111,10 @@ def test_cross_term_and_decomposition():
         y, z = stacked(x, lam_diag)
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))
-        cross = float(np.trace((y - z @ teacher.b).T @ z @ (teacher.b - d_uv)))
+        cross = float(np.trace((y - z @ teacher).T @ z @ (teacher - d_uv)))
         worst_cross = max(worst_cross, abs(cross) / float(np.sum(y * y)))
-        teacher_resid = float(np.sum((y - z @ teacher.b) ** 2))
-        projection_resid = float(np.sum((z @ (teacher.b - d_uv)) ** 2))
+        teacher_resid = float(np.sum((y - z @ teacher) ** 2))
+        projection_resid = float(np.sum((z @ (teacher - d_uv)) ** 2))
         obj = edlae_objective(x, lam_diag, model)
         worst_decomp = max(worst_decomp, abs(obj - (teacher_resid + projection_resid)) / obj)
     assert worst_cross <= 1e-8
@@ -130,7 +130,7 @@ def test_efficiency_identity():
         zz = g + np.diag(lam_diag)
         ridge = teacher_and_student(g, lam_diag, "ridge")[1]
         ridge_b = np.linalg.solve(zz, g)  # (G + Lambda)^-1 G, formed independently
-        for kind, fast, b in (("edlae", student.m, teacher.b), ("ridge", ridge.m, ridge_b)):
+        for kind, fast, b in (("edlae", student.m, teacher), ("ridge", ridge.m, ridge_b)):
             direct = b.T @ zz @ b
             rel = float(np.linalg.norm(fast - direct) / np.linalg.norm(direct))
             worst[kind] = max(worst[kind], rel)

@@ -17,30 +17,30 @@ from oracles import binary_instance, composed_low_rank, exact_gram, gd_min_uv
 
 
 class TestRidgeFullRank:
-    """The ridge teacher, ``full_rank_teacher(g, lam_diag, "ridge").b``."""
+    """The ridge teacher, ``full_rank_teacher(g, lam_diag, "ridge")``."""
 
     def test_scalar_shrinkage(self):
-        b = full_rank_teacher(np.eye(2), np.ones(2), "ridge").b
+        b = full_rank_teacher(np.eye(2), np.ones(2), "ridge")
         np.testing.assert_allclose(b, 0.5 * np.eye(2), atol=1e-14)
 
     def test_zero_data(self):
-        b = full_rank_teacher(np.zeros((3, 3)), np.ones(3), "ridge").b
+        b = full_rank_teacher(np.zeros((3, 3)), np.ones(3), "ridge")
         np.testing.assert_allclose(b, 0.0, atol=1e-14)
 
     def test_hand_2x2(self):
         # (G + I)^-1 G = (1/8) [[3,-1],[-1,3]] [[2,1],[1,2]] = (1/8) [[5,1],[1,5]]
         g = np.array([[2.0, 1.0], [1.0, 2.0]])
         expected = np.array([[5.0, 1.0], [1.0, 5.0]]) / 8.0
-        assert np.abs(full_rank_teacher(g, np.ones(2), "ridge").b - expected).max() <= 1e-12
+        assert np.abs(full_rank_teacher(g, np.ones(2), "ridge") - expected).max() <= 1e-12
 
     def test_symmetric_under_uniform_ridge(self):
         g = exact_gram(binary_instance(0, m=40, n=8))
-        b = full_rank_teacher(g, np.full(8, 2.0), "ridge").b
+        b = full_rank_teacher(g, np.full(8, 2.0), "ridge")
         assert np.abs(b - b.T).max() <= 1e-10
 
     def test_large_lambda_shrinks_to_zero(self):
         g = exact_gram(binary_instance(1, m=40, n=8))
-        small = np.abs(full_rank_teacher(g, np.full(8, 1e8), "ridge").b).max()
+        small = np.abs(full_rank_teacher(g, np.full(8, 1e8), "ridge")).max()
         assert small <= 1e-5
 
     def test_not_positive_definite(self):
@@ -52,7 +52,7 @@ class TestRidgeLowRank:
     def test_full_rank_projection_is_identity(self):
         g = exact_gram(binary_instance(2, m=40, n=8))
         lam = regularizer(np.diag(g), 1.0, 0.25)
-        b = full_rank_teacher(g, lam, "ridge").b
+        b = full_rank_teacher(g, lam, "ridge")
         model = ridge_low_rank(g, lam, 8)
         assert np.abs(model.matrix() - b).max() <= 1e-10
 
@@ -91,7 +91,7 @@ class TestRidgeLowRank:
         x = binary_instance(5, m=40, n=8)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.25)
-        b = full_rank_teacher(g, lam, "ridge").b
+        b = full_rank_teacher(g, lam, "ridge")
         n = g.shape[0]
         y = np.vstack([x, np.zeros((n, n))])
         z = np.vstack([x, np.diag(np.sqrt(lam))])

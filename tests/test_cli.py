@@ -307,12 +307,25 @@ class TestOptions:
         (["eval", "--models", "a.model", "a,b.model"], "--models"),
         # numpy's generators take no negative seed
         (["ingest", "--seed", "-1"], "--seed"),
+        # lambda is finite and >= 0, and p in [0, 1), checked before the split is read
+        (["train", "--lambdas", "1,nan"], "--lambdas"),
+        (["train", "--lambdas", "-1"], "--lambdas"),
+        (["train", "--ps", "0.5,1"], "--ps"),
     ])
     def test_malformed_flag_value_is_an_error_line(self, argv, flag, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [("lambdas", "inf"), ("ps", "-0.25")])
+    def test_out_of_range_config_value_names_file_and_key(self, tmp_path, key, value, capsys):
+        config = tmp_path / "job.cfg"
+        config.write_text(f"split = {tmp_path / 'absent'}\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: {key}: expected ")
+        assert not out.exists()
 
     def test_unknown_config_key_rejected_before_out(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
@@ -433,6 +446,20 @@ class TestEval:
             assert 0.0 <= row["mean"] <= 1.0 and row["stderr"] >= 0.0
         table = (out / "metrics.txt").read_text()
         assert "ndcg" in table and "recall" in table
+
+    def test_corrupt_model_is_named(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--family", "both",
+                     "--ks", "2"]) == 0
+        bad = run / "ridge_k2.model"
+        bad.write_bytes(b"XXXX" + bad.read_bytes()[4:])
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert main(["eval", "--split", str(split), "--out", str(out), "--models",
+                     str(run / "edlae_k2.model"), str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: bad magic b'XXXX'\n"
+        assert not (out / "config.resolved.txt").exists()
 
     def test_each_user_ranked_once_per_model(self, tmp_path, data_csv, monkeypatch):
         split = ingest(tmp_path, data_csv)

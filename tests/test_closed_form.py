@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import edlae
 from edlae import closed_form
 from edlae.checks import teacher_and_student
 from edlae.closed_form import (
     EdlaeConfig,
-    FullRankModel,
     LowRankModel,
     edlae_objective,
     full_rank_teacher,
@@ -17,7 +17,6 @@ from edlae.closed_form import (
     regularizer,
     student_gram,
     student_projection,
-    teacher_from_inverse,
     train_closed_form,
     train_grid,
 )
@@ -65,20 +64,22 @@ class TestRegularizer:
 
 class TestFullRankTeacher:
     def test_zero_gram(self):
-        teacher = full_rank_teacher(np.zeros((2, 2)), np.ones(2))
-        np.testing.assert_allclose(teacher.b, 0.0, atol=1e-14)
-        np.testing.assert_allclose(1.0 / teacher.scale, 1.0, atol=1e-14)  # diag C
+        g, lam = np.zeros((2, 2)), np.ones(2)
+        np.testing.assert_allclose(full_rank_teacher(g, lam), 0.0, atol=1e-14)
+        student = student_gram(sym_inverse(g + np.diag(lam)), g, lam)
+        np.testing.assert_allclose(1.0 / student.scale, 1.0, atol=1e-14)  # diag C
 
     def test_hand_2x2(self):
         g = np.array([[2.0, 1.0], [1.0, 2.0]])
         teacher = full_rank_teacher(g, np.ones(2))
         expected = np.array([[0.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]])
-        assert np.abs(teacher.b - expected).max() <= 1e-12
-        np.testing.assert_allclose(1.0 / teacher.scale, [3.0 / 8.0, 3.0 / 8.0], atol=1e-14)
+        assert np.abs(teacher - expected).max() <= 1e-12
+        student = student_gram(sym_inverse(g + np.eye(2)), g, np.ones(2))
+        np.testing.assert_allclose(1.0 / student.scale, [3.0 / 8.0, 3.0 / 8.0], atol=1e-14)
 
     def test_diagonal_gram_gives_zero_teacher(self):
         teacher = full_rank_teacher(np.diag([4.0, 9.0, 1.0]), np.full(3, 0.5))
-        np.testing.assert_allclose(teacher.b, 0.0, atol=1e-14)
+        np.testing.assert_allclose(teacher, 0.0, atol=1e-14)
 
     def test_diagonal_exactly_zero(self):
         rng = np.random.default_rng(0)
@@ -86,7 +87,7 @@ class TestFullRankTeacher:
             x = (rng.random((50, 12)) < 0.4).astype(float)
             g = exact_gram(x)
             teacher = full_rank_teacher(g, regularizer(np.diag(g), 1.0, 0.5))
-            assert np.abs(np.diag(teacher.b)).max() == 0.0
+            assert np.abs(np.diag(teacher)).max() == 0.0
 
     def test_zero_regularization_fails(self):
         with pytest.raises(NotPositiveDefinite):
@@ -95,32 +96,9 @@ class TestFullRankTeacher:
     def test_positive_c_diag(self):
         x = binary_instance(1, m=30, n=6)
         g = exact_gram(x)
-        teacher = full_rank_teacher(g, regularizer(np.diag(g), 0.5, 0.25))
-        assert (teacher.scale > 0).all()  # scale = 1 / diag C
-
-
-class TestTeacherFromInverse:
-    def test_both_families_match_full_rank_teacher(self):
-        x = binary_instance(15, m=50, n=10)
-        g = exact_gram(x)
-        lam = regularizer(np.diag(g), 1.0, 0.5)
-        c = sym_inverse(g + np.diag(lam))
-        kept = c.copy()
-        for kind in ("edlae", "ridge"):
-            shared = teacher_from_inverse(c, lam, kind)
-            own = full_rank_teacher(g, lam, kind)
-            np.testing.assert_array_equal(shared.b, own.b)
-            np.testing.assert_array_equal(shared.scale, own.scale)
-        np.testing.assert_array_equal(c, kept)  # C is left for the next family
-
-    def test_overwrite_builds_teacher_in_c(self):
-        g = exact_gram(binary_instance(16, m=40, n=8))
-        lam = regularizer(np.diag(g), 2.0, 0.25)
-        c = sym_inverse(g + np.diag(lam))
-        expected = teacher_from_inverse(c, lam, "ridge").b
-        teacher = teacher_from_inverse(c, lam, "ridge", overwrite_c=True)
-        assert teacher.b is c or np.shares_memory(teacher.b, c)
-        np.testing.assert_array_equal(teacher.b, expected)
+        lam = regularizer(np.diag(g), 0.5, 0.25)
+        student = student_gram(sym_inverse(g + np.diag(lam)), g, lam)
+        assert (student.scale > 0).all()  # scale = 1 / diag C
 
 
 class TestStudentGram:
@@ -134,7 +112,7 @@ class TestStudentGram:
         g = np.array([[2.0, 1.0], [1.0, 2.0]])
         lam = np.ones(2)
         teacher, student = teacher_and_student(g, lam)
-        direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
+        direct = teacher.T @ (g + np.diag(lam)) @ teacher
         assert np.abs(student.m - direct).max() <= 1e-12
 
     def test_identity_matches_direct_random(self):
@@ -144,7 +122,7 @@ class TestStudentGram:
             g = exact_gram(x)
             lam = regularizer(np.diag(g), 2.0, 0.25)
             teacher, student = teacher_and_student(g, lam)
-            direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
+            direct = teacher.T @ (g + np.diag(lam)) @ teacher
             rel = np.linalg.norm(student.m - direct) / np.linalg.norm(direct)
             assert rel <= 1e-10
 
@@ -164,7 +142,7 @@ class TestStudentGram:
         for kind in ("edlae", "ridge"):
             teacher, student = teacher_and_student(g, lam, kind)
             fast = student.m
-            direct = teacher.b.T @ (g + np.diag(lam)) @ teacher.b
+            direct = teacher.T @ (g + np.diag(lam)) @ teacher
             assert np.array_equal(fast, fast.T)
             assert np.linalg.norm(fast - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -183,11 +161,12 @@ class TestStudentGram:
         g = exact_gram(binary_instance(21, m=120, n=40, density=0.3))
         lam = regularizer(np.diag(g), 2.0, 0.25)
         teacher, student = teacher_and_student(g, lam, kind)
-        want = teacher.b * -teacher.scale[:, None] + g
-        want.flat[::41] += lam - teacher.scale
+        scale = 1.0 / np.diag(sym_inverse(g + np.diag(lam))) if kind == "edlae" else lam
+        want = teacher * -scale[:, None] + g
+        want.flat[::41] += lam - scale
         want = (want + want.T) * 0.5
         assert np.array_equal(student.m, want)
-        assert np.array_equal(student.scale, teacher.scale)
+        assert np.array_equal(student.scale, scale)
 
     @pytest.mark.parametrize("kind", ["edlae", "ridge"])
     def test_overwrite_builds_in_c(self, kind):
@@ -196,7 +175,9 @@ class TestStudentGram:
         g = exact_gram(binary_instance(22, m=60, n=15, density=0.3))
         lam = regularizer(np.diag(g), 1.0, 0.5)
         c = sym_inverse(g + np.diag(lam))
-        kept = student_gram(c.copy(), g, lam, kind)
+        spare = c.copy()
+        kept = student_gram(spare, g, lam, kind)
+        assert np.array_equal(spare, c)  # without overwrite_c, C is left intact
         student = student_gram(c, g, lam, kind, overwrite_c=True)
         assert np.array_equal(student.m, kept.m)
         if kind == "edlae":
@@ -213,7 +194,7 @@ class TestStudentProjection:
         lam = regularizer(np.diag(g), 1.0, 0.25)
         teacher, student = teacher_and_student(g, lam)
         model = student_projection(student, 8)
-        assert np.abs(model.matrix() - teacher.b).max() <= 1e-10
+        assert np.abs(model.matrix() - teacher).max() <= 1e-10
 
     def test_zero_teacher(self):
         g = np.diag([2.0, 3.0, 4.0])
@@ -229,7 +210,7 @@ class TestStudentProjection:
         lam = regularizer(np.diag(g), 1.0, 0.25)
         teacher, student = teacher_and_student(g, lam)
         z = np.vstack([x, np.diag(np.sqrt(lam))])
-        zb = z @ teacher.b
+        zb = z @ teacher
         svd = dense_svd(zb)
         for k in (1, 2, 3):
             model = student_projection(student, k)
@@ -263,7 +244,7 @@ class TestStudentProjection:
         g = exact_gram(binary_instance(n, m=max(3 * n, 10), n=n, density=0.3))
         teacher, student = teacher_and_student(g, regularizer(np.diag(g), lam, p), kind)
         model = student_projection(student, k)
-        want = teacher.b @ model.v
+        want = teacher @ model.v
         assert model.u.shape == want.shape and model.u.flags.c_contiguous
         np.testing.assert_allclose(model.u, want, rtol=0, atol=bound * np.abs(want).max())
 
@@ -288,7 +269,7 @@ class TestTrainClosedForm:
         teacher = full_rank_teacher(g, lam)
         model = train_closed_form(g, EdlaeConfig(lam=1.0, dropout_p=0.25, rank=8))
         obj_model = edlae_objective(x, lam, model)
-        obj_teacher = edlae_objective(x, lam, teacher)
+        obj_teacher = edlae_objective(x, lam, LowRankModel(u=teacher, v=np.eye(8)))
         assert abs(obj_model - obj_teacher) <= 1e-8 * obj_teacher
 
     def test_objective_monotone_in_rank(self):
@@ -405,13 +386,13 @@ class TestTrainGrid:
 class TestObjective:
     def test_zero_model(self):
         x = binary_instance(10, m=20, n=5)
-        model = LowRankModel(u=np.zeros((5, 2)), v=np.zeros((5, 2)), rank=2)
+        model = LowRankModel(u=np.zeros((5, 2)), v=np.zeros((5, 2)))
         assert edlae_objective(x, np.ones(5), model) == pytest.approx(float(np.sum(x * x)))
 
     def test_identity_model_fully_cancelled(self):
         # U V^T = I has only diagonal mass, all removed before scoring
         x = binary_instance(11, m=20, n=4)
-        model = LowRankModel(u=np.eye(4), v=np.eye(4), rank=4)
+        model = LowRankModel(u=np.eye(4), v=np.eye(4))
         assert edlae_objective(x, np.ones(4), model) == pytest.approx(float(np.sum(x * x)))
 
     def test_hand_2x2_value(self):
@@ -419,7 +400,7 @@ class TestObjective:
         # objective = ||X - X B||^2 + ||B||^2 = 65/36 + 13/36 = 13/6
         x = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([[0.0, 0.5], [1.0 / 3.0, 0.0]])
-        model = LowRankModel(u=b, v=np.eye(2), rank=2)
+        model = LowRankModel(u=b, v=np.eye(2))
         assert edlae_objective(x, np.ones(2), model) == pytest.approx(13.0 / 6.0, abs=1e-12)
 
     def test_teacher_matches_hand_value(self):
@@ -427,7 +408,7 @@ class TestObjective:
         g = exact_gram(x)
         teacher = full_rank_teacher(g, np.ones(2))
         expected = np.array([[0.0, 0.5], [1.0 / 3.0, 0.0]])
-        assert np.abs(teacher.b - expected).max() <= 1e-12
+        assert np.abs(teacher - expected).max() <= 1e-12
 
     def test_cross_term_vanishes(self):
         rng = np.random.default_rng(12)
@@ -442,7 +423,7 @@ class TestObjective:
             z = np.vstack([x, np.diag(np.sqrt(lam))])
             uv = model.matrix()
             d_uv = uv - np.diag(np.diag(uv))
-            cross = np.trace((y - z @ teacher.b).T @ z @ (teacher.b - d_uv))
+            cross = np.trace((y - z @ teacher).T @ z @ (teacher - d_uv))
             assert abs(cross) <= 1e-8 * np.sum(y * y)
 
     def test_additive_decomposition(self):
@@ -457,8 +438,8 @@ class TestObjective:
         z = np.vstack([x, np.diag(np.sqrt(lam))])
         uv = model.matrix()
         d_uv = uv - np.diag(np.diag(uv))
-        teacher_resid = float(np.sum((y - z @ teacher.b) ** 2))
-        projection_resid = float(np.sum((z @ (teacher.b - d_uv)) ** 2))
+        teacher_resid = float(np.sum((y - z @ teacher) ** 2))
+        projection_resid = float(np.sum((z @ (teacher - d_uv)) ** 2))
         obj = edlae_objective(x, lam, model)
         assert abs(obj - (teacher_resid + projection_resid)) <= 1e-6 * obj
 
@@ -482,10 +463,10 @@ class TestObjective:
             train_closed_form(g, EdlaeConfig(2.0, 0.5, 5), "ridge"),  # non-zero diagonal
             # arbitrary factors: U V^T has a non-zero diagonal that the
             # zero-diagonal family's objective removes and ridge's keeps
-            LowRankModel(u=u, v=v, rank=5, kind="edlae"),
-            LowRankModel(u=u, v=v, rank=5, kind="ridge"),
-            full_rank_teacher(g, lam, "edlae"),
-            full_rank_teacher(g, lam, "ridge"),
+            LowRankModel(u=u, v=v, kind="edlae"),
+            LowRankModel(u=u, v=v, kind="ridge"),
+            LowRankModel(u=full_rank_teacher(g, lam, "edlae"), v=np.eye(16), kind="edlae"),
+            LowRankModel(u=full_rank_teacher(g, lam, "ridge"), v=np.eye(16), kind="ridge"),
         ]
         assert np.abs(np.diag(models[1].matrix())).min() > 0.0
         for model in models:
@@ -493,11 +474,32 @@ class TestObjective:
             assert abs(objective_from_gram(g, lam, model) - dense) <= 1e-10 * dense
 
     def test_dimension_mismatch(self):
-        model = LowRankModel(u=np.zeros((3, 1)), v=np.zeros((3, 1)), rank=1)
+        model = LowRankModel(u=np.zeros((3, 1)), v=np.zeros((3, 1)))
         with pytest.raises(DimensionMismatch):
             edlae_objective(np.ones((2, 4)), np.ones(3), model)
 
     def test_factor_form_dimension_mismatch(self):
-        model = LowRankModel(u=np.zeros((3, 1)), v=np.zeros((3, 1)), rank=1)
+        model = LowRankModel(u=np.zeros((3, 1)), v=np.zeros((3, 1)))
         with pytest.raises(DimensionMismatch):
             objective_from_gram(np.eye(4), np.ones(4), model)
+
+
+class TestPublicApi:
+    def test_rank_is_read_off_the_factors(self):
+        model = LowRankModel(u=np.zeros((5, 3)), v=np.zeros((5, 3)))
+        assert model.rank == model.u.shape[1] == 3
+        g = exact_gram(binary_instance(23, m=40, n=10))
+        for model in train_grid(g, ["edlae", "ridge"], [2, 4], [1.0], [0.25]):
+            assert model.rank == model.u.shape[1] == model.config.rank
+        with pytest.raises(TypeError):
+            LowRankModel(u=np.zeros((5, 3)), v=np.zeros((5, 3)), rank=2)
+
+    def test_every_exported_name_resolves(self):
+        for name in edlae.__all__:
+            assert getattr(edlae, name) is not None, name
+        assert isinstance(full_rank_teacher(np.eye(2), np.ones(2)), np.ndarray)
+
+    @pytest.mark.parametrize("name", ["FullRankModel", "teacher_from_inverse"])
+    def test_removed_teacher_types_are_gone(self, name):
+        assert not hasattr(edlae, name) and not hasattr(closed_form, name)
+        assert name not in edlae.__all__

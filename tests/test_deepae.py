@@ -187,6 +187,20 @@ class TestLinearBound:
             verify_linear_bound(m=10, n=8, ks=(2,), trials=trials, restarts=restarts, steps=1,
                                 lr=5e-4, seed=0)
 
+    @pytest.mark.parametrize("steps, lr, name", [
+        (0, 5e-4, "steps"),
+        (5, float("nan"), "lr"),
+        (5, float("inf"), "lr"),
+        (5, 0.0, "lr"),
+        (5, -5e-4, "lr"),
+    ])
+    def test_untrainable_steps_or_step_size_rejected(self, steps, lr, name):
+        # no step, or a step size that moves nothing or fails every step,
+        # reports untrained models, and the bound would pass on them
+        with pytest.raises(ValueError, match=name):
+            verify_linear_bound(m=12, n=8, ks=(2,), trials=3, restarts=1, steps=steps, lr=lr,
+                                seed=0)
+
     def test_report_jsonl(self, tmp_path):
         import json
 

@@ -33,7 +33,7 @@ def interactions(num_users, num_items, triples):
 class TestScoreUsers:
     def test_zero_model_scores_zero_except_mask(self):
         foldin = interactions(2, 4, [(0, 1), (1, 2)])
-        model = LowRankModel(u=np.zeros((4, 2)), v=np.zeros((4, 2)), rank=2)
+        model = LowRankModel(u=np.zeros((4, 2)), v=np.zeros((4, 2)))
         scores = score_users(model, foldin)
         assert scores[0, 1] == -np.inf and scores[1, 2] == -np.inf
         finite = np.isfinite(scores)
@@ -41,7 +41,7 @@ class TestScoreUsers:
 
     def test_unit_vector_full_rank(self):
         b = np.array([[0.0, 0.3, 0.7], [0.3, 0.0, 0.1], [0.7, 0.1, 0.0]])
-        model = LowRankModel(u=b, v=np.eye(3), rank=3)
+        model = LowRankModel(u=b, v=np.eye(3))
         foldin = interactions(1, 3, [(0, 1)])  # user row = e_1
         scores = score_users(model, foldin)
         assert scores[0, 1] == -np.inf
@@ -51,7 +51,7 @@ class TestScoreUsers:
         rng = np.random.default_rng(0)
         u = rng.standard_normal((20, 3))
         v = rng.standard_normal((20, 3))
-        model = LowRankModel(u=u, v=v, rank=3)
+        model = LowRankModel(u=u, v=v)
         triples = [(a, b) for a in range(5) for b in rng.choice(20, 4, replace=False)]
         foldin = interactions(5, 20, triples)
         scores = score_users(model, foldin)
@@ -64,12 +64,12 @@ class TestScoreUsers:
     def test_plain_matrix_model(self):
         # a plain item-item matrix B is scored as the factor pair (B, I)
         foldin = interactions(1, 3, [(0, 0)])
-        scores = score_users(LowRankModel(u=np.eye(3), v=np.eye(3), rank=3), foldin)
+        scores = score_users(LowRankModel(u=np.eye(3), v=np.eye(3)), foldin)
         assert scores[0, 0] == -np.inf
 
     def test_dimension_mismatch(self):
         foldin = interactions(1, 3, [(0, 0)])
-        model = LowRankModel(u=np.zeros((4, 1)), v=np.zeros((4, 1)), rank=1)
+        model = LowRankModel(u=np.zeros((4, 1)), v=np.zeros((4, 1)))
         with pytest.raises(DimensionMismatch):
             score_users(model, foldin)
 
@@ -116,7 +116,7 @@ class TestScoreUsersMatchesCsr:
         original = evaluate._FOLD_IN_BLOCK
         evaluate._FOLD_IN_BLOCK = block  # values of X U per block: 1 to several rows
         try:
-            got = score_users(LowRankModel(u=u, v=v, rank=k), foldin)
+            got = score_users(LowRankModel(u=u, v=v), foldin)
         finally:
             evaluate._FOLD_IN_BLOCK = original
         want = csr_scores(u, v, foldin)
@@ -167,7 +167,7 @@ class TestScoreUsersMatchesCsr:
         rng = np.random.default_rng(1)
         u, v = rng.standard_normal((shape[1], 3)), rng.standard_normal((shape[1], 3))
         foldin = foldin_matrix(np.zeros(shape, dtype=bool), np.zeros(0))
-        got = score_users(LowRankModel(u=u, v=v, rank=3), foldin)
+        got = score_users(LowRankModel(u=u, v=v), foldin)
         assert got.shape == shape
         assert got.tobytes() == csr_scores(u, v, foldin).tobytes()
 
@@ -177,7 +177,7 @@ class TestScoreUsersMatchesCsr:
         mask[17] = True  # 200 items against about 4 for everyone else
         foldin = foldin_matrix(mask, rng.choice(_FOLDIN_VALUES, size=int(mask.sum())))
         u, v = rng.standard_normal((200, 1)), rng.standard_normal((200, 1))
-        got = score_users(LowRankModel(u=u, v=v, rank=1), foldin)
+        got = score_users(LowRankModel(u=u, v=v), foldin)
         assert got.tobytes() == csr_scores(u, v, foldin).tobytes()
 
 
@@ -321,7 +321,7 @@ class TestProperties:
         rng = np.random.default_rng(30)
         u = rng.standard_normal((12, 2))
         v = rng.standard_normal((12, 2))
-        model = LowRankModel(u=u, v=v, rank=2)
+        model = LowRankModel(u=u, v=v)
         triples = [(a, b) for a in range(4) for b in rng.choice(12, 5, replace=False)]
         foldin = interactions(4, 12, triples)
         scores = score_users(model, foldin)
@@ -561,7 +561,7 @@ def model_case(rng, num_users, num_items, k, levels, foldin_share):
     triples = [(user, int(i)) for user in range(num_users)
                for i in rng.choice(num_items, size=int(rng.integers(1, min(4, num_items) + 1)),
                                    replace=False)]
-    return LowRankModel(u=u, v=v, rank=k), foldin, interactions(num_users, num_items, triples)
+    return LowRankModel(u=u, v=v), foldin, interactions(num_users, num_items, triples)
 
 
 def with_block_rows(block_rows, fn, *args):
@@ -626,7 +626,7 @@ class TestModelMetrics:
         rng = np.random.default_rng(seed)
         model, foldin, _ = model_case(rng, num_users, num_items, k, 2, foldin_share)
         model = LowRankModel(u=rng.standard_normal(model.u.shape),
-                             v=rng.standard_normal(model.v.shape), rank=k)
+                             v=rng.standard_normal(model.v.shape))
         got = with_block_rows(block_rows, score_users, model, foldin)
         xu = evaluate._fold_in(foldin, model.u)
         blocks = [xu[lo:lo + block_rows] @ model.v.T for lo in range(0, num_users, block_rows)]
@@ -647,10 +647,10 @@ class TestModelMetrics:
     def test_same_errors_as_scoring_then_ranking(self):
         foldin = interactions(2, 3, [(0, 0)])
         holdout = interactions(2, 3, [(0, 1), (1, 2)])
-        model = LowRankModel(u=np.ones((3, 2)), v=np.ones((3, 2)), rank=2)
+        model = LowRankModel(u=np.ones((3, 2)), v=np.ones((3, 2)))
         cases = {
             DimensionMismatch: [
-                (LowRankModel(u=np.ones((4, 2)), v=np.ones((4, 2)), rank=2), foldin, holdout),
+                (LowRankModel(u=np.ones((4, 2)), v=np.ones((4, 2))), foldin, holdout),
                 (model, interactions(3, 3, [(0, 0)]), holdout),
                 (model, foldin, interactions(2, 4, [(0, 1), (1, 2)])),
             ],
@@ -659,7 +659,7 @@ class TestModelMetrics:
                 (model, interactions(0, 3, []), interactions(0, 3, [])),
             ],
             # inf * 0 is NaN in the product; the NaN in user 1's row is not masked
-            ValueError: [(LowRankModel(u=np.full((3, 2), np.inf), v=np.zeros((3, 2)), rank=2),
+            ValueError: [(LowRankModel(u=np.full((3, 2), np.inf), v=np.zeros((3, 2))),
                           foldin, holdout)],
         }
         for error, inputs in cases.items():
@@ -671,7 +671,7 @@ class TestModelMetrics:
         monkeypatch.setattr(evaluate, "_BLOCK_ROWS", 2)
         u = np.ones((4, 1))
         u[3] = np.inf
-        model = LowRankModel(u=u, v=np.array([[1.0], [0.0], [1.0], [1.0]]), rank=1)
+        model = LowRankModel(u=u, v=np.array([[1.0], [0.0], [1.0], [1.0]]))
         # only user 4 (the third block) folds in item 3: its row is inf * 0 = NaN at item 1
         foldin = interactions(5, 4, [(0, 0), (1, 0), (2, 2), (3, 0), (4, 3)])
         holdout = interactions(5, 4, [(u, 1) for u in range(5)])
@@ -680,7 +680,7 @@ class TestModelMetrics:
 
     def test_rejects_bad_metrics_before_scoring(self, monkeypatch):
         monkeypatch.setattr(evaluate, "_fold_in", lambda *args: pytest.fail("scored"))
-        model = LowRankModel(u=np.ones((2, 1)), v=np.ones((2, 1)), rank=1)
+        model = LowRankModel(u=np.ones((2, 1)), v=np.ones((2, 1)))
         with pytest.raises(ValueError):
             evaluate.model_metrics(model, interactions(1, 2, [(0, 0)]),
                                    interactions(1, 2, [(0, 1)]), (("precision", 10),))
@@ -689,7 +689,7 @@ class TestModelMetrics:
         # a users x n float64 score matrix would be users * n * 8 bytes
         users, n, k = 3000, 500, 8
         rng = np.random.default_rng(0)
-        model = LowRankModel(u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)), rank=k)
+        model = LowRankModel(u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)))
         mask = rng.random((users, n)) < 0.02
         foldin = foldin_matrix(mask, np.ones(int(mask.sum())))
         holdout = interactions(users, n, [(u, (7 * u) % n) for u in range(users)])

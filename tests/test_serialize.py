@@ -15,8 +15,7 @@ def make_model(kind="edlae", n=5, k=2, seed=0):
     rng = np.random.default_rng(seed)
     cfg = EdlaeConfig(lam=2.5, dropout_p=0.25, rank=k)
     return LowRankModel(
-        u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)),
-        rank=k, config=cfg, kind=kind,
+        u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)), config=cfg, kind=kind,
     )
 
 
@@ -86,8 +85,39 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("offset, fmt, value, match", [
+        (16, "<Q", 0, "rank must be >= 1, got 0"),
+        (24, "<d", -1.0, "lam must be finite and non-negative, got -1.0"),
+        (24, "<d", float("nan"), "lam must be finite and non-negative, got nan"),
+        (32, "<d", 1.0, "dropout_p must be in [0, 1), got 1.0"),
+        (32, "<d", -0.25, "dropout_p must be in [0, 1), got -0.25"),
+    ])
+    def test_bad_header_value(self, tmp_path, offset, fmt, value, match):
+        path = tmp_path / "m.model"
+        save_model(path, make_model())
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: header: {match}"
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: b"XXXX" + blob[4:],
+        lambda blob: blob[:10],
+        lambda blob: blob[:-8],
+        lambda blob: blob[:-8] + struct.pack("<d", float("inf")),
+    ], ids=["magic", "short-header", "short-payload", "non-finite-payload"])
+    def test_every_format_error_starts_with_the_path(self, tmp_path, corrupt):
+        path = tmp_path / "m.model"
+        save_model(path, make_model())
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_model_without_config_rejected(self, tmp_path):
-        model = LowRankModel(u=np.zeros((2, 1)), v=np.zeros((2, 1)), rank=1)
+        model = LowRankModel(u=np.zeros((2, 1)), v=np.zeros((2, 1)))
         with pytest.raises(ModelFormatError, match="config"):
             save_model(tmp_path / "m.model", model)
 
