@@ -13,17 +13,13 @@ assume.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .closed_form import EdlaeConfig, LowRankModel, _projected, _regularized_inverse
+from .closed_form import LowRankModel, _projected, _regularized_inverse
 
 
-def ridge_low_rank(g: np.ndarray, lam_diag: np.ndarray, k: int,
-                   config: EdlaeConfig | None = None) -> LowRankModel:
-    """Rank-k ridge model: the chain of ``train_closed_form`` with the ridge
-    teacher, for an explicit regularizer diagonal."""
-    model = _projected(_regularized_inverse(g, lam_diag), g, lam_diag, "ridge", k,
-                       overwrite_c=True)
-    return replace(model, config=config)
+def ridge_low_rank(g: np.ndarray, lam_diag: np.ndarray, k: int) -> LowRankModel:
+    """Rank-k ridge model, with no config: the chain of ``train_closed_form``
+    with the ridge teacher, for an explicit regularizer diagonal."""
+    return _projected(_regularized_inverse(g, lam_diag), g, lam_diag, "ridge", k,
+                      overwrite_c=True)

@@ -301,13 +301,13 @@ def cmd_train(opts):
             cfg = model.config
             lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
             objective = closed_form.objective_from_gram(g, lam_diag, model)
-            log.append(f"{model.kind}\t{cfg.rank}\t{fmt(cfg.lam)}\t{fmt(cfg.dropout_p)}\t"
+            log.append(f"{model.kind}\t{model.rank}\t{fmt(cfg.lam)}\t{fmt(cfg.dropout_p)}\t"
                        f"{fmt(objective)}\t{fmt(ndcg)}\t{'yes' if i == best else 'no'}\n")
         model, cfg = group[best], group[best].config
-        path = os.path.join(out, f"{model.kind}_k{cfg.rank}.model")
+        path = os.path.join(out, f"{model.kind}_k{model.rank}.model")
         serialize.save_model(path, model)
         print(
-            f"train: {model.kind} k={cfg.rank} -> lambda={cfg.lam:g} p={cfg.dropout_p:g} "
+            f"train: {model.kind} k={model.rank} -> lambda={cfg.lam:g} p={cfg.dropout_p:g} "
             f"val nDCG@100={ndcgs[best]:.4f} ({os.path.basename(path)})"
         )
     serialize.write_atomic(os.path.join(out, "train_log.tsv"), "".join(log).encode("utf-8"))

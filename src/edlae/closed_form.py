@@ -66,20 +66,21 @@ def _check_lam(lam):
         raise ValueError(f"lam must be finite and non-negative, got {lam}")
 
 
+def _check_p(p):
+    if not 0.0 <= p < 1.0:
+        raise InvalidDropout(f"dropout_p must be in [0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class EdlaeConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters (lambda, p) of one training run; the rank is not one."""
 
     lam: float
     dropout_p: float
-    rank: int
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidDropout(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        _check_p(self.dropout_p)
         _check_lam(self.lam)
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def regularizer(gram_diag: np.ndarray, lam: float, p: float) -> np.ndarray:
     The dropout-derived term scales with each item's popularity; at p = 0 it
     collapses to a uniform ridge.
     """
-    if not 0.0 <= p < 1.0:
-        raise InvalidDropout(f"dropout probability must be in [0, 1), got {p}")
+    _check_p(p)
     _check_lam(lam)
     gram_diag = np.asarray(gram_diag, dtype=np.float64)
     if gram_diag.ndim != 1:
@@ -247,20 +247,17 @@ def student_projection(student: StudentGram, k: int, overwrite_m: bool = False) 
     """Project the teacher onto rank k: V = top-k eigenvectors of the student
     Gram, U = B @ V (``_teacher_times``), so U V^T = B Q_k Q_k^T.  With
     ``overwrite_m`` the eigensolver works in the student Gram's storage and
-    destroys it."""
-    n = student.m.shape[0]
-    if not 1 <= k <= n:
-        raise DimensionMismatch(f"rank must be in [1, {n}], got {k}")
+    destroys it; ``top_k_eig`` rejects a k outside [1, n]."""
     eig = top_k_eig(student.m, k, overwrite_a=overwrite_m)
     return LowRankModel(u=_teacher_times(student, eig), v=eig.eigenvectors, kind=student.kind)
 
 
-def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, kind: str = "edlae") -> LowRankModel:
+def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, k: int, kind: str = "edlae") -> LowRankModel:
     """Train a rank-k model of family ``kind`` from the Gram matrix alone:
     the one-point case of ``train_grid``, with ``cfg`` attached.  Raw
     interactions are never needed past the Gram matrix.
     """
-    (model,) = train_grid(g, [kind], [cfg.rank], [cfg.lam], [cfg.dropout_p])
+    (model,) = train_grid(g, [kind], [k], [cfg.lam], [cfg.dropout_p])
     return model
 
 
@@ -268,28 +265,32 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
     """Train every model of the grid kinds x ks x lambdas x ps.
 
     Returns the models in that order, kind varying slowest and p fastest,
-    which is the order of ``edlae train``'s log.  Each (lambda, p)
-    factorizes G + Lambda once and each (lambda, p, kind) takes one
-    top-max(ks) eigendecomposition; a rank-k model holds copies of the first
-    k columns of its U and V.  The models equal ``train_closed_form``'s up
-    to rounding, and bit for bit at k = max(ks).  All n x n buffers of one
-    (lambda, p) are freed, and its models sliced, before the next G + Lambda
-    is factorized.
+    which is the order of ``edlae train``'s log; the grid is checked first.
+    Each (lambda, p) is one ``EdlaeConfig``, shared by its models, and
+    factorizes G + Lambda once; each (lambda, p, kind) takes one top-max(ks)
+    eigendecomposition.  A rank-k model holds copies of the first k columns
+    of its U and V, equal to ``train_closed_form``'s up to rounding and bit
+    for bit at k = max(ks).  All n x n buffers of one (lambda, p) are freed,
+    and its models sliced, before the next G + Lambda is factorized.
     """
     g = np.asarray(g, dtype=np.float64)
+    if not (len(kinds) and set(kinds) <= ZERO_DIAGONAL.keys()):
+        raise ValueError(f"kinds must be one or more of {list(ZERO_DIAGONAL)}, got {list(kinds)}")
+    if not 1 <= min(ks, default=0) <= max(ks, default=0) <= len(g):
+        raise DimensionMismatch(f"ks must be ranks in [1, {len(g)}], got {list(ks)}")
+    configs = [EdlaeConfig(lam=lam, dropout_p=p) for lam, p in itertools.product(lambdas, ps)]
     g_diag = np.diag(g).copy()
     top = max(ks)
     points = []  # per (lambda, p), in lambda -> p order: its models, kind -> k
-    for lam, p in itertools.product(lambdas, ps):
-        lam_diag = regularizer(g_diag, lam, p)
+    for cfg in configs:
+        lam_diag = regularizer(g_diag, cfg.lam, cfg.dropout_p)
         c = _regularized_inverse(g, lam_diag)
         # The last kind takes C's storage for its student Gram or teacher.
         factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
                    for ki, kind in enumerate(kinds)]
         del c
         points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(),
-                                    config=EdlaeConfig(lam=lam, dropout_p=p, rank=k),
-                                    kind=full.kind)
+                                    config=cfg, kind=full.kind)
                        for full in factors for k in ks])
     return [model for same_kind_and_k in zip(*points) for model in same_kind_and_k]
 

@@ -135,10 +135,12 @@ def _decode_model(blob) -> LowRankModel:
         raise ModelFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ModelFormatError(f"unsupported version {version}, expected {VERSION}")
-    try:  # k >= 1, lambda finite and >= 0, 0 <= p < 1
-        config = EdlaeConfig(lam=lam, dropout_p=p, rank=int(k))
+    try:  # lambda finite and >= 0, 0 <= p < 1
+        config = EdlaeConfig(lam=lam, dropout_p=p)
     except (ValueError, InvalidDropout) as exc:
         raise ModelFormatError(f"header: {exc}") from None
+    if k < 1:
+        raise ModelFormatError(f"header: rank must be >= 1, got {k}")
     expected = _HEADER.size + 2 * n * k * 8
     if len(blob) != expected:
         raise ModelFormatError(f"payload is {len(blob)} bytes, expected {expected}")

@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 
-from edlae.baselines import ridge_low_rank
 from edlae.checks import teacher_and_student
 from edlae.closed_form import (
     EdlaeConfig,
@@ -16,6 +15,7 @@ from edlae.closed_form import (
     regularizer,
     student_projection,
     train_closed_form,
+    train_grid,
 )
 from edlae.dataset import SplitSpec, gram, split_strong_generalization
 from edlae.deepae import DEFAULT_ARCHS, init_params, se_and_gradients, verify_linear_bound
@@ -149,9 +149,9 @@ def test_near_optimality_vs_gradient_descent():
         x = binary_instance(seed, m=40, n=8, density=0.3)
         g = exact_gram(x)
         for k in (2, 4):
-            cfg = EdlaeConfig(lam=5.0, dropout_p=0.5, rank=k)
+            cfg = EdlaeConfig(lam=5.0, dropout_p=0.5)
             lam_diag = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-            obj_cf = edlae_objective(x, lam_diag, train_closed_form(g, cfg))
+            obj_cf = edlae_objective(x, lam_diag, train_closed_form(g, cfg, k))
             obj_gd = gd_min_uv(x, lam_diag, k, restarts=50, steps=2500, seed=seed * 97 + k)
             worst = max(worst, abs(obj_cf - obj_gd) / obj_gd)
     elapsed = time.perf_counter() - start
@@ -272,29 +272,24 @@ def test_large_rank_ordering_on_synthetic_data():
     matrix = synthetic_cluster_noise(seed=0)
     split = split_strong_generalization(matrix, SplitSpec(0.05, 0.05, 0.8, seed=10))
     g = gram(split.train)
-    diag = np.diag(g)
     lambdas = (1.0, 5.0, 25.0, 125.0, 625.0, 3125.0)
-    results = {}
-    for k in (150, 200, 250):
-        scores = {}
-        for family in ("edlae", "ridge"):
-            best = None
-            for lam in lambdas:
-                cfg = EdlaeConfig(lam=lam, dropout_p=0.5, rank=k)
-                lam_diag = regularizer(diag, lam, 0.5)
-                model = (
-                    train_closed_form(g, cfg)
-                    if family == "edlae"
-                    else ridge_low_rank(g, lam_diag, k, config=cfg)
-                )
-                val = ndcg_at_k(
-                    score_users(model, split.validation_foldin), split.validation_holdout, 100
-                )
-                if best is None or val.mean > best[0]:
-                    best = (val.mean, model)
-            test = ndcg_at_k(score_users(best[1], split.test_foldin), split.test_holdout, 100)
-            scores[family] = test.mean
-        results[k] = scores
+    ks = (150, 200, 250)
+    # One grid, as `edlae train --family both` trains it: the models come
+    # as one group of len(lambdas) per (family, k).
+    models = train_grid(g, ["edlae", "ridge"], ks, lambdas, [0.5])
+    results = {k: {} for k in ks}
+    for first in range(0, len(models), len(lambdas)):
+        best = None
+        for model in models[first:first + len(lambdas)]:
+            val = ndcg_at_k(
+                score_users(model, split.validation_foldin), split.validation_holdout, 100
+            )
+            if best is None or val.mean > best[0]:
+                best = (val.mean, model)
+        model = best[1]
+        test = ndcg_at_k(score_users(model, split.test_foldin), split.test_holdout, 100)
+        results[model.rank][model.kind] = test.mean
+    for k, scores in results.items():
         assert scores["edlae"] >= scores["ridge"], (k, scores)
     elapsed = time.perf_counter() - start
     margins = ", ".join(

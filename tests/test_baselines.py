@@ -62,9 +62,8 @@ class TestRidgeLowRank:
 
     def test_kind_and_config(self):
         g = exact_gram(binary_instance(3))
-        cfg = EdlaeConfig(lam=1.0, dropout_p=0.0, rank=2)
-        model = ridge_low_rank(g, regularizer(np.diag(g), 1.0, 0.0), 2, config=cfg)
-        assert model.kind == "ridge" and model.config == cfg
+        model = ridge_low_rank(g, regularizer(np.diag(g), 1.0, 0.0), 2)
+        assert model.kind == "ridge" and model.config is None
 
     def test_matches_gradient_descent_optimum(self):
         # the rank-k ridge projection is exact; the oracle confirms rather
@@ -106,10 +105,10 @@ class TestRidgeLowRank:
     def test_bit_equal_to_composed_chain_and_one_point_grid(self, n):
         g = exact_gram(binary_instance(30 + n, m=3 * n, n=n, density=0.3))
         lam = regularizer(np.diag(g), 2.0, 0.25)
-        cfg = EdlaeConfig(lam=2.0, dropout_p=0.25, rank=n // 3)
-        model = ridge_low_rank(g, lam, n // 3, config=cfg)
+        model = ridge_low_rank(g, lam, n // 3)
         oracle = composed_low_rank(g, lam, "ridge", n // 3)
         (point,) = train_grid(g, ["ridge"], [n // 3], [2.0], [0.25])
         for other in (oracle, point):
             assert np.array_equal(model.u, other.u) and np.array_equal(model.v, other.v)
-        assert point.config == model.config == cfg and point.kind == model.kind == "ridge"
+        assert point.config == EdlaeConfig(lam=2.0, dropout_p=0.25) and model.config is None
+        assert point.kind == model.kind == "ridge"

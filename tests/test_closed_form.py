@@ -1,5 +1,8 @@
 """Tests for the closed-form teacher-student trainer and its objective."""
 
+import dataclasses
+import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 import edlae
 from edlae import closed_form
+from edlae.baselines import ridge_low_rank
 from edlae.checks import teacher_and_student
 from edlae.closed_form import (
     EdlaeConfig,
@@ -45,9 +49,9 @@ class TestRegularizer:
         np.testing.assert_array_equal(regularizer(np.array([1.0, 1.0]), 0.0, 0.0), [0.0, 0.0])
 
     def test_invalid_dropout(self):
-        with pytest.raises(InvalidDropout):
+        with pytest.raises(InvalidDropout, match="dropout_p"):
             regularizer(np.ones(2), 1.0, 1.0)
-        with pytest.raises(InvalidDropout):
+        with pytest.raises(InvalidDropout, match="dropout_p"):
             regularizer(np.ones(2), 1.0, -0.1)
 
     def test_negative_lambda(self):
@@ -59,7 +63,7 @@ class TestRegularizer:
         with pytest.raises(ValueError, match="lam"):
             regularizer(np.ones(2), lam, 0.0)
         with pytest.raises(ValueError, match="lam"):
-            EdlaeConfig(lam=lam, dropout_p=0.5, rank=2)
+            EdlaeConfig(lam=lam, dropout_p=0.5)
 
 
 class TestFullRankTeacher:
@@ -253,13 +257,13 @@ class TestTrainClosedForm:
     def test_diagonal_gram_zero_model(self):
         g = np.diag([5.0, 2.0, 8.0])
         for k in (1, 2, 3):
-            model = train_closed_form(g, EdlaeConfig(lam=1.0, dropout_p=0.0, rank=k))
+            model = train_closed_form(g, EdlaeConfig(lam=1.0, dropout_p=0.0), k)
             np.testing.assert_allclose(model.u, 0.0, atol=1e-12)
 
     def test_config_attached(self):
         g = exact_gram(binary_instance(7))
-        cfg = EdlaeConfig(lam=2.0, dropout_p=0.5, rank=3)
-        model = train_closed_form(g, cfg)
+        cfg = EdlaeConfig(lam=2.0, dropout_p=0.5)
+        model = train_closed_form(g, cfg, 3)
         assert model.config == cfg and model.kind == "edlae" and model.rank == 3
 
     def test_full_rank_objective_equals_teacher(self):
@@ -267,7 +271,7 @@ class TestTrainClosedForm:
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.0, 0.25)
         teacher = full_rank_teacher(g, lam)
-        model = train_closed_form(g, EdlaeConfig(lam=1.0, dropout_p=0.25, rank=8))
+        model = train_closed_form(g, EdlaeConfig(lam=1.0, dropout_p=0.25), 8)
         obj_model = edlae_objective(x, lam, model)
         obj_teacher = edlae_objective(x, lam, LowRankModel(u=teacher, v=np.eye(8)))
         assert abs(obj_model - obj_teacher) <= 1e-8 * obj_teacher
@@ -279,7 +283,7 @@ class TestTrainClosedForm:
             g = exact_gram(x)
             lam = regularizer(np.diag(g), 1.0, 0.25)
             objs = [
-                edlae_objective(x, lam, train_closed_form(g, EdlaeConfig(1.0, 0.25, k)))
+                edlae_objective(x, lam, train_closed_form(g, EdlaeConfig(1.0, 0.25), k))
                 for k in (1, 2, 4, 8)
             ]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(objs, objs[1:]))
@@ -289,9 +293,9 @@ class TestTrainClosedForm:
         for seed in (0, 1):
             x = binary_instance(seed, m=40, n=8, density=0.3)
             g = exact_gram(x)
-            cfg = EdlaeConfig(lam=5.0, dropout_p=0.5, rank=2)
+            cfg = EdlaeConfig(lam=5.0, dropout_p=0.5)
             lam = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-            obj_cf = edlae_objective(x, lam, train_closed_form(g, cfg))
+            obj_cf = edlae_objective(x, lam, train_closed_form(g, cfg, 2))
             obj_gd = gd_min_uv(x, lam, 2, restarts=10, steps=2000, seed=seed)
             assert abs(obj_cf - obj_gd) <= 0.02 * obj_gd
 
@@ -313,13 +317,13 @@ class TestTrainGrid:
         kinds, ks, lambdas, ps = ["edlae", "ridge"], [2, 5, 9], [0.5, 4.0], [0.0, 0.5]
         models = train_grid(g, kinds, ks, lambdas, ps)
         # kind -> k -> lambda -> p, each grid point once
-        points = [(kind, EdlaeConfig(lam=lam, dropout_p=p, rank=k))
+        points = [(kind, k, EdlaeConfig(lam=lam, dropout_p=p))
                   for kind in kinds for k in ks for lam in lambdas for p in ps]
         assert len(models) == len(points)
-        for model, (kind, cfg) in zip(models, points):
-            assert model.kind == kind and model.config == cfg and model.rank == cfg.rank
-            assert model.u.shape == model.v.shape == (24, cfg.rank)
-            direct = train_closed_form(g, cfg, kind)
+        for model, (kind, k, cfg) in zip(models, points):
+            assert model.kind == kind and model.config == cfg and model.rank == k
+            assert model.u.shape == model.v.shape == (24, k)
+            direct = train_closed_form(g, cfg, k, kind)
             scale = np.abs(direct.matrix()).max()
             assert np.abs(model.matrix() - direct.matrix()).max() <= 1e-10 * scale
             lam = regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
@@ -341,8 +345,8 @@ class TestTrainGrid:
     @pytest.mark.parametrize("n", [12, 60])
     def test_train_closed_form_bit_equal_to_composed_chain_and_one_point_grid(self, kind, n):
         g = exact_gram(binary_instance(40 + n, m=3 * n, n=n, density=0.3))
-        cfg = EdlaeConfig(lam=2.0, dropout_p=0.25, rank=n // 3)
-        model = train_closed_form(g, cfg, kind)
+        cfg = EdlaeConfig(lam=2.0, dropout_p=0.25)
+        model = train_closed_form(g, cfg, n // 3, kind)
         oracle = composed_low_rank(g, regularizer(np.diag(g), 2.0, 0.25), kind, n // 3)
         (point,) = train_grid(g, [kind], [n // 3], [2.0], [0.25])
         for other in (oracle, point):
@@ -374,11 +378,39 @@ class TestTrainGrid:
         np.testing.assert_allclose(model.u, model.v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.v.T @ model.v, np.eye(5), atol=1e-12)
 
+    @pytest.mark.parametrize("kinds, ks, lambdas, ps, error, match", [
+        (["edlae"], [], [1.0], [0.25], DimensionMismatch, r"\[1, 12\], got \[\]"),
+        (["edlae", "ridge"], [0, 2], [1.0], [0.25], DimensionMismatch, r"got \[0, 2\]"),
+        (["edlae"], [-1], [1.0], [0.25], DimensionMismatch, r"got \[-1\]"),
+        (["edlae"], [13], [1.0], [0.25], DimensionMismatch, r"got \[13\]"),
+        (["lasso"], [2], [1.0], [0.25], ValueError, r"got \['lasso'\]"),
+        (["edlae", "lasso"], [2], [1.0], [0.25], ValueError, "'lasso'"),
+        ([], [2], [1.0], [0.25], ValueError, "kinds must be one or more"),
+        (["edlae"], [2], [1.0, -1.0], [0.25], ValueError, "lam must be"),
+        (["edlae"], [2], [1.0], [0.25, 1.0], InvalidDropout, "dropout_p"),
+    ], ids=["no-ks", "k-0", "k-negative", "k-above-n", "unknown-kind", "unknown-second-kind",
+            "no-kinds", "later-bad-lambda", "later-bad-p"])
+    def test_bad_grid_fails_before_factorizing(self, monkeypatch, kinds, ks, lambdas, ps, error,
+                                               match):
+        g = exact_gram(binary_instance(25, m=40, n=12))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sym_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(closed_form, "sym_inverse", counted)
+        with pytest.raises(error, match=match):
+            train_grid(g, kinds, ks, lambdas, ps)
+        assert calls == []
+        train_grid(g, ["edlae"], [2], [1.0], [0.25])  # the patch is in the chain
+        assert calls == [1]
+
     def test_single_point_equals_train_closed_form(self):
         g = exact_gram(binary_instance(19, m=60, n=12))
-        cfg = EdlaeConfig(lam=1.0, dropout_p=0.25, rank=4)
+        cfg = EdlaeConfig(lam=1.0, dropout_p=0.25)
         (model,) = train_grid(g, ["ridge"], [4], [1.0], [0.25])
-        direct = train_closed_form(g, cfg, "ridge")
+        direct = train_closed_form(g, cfg, 4, "ridge")
         np.testing.assert_allclose(model.u, direct.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.v, direct.v, rtol=0, atol=1e-12)
 
@@ -447,7 +479,7 @@ class TestObjective:
         x = binary_instance(14, m=50, n=10)
         g = exact_gram(x)
         lam = regularizer(np.diag(g), 1.5, 0.25)
-        model = train_closed_form(g, EdlaeConfig(lam=1.5, dropout_p=0.25, rank=4))
+        model = train_closed_form(g, EdlaeConfig(lam=1.5, dropout_p=0.25), 4)
         dense = edlae_objective(x, lam, model)
         from_gram = objective_from_gram(g, lam, model)
         assert abs(dense - from_gram) <= 1e-9 * dense
@@ -459,8 +491,8 @@ class TestObjective:
         lam = regularizer(np.diag(g), 2.0, 0.5)
         u, v = rng.standard_normal((16, 5)), rng.standard_normal((16, 5))
         models = [
-            train_closed_form(g, EdlaeConfig(2.0, 0.5, 5), "edlae"),
-            train_closed_form(g, EdlaeConfig(2.0, 0.5, 5), "ridge"),  # non-zero diagonal
+            train_closed_form(g, EdlaeConfig(2.0, 0.5), 5, "edlae"),
+            train_closed_form(g, EdlaeConfig(2.0, 0.5), 5, "ridge"),  # non-zero diagonal
             # arbitrary factors: U V^T has a non-zero diagonal that the
             # zero-diagonal family's objective removes and ridge's keeps
             LowRankModel(u=u, v=v, kind="edlae"),
@@ -490,9 +522,31 @@ class TestPublicApi:
         assert model.rank == model.u.shape[1] == 3
         g = exact_gram(binary_instance(23, m=40, n=10))
         for model in train_grid(g, ["edlae", "ridge"], [2, 4], [1.0], [0.25]):
-            assert model.rank == model.u.shape[1] == model.config.rank
+            assert model.rank == model.u.shape[1]
         with pytest.raises(TypeError):
             LowRankModel(u=np.zeros((5, 3)), v=np.zeros((5, 3)), rank=2)
+
+    def test_config_is_lambda_and_p(self):
+        assert [f.name for f in dataclasses.fields(EdlaeConfig)] == ["lam", "dropout_p"]
+        with pytest.raises(TypeError):
+            EdlaeConfig(lam=1.0, dropout_p=0.0, rank=3)
+
+    def test_ridge_low_rank_takes_no_config(self):
+        assert list(inspect.signature(ridge_low_rank).parameters) == ["g", "lam_diag", "k"]
+        assert ridge_low_rank(np.eye(4) * 3 + 1, np.ones(4), 2).config is None
+
+    def test_grid_models_of_one_point_share_one_config(self):
+        g = exact_gram(binary_instance(24, m=40, n=10))
+        kinds, ks, lambdas, ps = ["edlae", "ridge"], [2, 3, 7], [1.0, 4.0], [0.0, 0.25]
+        models = train_grid(g, kinds, ks, lambdas, ps)
+        points = list(itertools.product(kinds, ks, lambdas, ps))
+        assert len(models) == len(points)
+        configs = {}
+        for model, (kind, k, lam, p) in zip(models, points):
+            assert model.kind == kind and model.rank == model.u.shape[1] == k
+            assert configs.setdefault((lam, p), model.config) is model.config
+        assert configs == {(lam, p): EdlaeConfig(lam=lam, dropout_p=p)
+                           for lam in lambdas for p in ps}
 
     def test_every_exported_name_resolves(self):
         for name in edlae.__all__:

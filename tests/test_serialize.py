@@ -13,7 +13,7 @@ from edlae.serialize import load_model, read_record, save_model, write_atomic, w
 
 def make_model(kind="edlae", n=5, k=2, seed=0):
     rng = np.random.default_rng(seed)
-    cfg = EdlaeConfig(lam=2.5, dropout_p=0.25, rank=k)
+    cfg = EdlaeConfig(lam=2.5, dropout_p=0.25)
     return LowRankModel(
         u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)), config=cfg, kind=kind,
     )
