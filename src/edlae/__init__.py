@@ -22,6 +22,7 @@ from .closed_form import (
     student_projection,
     train_closed_form,
     train_grid,
+    train_regularized,
 )
 from .dataset import (
     EvalSplit,
@@ -91,6 +92,7 @@ __all__ = [
     "train_closed_form",
     "train_deep_ae",
     "train_grid",
+    "train_regularized",
     "truncate_svd",
     "verify_linear_bound",
 ]

@@ -34,7 +34,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import SVD_ORACLE_CAP, _mirror_lower, sym_inverse, top_k_eig
+from .linalg import SVD_ORACLE_CAP, _mirror_lower
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -399,7 +399,7 @@ def cmd_bench(opts):
     lam_diag = closed_form.regularizer(np.diag(g), 1.0, 0.0)
 
     # LAPACK runs through scipy.linalg; importing it before the timing loop
-    # keeps its import time out of the first inverse sample.
+    # keeps its import time out of the first chain sample.
     import scipy.linalg  # noqa: F401
 
     timings = {}
@@ -410,25 +410,15 @@ def cmd_bench(opts):
         timings.setdefault(stage, []).append(time.perf_counter() - t0)
         return result
 
-    # The stages of one (lambda, p) of an edlae `train`, through the functions
-    # train_grid calls: one inverse of a new G + Lambda, the student Gram in
-    # C's storage, one top-max(ks) eigendecomposition in the student Gram's
-    # storage, U from G V, and a column slice per rank.
+    # One (lambda, p) of an edlae `train`, as train_grid runs it: the chain
+    # at rank max(ks), then a column slice per rank.
     top = max(ks)
     for _ in range(repeats):
-        c = timed("inverse", lambda: sym_inverse(closed_form._regularized(g, lam_diag),
-                                                 overwrite_a=True))
-        student = timed("student gram from C", lambda: closed_form.student_gram(
-            c, g, lam_diag, overwrite_c=True))
-        del c
-        eig = timed(f"top-{top} eig", lambda: top_k_eig(student.m, top, overwrite_a=True))
-        u = timed(f"rank-{top} projection U from G V",
-                  lambda: closed_form._teacher_times(student, eig))
-        v = eig.eigenvectors
-        del student, eig
+        (model,) = timed(f"rank-{top} edlae chain (train_regularized)",
+                         lambda: closed_form.train_regularized(g, lam_diag, ["edlae"], top))
         for k in ks:
-            timed(f"slice top-{k} eig, rank-{k} projection",
-                  lambda: (u[:, :k].copy(), v[:, :k].copy()))
+            timed(f"rank-{k} slice", lambda: (model.u[:, :k].copy(), model.v[:, :k].copy()))
+        del model
 
     width = max(len(stage) for stage in timings)
     header = f"{'stage':{width}s} {'mean (s)':>10s} {'std (s)':>10s} {'runs':>5s}"
@@ -457,7 +447,7 @@ def build_parser():
         "train": (cmd_train, "closed-form training over a hyperparameter grid"),
         "eval": (cmd_eval, "ranking metrics of serialized models on the test split"),
         "verify": (cmd_verify, "numerical invariants and the deep-vs-linear bound"),
-        "bench": (cmd_bench, "wall-clock timings of the training stages"),
+        "bench": (cmd_bench, "wall-clock timings of the training chain"),
     }
     for command, (func, help_text) in commands.items():
         p = sub.add_parser(command, help=help_text)

@@ -28,8 +28,11 @@ is 0 at lambda = p = 0, so ridge keeps its teacher, B = I - C Lambda in C's
 storage, and U = B V.  ``full_rank_teacher`` returns B itself, for the
 checks and tests; every model is a ``LowRankModel``.
 
-Every trainer calls ``_projected`` (student Gram -> projection) on a C from
-``_regularized_inverse``.  ``train_grid`` returns the models of a
+``train_regularized(g, lam_diag, kinds, k)`` composes the chain once, for
+one regularizer diagonal: one C, then each family's student Gram and
+projection.  Every trainer calls it: ``train_grid`` once per (lambda, p),
+``baselines.ridge_low_rank`` for ridge at an explicit Lambda, and
+``edlae bench``.  ``train_grid`` returns the models of a
 (kind, k, lambda, p) grid as a list in that order, the order of
 ``edlae train``'s log, and ``train_closed_form`` is its one-point case.  The
 grid shares work: C depends only on (lambda, p), so one inverse serves both
@@ -59,6 +62,23 @@ from .linalg import _BLOCK_ROWS, _matmul, sym_inverse, top_k_eig
 # The family table: whether a family constrains (and its objective removes)
 # the model's diagonal.  Everything else follows from it.
 ZERO_DIAGONAL = {"edlae": True, "ridge": False}
+
+
+def _zero_diagonal(kind):
+    """ZERO_DIAGONAL[kind], the one read of the family table; an unknown
+    family raises ValueError before any O(n^2) work."""
+    if kind not in ZERO_DIAGONAL:
+        raise ValueError(f"kinds must be one or more of {list(ZERO_DIAGONAL)}, got {[kind]}")
+    return ZERO_DIAGONAL[kind]
+
+
+def _check_kinds_and_ranks(kinds, ks, n):
+    """Reject an empty ``kinds``, an unknown family, an empty ``ks`` and any
+    rank outside [1, n]: the checks a trainer makes before it factorizes."""
+    if not (len(kinds) and set(kinds) <= ZERO_DIAGONAL.keys()):
+        raise ValueError(f"kinds must be one or more of {list(ZERO_DIAGONAL)}, got {list(kinds)}")
+    if not 1 <= min(ks, default=0) <= max(ks, default=0) <= n:
+        raise DimensionMismatch(f"ks must be ranks in [1, {n}], got {list(ks)}")
 
 
 def _check_lam(lam):
@@ -129,28 +149,24 @@ def _check_square_match(g, lam_diag):
     return g, lam_diag
 
 
-def _regularized(g, lam_diag):
-    """A new array holding G + Lambda."""
-    zz = g.copy()
-    zz.flat[:: g.shape[0] + 1] += lam_diag
-    return zz
-
-
 def _regularized_inverse(g, lam_diag):
-    """C = (G + Lambda)^-1, factorized and inverted in one new buffer.
+    """C = (G + Lambda)^-1: G + Lambda is formed, factorized and inverted in
+    one new buffer.
 
     Raises NotPositiveDefinite when G + Lambda cannot be factorized, which
     signals the regularizer is too small.
     """
     g, lam_diag = _check_square_match(g, lam_diag)
-    return sym_inverse(_regularized(g, lam_diag), overwrite_a=True)
+    zz = g.copy()
+    zz.flat[:: g.shape[0] + 1] += lam_diag
+    return sym_inverse(zz, overwrite_a=True)
 
 
-def _teacher(c, lam_diag, kind, overwrite_c):
-    """Full-rank teacher B = I - C S of family ``kind`` and diag S, from the
-    inverse C = (G + Lambda)^-1.  With ``overwrite_c`` B is built in C's
-    storage, so C is no longer available to the caller."""
-    zero_diagonal = ZERO_DIAGONAL[kind]
+def _teacher(c, lam_diag, zero_diagonal, overwrite_c):
+    """Full-rank teacher B = I - C S and diag S of the family whose
+    ``zero_diagonal`` is given, from the inverse C = (G + Lambda)^-1.  With
+    ``overwrite_c`` B is built in C's storage, so C is no longer available
+    to the caller."""
     c_diag = np.diag(c).copy()
     scale = 1.0 / c_diag if zero_diagonal else lam_diag
     b = np.multiply(c, -scale[None, :], out=c if overwrite_c else None)
@@ -162,8 +178,10 @@ def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") 
     """Exact full-rank optimum B of family ``kind`` (a key of ZERO_DIAGONAL),
     built in the storage of a new C.  Raises NotPositiveDefinite as
     ``sym_inverse`` does."""
+    zero_diagonal = _zero_diagonal(kind)
     g, lam_diag = _check_square_match(g, lam_diag)
-    return _teacher(_regularized_inverse(g, lam_diag), lam_diag, kind, overwrite_c=True)[0]
+    return _teacher(_regularized_inverse(g, lam_diag), lam_diag, zero_diagonal,
+                    overwrite_c=True)[0]
 
 
 def _symmetrize(m):
@@ -205,12 +223,12 @@ def student_gram(c: np.ndarray, g: np.ndarray, lam_diag: np.ndarray, kind: str =
     ``overwrite_c``.  Ridge keeps B for its projection (``_teacher_times``),
     in C's storage with ``overwrite_c``, and builds M in a new buffer.
     """
+    zero_diagonal = _zero_diagonal(kind)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != np.shape(c):
         raise DimensionMismatch(f"inverse has shape {np.shape(c)}, Gram has {g.shape}")
     c, lam_diag = _check_square_match(c, lam_diag)
-    b, scale = _teacher(c, lam_diag, kind, overwrite_c)
-    zero_diagonal = ZERO_DIAGONAL[kind]
+    b, scale = _teacher(c, lam_diag, zero_diagonal, overwrite_c)
     m = np.multiply(b, -scale[:, None], out=b if zero_diagonal else None)
     m += g
     m.flat[:: g.shape[0] + 1] += lam_diag - scale
@@ -252,6 +270,21 @@ def student_projection(student: StudentGram, k: int, overwrite_m: bool = False) 
     return LowRankModel(u=_teacher_times(student, eig), v=eig.eigenvectors, kind=student.kind)
 
 
+def train_regularized(g: np.ndarray, lam_diag: np.ndarray, kinds, k: int) -> list[LowRankModel]:
+    """Rank-k models, with no config, of the families ``kinds`` for one
+    regularizer diagonal Lambda: the one place the chain is composed.
+    ``kinds`` and k are checked first.  One C = (G + Lambda)^-1 serves every
+    family, and the last builds its student Gram or teacher in C's storage.
+    Raises NotPositiveDefinite as ``sym_inverse`` does."""
+    g, lam_diag = _check_square_match(g, lam_diag)
+    _check_kinds_and_ranks(kinds, [k], len(g))
+    c = _regularized_inverse(g, lam_diag)
+    return [student_projection(student_gram(c, g, lam_diag, kind,
+                                            overwrite_c=ki == len(kinds) - 1), k,
+                               overwrite_m=True)
+            for ki, kind in enumerate(kinds)]
+
+
 def train_closed_form(g: np.ndarray, cfg: EdlaeConfig, k: int, kind: str = "edlae") -> LowRankModel:
     """Train a rank-k model of family ``kind`` from the Gram matrix alone:
     the one-point case of ``train_grid``, with ``cfg`` attached.  Raw
@@ -265,43 +298,30 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
     """Train every model of the grid kinds x ks x lambdas x ps.
 
     Returns the models in that order, kind varying slowest and p fastest,
-    which is the order of ``edlae train``'s log; the grid is checked first.
-    Each (lambda, p) is one ``EdlaeConfig``, shared by its models, and
-    factorizes G + Lambda once; each (lambda, p, kind) takes one top-max(ks)
-    eigendecomposition.  A rank-k model holds copies of the first k columns
-    of its U and V, equal to ``train_closed_form``'s up to rounding and bit
-    for bit at k = max(ks).  All n x n buffers of one (lambda, p) are freed,
-    and its models sliced, before the next G + Lambda is factorized.
+    which is the order of ``edlae train``'s log; the grid is checked first,
+    and an empty axis is an error.  Each (lambda, p) is one ``EdlaeConfig``,
+    shared by its models, and one ``train_regularized`` call at rank
+    max(ks), which factorizes G + Lambda once and takes one
+    eigendecomposition per kind.  A rank-k model holds copies of the first k
+    columns of its U and V, equal to ``train_closed_form``'s up to rounding
+    and bit for bit at k = max(ks).  All n x n buffers of one (lambda, p)
+    are freed, and its models sliced, before the next G + Lambda is
+    factorized.
     """
     g = np.asarray(g, dtype=np.float64)
-    if not (len(kinds) and set(kinds) <= ZERO_DIAGONAL.keys()):
-        raise ValueError(f"kinds must be one or more of {list(ZERO_DIAGONAL)}, got {list(kinds)}")
-    if not 1 <= min(ks, default=0) <= max(ks, default=0) <= len(g):
-        raise DimensionMismatch(f"ks must be ranks in [1, {len(g)}], got {list(ks)}")
+    _check_kinds_and_ranks(kinds, ks, len(g))
+    if not (len(lambdas) and len(ps)):
+        raise ValueError(f"lambdas and ps must each hold one or more values, got "
+                         f"{list(lambdas)} and {list(ps)}")
     configs = [EdlaeConfig(lam=lam, dropout_p=p) for lam, p in itertools.product(lambdas, ps)]
     g_diag = np.diag(g).copy()
-    top = max(ks)
     points = []  # per (lambda, p), in lambda -> p order: its models, kind -> k
     for cfg in configs:
         lam_diag = regularizer(g_diag, cfg.lam, cfg.dropout_p)
-        c = _regularized_inverse(g, lam_diag)
-        # The last kind takes C's storage for its student Gram or teacher.
-        factors = [_projected(c, g, lam_diag, kind, top, overwrite_c=ki == len(kinds) - 1)
-                   for ki, kind in enumerate(kinds)]
-        del c
         points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(),
                                     config=cfg, kind=full.kind)
-                       for full in factors for k in ks])
+                       for full in train_regularized(g, lam_diag, kinds, max(ks)) for k in ks])
     return [model for same_kind_and_k in zip(*points) for model in same_kind_and_k]
-
-
-def _projected(c, g, lam_diag, kind, k, overwrite_c):
-    """Rank-k model of family ``kind`` from C = (G + Lambda)^-1: student Gram
-    -> projection, the one place the chain is composed.  Frees its n x n
-    buffers; the eigensolver works in the student Gram's storage, which
-    stays allocated until U is formed."""
-    return student_projection(student_gram(c, g, lam_diag, kind, overwrite_c=overwrite_c), k,
-                              overwrite_m=True)
 
 
 def edlae_objective(x: np.ndarray, lam_diag: np.ndarray, model: LowRankModel) -> float:
@@ -313,6 +333,7 @@ def edlae_objective(x: np.ndarray, lam_diag: np.ndarray, model: LowRankModel) ->
     the zero-diagonal family and kept for ridge.  X is a dense array
     (``InteractionMatrix.to_dense()`` gives one).
     """
+    zero_diagonal = _zero_diagonal(model.kind)
     x = np.asarray(x, dtype=np.float64)
     lam_diag = np.asarray(lam_diag, dtype=np.float64)
     n, d = x.shape[1], model.matrix()
@@ -320,7 +341,7 @@ def edlae_objective(x: np.ndarray, lam_diag: np.ndarray, model: LowRankModel) ->
         raise DimensionMismatch(
             f"inconsistent shapes: {n} items, model {d.shape}, Lambda {lam_diag.shape}"
         )
-    if ZERO_DIAGONAL[model.kind]:
+    if zero_diagonal:
         d = d - np.diag(np.diag(d))
     resid = x - x @ d
     penalty = np.sqrt(lam_diag)[:, None] * d
@@ -342,6 +363,7 @@ def objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model: LowRankModel
 
     with diag(Z U V^T) the row sums of (Z U) * V.
     """
+    zero_diagonal = _zero_diagonal(model.kind)
     g, lam_diag = _check_square_match(g, lam_diag)
     n = g.shape[0]
     u, v = np.asarray(model.u, dtype=np.float64), np.asarray(model.v, dtype=np.float64)
@@ -352,7 +374,7 @@ def objective_from_gram(g: np.ndarray, lam_diag: np.ndarray, model: LowRankModel
     gu = g @ u
     zu = gu + lam_diag[:, None] * u
     objective = np.trace(g) - 2.0 * np.sum(gu * v) + np.sum((u.T @ zu) * (v.T @ v))
-    if ZERO_DIAGONAL[model.kind]:
+    if zero_diagonal:
         w = np.einsum("ij,ij->i", u, v)
         z_diag = np.diag(g) + lam_diag
         objective += (2.0 * np.dot(np.diag(g), w) - 2.0 * np.dot(w, np.einsum("ij,ij->i", zu, v))

@@ -315,12 +315,14 @@ def verify_linear_bound(m: int, n: int, ks, trials: int, restarts: int, steps: i
     Runs exactly ``trials`` trials, cycling round-robin through the
     (generator, architecture, k) grid with per-trial rng streams derived
     from (seed, trial index); each keeps the best of ``restarts`` runs.
-    Every k must satisfy k < min(m, n).  Trial failures are recorded in the
-    report, never raised.
+    ``ks`` must hold one or more ranks, each with 1 <= k < min(m, n).  Trial
+    failures are recorded in the report, never raised.
     """
     for k in ks:
         if not 1 <= k < min(m, n):
             raise ValueError(f"every k must satisfy 1 <= k < min(m, n) = {min(m, n)}, got {k}")
+    if not len(ks):
+        raise ValueError("ks must hold one or more ranks, got []")
     for name, count in (("trials", trials), ("restarts", restarts), ("steps", steps)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")

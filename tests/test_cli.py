@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process via main)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -845,8 +846,8 @@ class TestBench:
         code = main(["bench", "--n", "40", "--ks", "2,8", "--repeats", "2", "--out", str(out)])
         assert code == 0
         text = (out / "bench.txt").read_text()
-        assert "student gram from C" in text and "top-2 eig" in text
-        assert "rank-8 projection U from G V" in text
+        assert "rank-8 edlae chain (train_regularized)" in text
+        assert "rank-2 slice" in text and "rank-8 slice" in text
         assert "mean (s)" in capsys.readouterr().out
 
     def test_projection_stage_uses_the_trainers_product(self, monkeypatch):
@@ -875,16 +876,41 @@ class TestBench:
         assert not out.exists()
 
     def test_scipy_imported_before_first_sample(self):
-        # In a fresh process: the first timed inverse must not pay for the import.
+        # In a fresh process: the first timed chain must not pay for the
+        # import; its first LAPACK call is the inverse.
         code = """
 import sys
 import edlae.cli as cli
-seen, inverse = [], cli.sym_inverse
+from edlae import closed_form
+seen, inverse = [], closed_form.sym_inverse
 def probe(*args, **kwargs):
     seen.append("scipy.linalg" in sys.modules)
     return inverse(*args, **kwargs)
-cli.sym_inverse = probe
+closed_form.sym_inverse = probe
 assert cli.main(["bench", "--n", "20", "--ks", "2", "--repeats", "2"]) == 0
 print(seen)
 """
         assert TestNoScipy.run_python(code) == "[True, True]"
+
+    def test_times_the_trainers_chain_once_per_repeat_at_the_top_rank(self, monkeypatch):
+        ranks = []
+        train = edlae.closed_form.train_regularized
+        monkeypatch.setattr(edlae.closed_form, "train_regularized",
+                            lambda g, lam_diag, kinds, k: ranks.append((kinds, k))
+                            or train(g, lam_diag, kinds, k))
+        assert main(["bench", "--n", "20", "--ks", "2,5", "--repeats", "2"]) == 0
+        assert ranks == [(["edlae"], 5), (["edlae"], 5)]
+
+    def test_cli_composes_no_chain_stage_of_its_own(self):
+        # cli reaches the chain only through closed_form's public trainers
+        tree = ast.parse(open(edlae.cli.__file__, encoding="utf-8").read())
+        stages = {"sym_inverse", "top_k_eig", "student_gram", "student_projection"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not names & stages, names
+                if node.module == "closed_form":
+                    assert not any(name.startswith("_") for name in names), names
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "closed_form":
+                assert not node.attr.startswith("_") and node.attr not in stages, node.attr

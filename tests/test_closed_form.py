@@ -23,6 +23,7 @@ from edlae.closed_form import (
     student_projection,
     train_closed_form,
     train_grid,
+    train_regularized,
 )
 from edlae.errors import DimensionMismatch, InvalidDropout, NotPositiveDefinite
 from edlae.linalg import dense_svd, sym_inverse, truncate_svd
@@ -35,6 +36,19 @@ from oracles import (
     gd_restarts,
     gd_restarts_loop,
 )
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The calls the chain makes to ``sym_inverse``, one entry each."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sym_inverse(*args, **kwargs)
+
+    monkeypatch.setattr(closed_form, "sym_inverse", counted)
+    return calls
 
 
 class TestRegularizer:
@@ -388,23 +402,18 @@ class TestTrainGrid:
         ([], [2], [1.0], [0.25], ValueError, "kinds must be one or more"),
         (["edlae"], [2], [1.0, -1.0], [0.25], ValueError, "lam must be"),
         (["edlae"], [2], [1.0], [0.25, 1.0], InvalidDropout, "dropout_p"),
+        (["edlae"], [2], [], [0.25], ValueError, r"lambdas and ps .* got \[\] and \[0.25\]"),
+        (["edlae"], [2], [1.0], [], ValueError, r"lambdas and ps .* got \[1.0\] and \[\]"),
     ], ids=["no-ks", "k-0", "k-negative", "k-above-n", "unknown-kind", "unknown-second-kind",
-            "no-kinds", "later-bad-lambda", "later-bad-p"])
-    def test_bad_grid_fails_before_factorizing(self, monkeypatch, kinds, ks, lambdas, ps, error,
+            "no-kinds", "later-bad-lambda", "later-bad-p", "no-lambdas", "no-ps"])
+    def test_bad_grid_fails_before_factorizing(self, inverse_calls, kinds, ks, lambdas, ps, error,
                                                match):
         g = exact_gram(binary_instance(25, m=40, n=12))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return sym_inverse(*args, **kwargs)
-
-        monkeypatch.setattr(closed_form, "sym_inverse", counted)
         with pytest.raises(error, match=match):
             train_grid(g, kinds, ks, lambdas, ps)
-        assert calls == []
+        assert inverse_calls == []
         train_grid(g, ["edlae"], [2], [1.0], [0.25])  # the patch is in the chain
-        assert calls == [1]
+        assert inverse_calls == [1]
 
     def test_single_point_equals_train_closed_form(self):
         g = exact_gram(binary_instance(19, m=60, n=12))
@@ -413,6 +422,56 @@ class TestTrainGrid:
         direct = train_closed_form(g, cfg, 4, "ridge")
         np.testing.assert_allclose(model.u, direct.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.v, direct.v, rtol=0, atol=1e-12)
+
+
+class TestTrainRegularized:
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_bit_equal_to_train_closed_form_and_ridge_low_rank(self, n):
+        g = exact_gram(binary_instance(50 + n, m=3 * n, n=n, density=0.3))
+        lam = regularizer(np.diag(g), 2.0, 0.25)
+        models = train_regularized(g, lam, ["edlae", "ridge"], n // 3)
+        expected = [train_closed_form(g, EdlaeConfig(lam=2.0, dropout_p=0.25), n // 3),
+                    ridge_low_rank(g, lam, n // 3)]
+        assert [model.kind for model in models] == ["edlae", "ridge"]
+        for model, other in zip(models, expected, strict=True):
+            assert np.array_equal(model.u, other.u) and np.array_equal(model.v, other.v)
+            assert model.config is None
+
+    @pytest.mark.parametrize("train, error, match", [
+        (lambda g, lam: ridge_low_rank(g, lam, 0), DimensionMismatch, r"\[1, 300\], got \[0\]"),
+        (lambda g, lam: ridge_low_rank(g, lam, 301), DimensionMismatch, r"got \[301\]"),
+        (lambda g, lam: train_regularized(g, lam, ["edlae", "ridge"], 0), DimensionMismatch,
+         r"got \[0\]"),
+        (lambda g, lam: train_regularized(g, lam, ["edlae"], 301), DimensionMismatch,
+         r"got \[301\]"),
+        (lambda g, lam: train_regularized(g, lam, ["edlae", "lasso"], 2), ValueError, "'lasso'"),
+        (lambda g, lam: train_regularized(g, lam, [], 2), ValueError, "kinds must be one or more"),
+    ], ids=["ridge-k-0", "ridge-k-above-n", "k-0", "k-above-n", "unknown-kind", "no-kinds"])
+    def test_bad_call_fails_before_factorizing(self, inverse_calls, train, error, match):
+        g, lam = np.eye(300) * 3 + 1, np.ones(300)
+        with pytest.raises(error, match=match):
+            train(g, lam)
+        assert inverse_calls == []
+        ridge_low_rank(g, lam, 2)  # the patch is in the chain
+        assert inverse_calls == [1]
+
+
+class TestFamilyLookup:
+    @pytest.mark.parametrize("call", [
+        lambda g, lam, c, model: student_gram(c, g, lam, "lasso", overwrite_c=True),
+        lambda g, lam, c, model: full_rank_teacher(g, lam, "lasso"),
+        lambda g, lam, c, model: edlae_objective(np.eye(6), lam, model),
+        lambda g, lam, c, model: objective_from_gram(g, lam, model),
+    ], ids=["student_gram", "full_rank_teacher", "edlae_objective", "objective_from_gram"])
+    def test_unknown_kind_is_a_value_error_before_any_work(self, inverse_calls, call):
+        g, lam = exact_gram(binary_instance(26, m=20, n=6)), np.ones(6)
+        c = sym_inverse(g + np.eye(6))
+        kept = c.copy()
+        model = LowRankModel(u=np.ones((6, 2)), v=np.ones((6, 2)), kind="lasso")
+        with pytest.raises(ValueError, match=r"kinds must be one or more of \['edlae', 'ridge'\], "
+                                             r"got \['lasso'\]"):
+            call(g, lam, c, model)
+        assert inverse_calls == [] and np.array_equal(c, kept)
 
 
 class TestObjective:

@@ -187,18 +187,20 @@ class TestLinearBound:
             verify_linear_bound(m=10, n=8, ks=(2,), trials=trials, restarts=restarts, steps=1,
                                 lr=5e-4, seed=0)
 
-    @pytest.mark.parametrize("steps, lr, name", [
-        (0, 5e-4, "steps"),
-        (5, float("nan"), "lr"),
-        (5, float("inf"), "lr"),
-        (5, 0.0, "lr"),
-        (5, -5e-4, "lr"),
-    ])
-    def test_untrainable_steps_or_step_size_rejected(self, steps, lr, name):
+    @pytest.mark.parametrize("ks, steps, lr, name", [
+        ((2,), 0, 5e-4, "steps"),
+        ((2,), 5, float("nan"), "lr"),
+        ((2,), 5, float("inf"), "lr"),
+        ((2,), 5, 0.0, "lr"),
+        ((2,), 5, -5e-4, "lr"),
+        ((), 5, 5e-4, "ks"),
+    ], ids=["0-0.0005-steps", "5-nan-lr", "5-inf-lr", "5-0.0-lr", "5--0.0005-lr", "no-ks"])
+    def test_untrainable_steps_or_step_size_rejected(self, ks, steps, lr, name):
         # no step, or a step size that moves nothing or fails every step,
-        # reports untrained models, and the bound would pass on them
+        # reports untrained models, and the bound would pass on them; with
+        # no rank there is no trial to run
         with pytest.raises(ValueError, match=name):
-            verify_linear_bound(m=12, n=8, ks=(2,), trials=3, restarts=1, steps=steps, lr=lr,
+            verify_linear_bound(m=12, n=8, ks=ks, trials=3, restarts=1, steps=steps, lr=lr,
                                 seed=0)
 
     def test_report_jsonl(self, tmp_path):
