@@ -49,7 +49,7 @@ from .evaluate import (
     recall_at_k,
     score_users,
 )
-from .linalg import SvdResult, SymEigResult, dense_svd, sym_inverse, top_k_eig, truncate_svd
+from .linalg import SymEigResult, sym_inverse, top_k_eig
 from .serialize import load_model, save_model
 
 __version__ = "0.1.0"
@@ -64,10 +64,8 @@ __all__ = [
     "MetricResult",
     "SplitSpec",
     "StudentGram",
-    "SvdResult",
     "SymEigResult",
     "deep_ae_forward",
-    "dense_svd",
     "edlae_objective",
     "full_rank_teacher",
     "gram",
@@ -93,6 +91,5 @@ __all__ = [
     "train_deep_ae",
     "train_grid",
     "train_regularized",
-    "truncate_svd",
     "verify_linear_bound",
 ]

@@ -34,7 +34,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import SVD_ORACLE_CAP, _mirror_lower
+from .linalg import _mirror_lower
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -58,8 +58,8 @@ _int_list = functools.partial(_list, int)
 
 
 def _ranks(text):
-    """Ranks to train, none repeated: each (family, k) selects and saves one
-    model."""
+    """Ranks, none repeated: `train` selects and saves one model per
+    (family, k), and `bench` times one slice per rank."""
     ranks = _int_list(text)
     for k in ranks:
         if ranks.count(k) > 1:
@@ -103,13 +103,22 @@ def _step_size(text):
     return value
 
 
+def _model_id(path):
+    """A model's id in eval's rows: its file name without the extension."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _paths(value):
     """``--models a b`` gives a list, ``models = a,b`` a string.  The record
-    joins the list with commas, so no path may hold one."""
+    joins the list with commas, so no path may hold one, and eval's rows name
+    a model by its id, so no two paths may share one."""
     paths = value if isinstance(value, list) else _list(str.strip, value)
-    for path in paths:
+    ids = [_model_id(path) for path in paths]
+    for path, model_id in zip(paths, ids):
         if "," in path:
             raise ValueError(f"a path may not hold a comma, got {path!r}")
+        if ids.count(model_id) > 1:
+            raise ValueError(f"model id {model_id!r} is given more than once")
     return paths
 
 
@@ -169,7 +178,7 @@ OPTIONS = {
     ),
     "bench": (
         ("n", int, 1000),
-        ("ks", _int_list, [10, 100, 500]),
+        ("ks", _ranks, [10, 100, 500]),
         ("repeats", _at_least(1), 3),
         ("seed", _at_least(0), 0),
     ),
@@ -321,7 +330,7 @@ def cmd_eval(opts):
     rows = []
     for path in opts.models:
         model = serialize.load_model(path)
-        model_id = os.path.splitext(os.path.basename(path))[0]
+        model_id = _model_id(path)
         for res in evaluate.model_metrics(model, split.test_foldin, split.test_holdout):
             rows.append(
                 {
@@ -350,9 +359,6 @@ def cmd_eval(opts):
 
 def cmd_verify(opts):
     m, n = opts.m, opts.n
-    if min(m, n) > SVD_ORACLE_CAP:
-        raise ConfigError(f"min(--m, --n) = {min(m, n)} exceeds the dense SVD oracle's cap "
-                          f"{SVD_ORACLE_CAP}")
     for k in opts.ks:
         if not 1 <= k < min(m, n):
             raise ConfigError(f"--ks: k={k} must be in [1, min(m, n)={min(m, n)})")

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, Divergence
-from .linalg import dense_svd
 
 
 def _tanh(z):
@@ -226,7 +225,8 @@ def linear_ae_optimum(x: np.ndarray, k: int) -> float:
     m, n = x.shape
     if not 1 <= k < min(m, n):
         raise DimensionMismatch(f"k must satisfy 1 <= k < min{m, n}, got {k}")
-    return float(np.sum(dense_svd(x).singular[k:] ** 2))
+    _, singular, _ = np.linalg.svd(x, full_matrices=False)
+    return float(np.sum(singular[k:] ** 2))
 
 
 def _gen_gaussian(rng, m, n):

@@ -17,10 +17,6 @@ class NoConvergence(EdlaeError):
     """The symmetric eigensolver failed to converge."""
 
 
-class OracleCapExceeded(EdlaeError):
-    """A verification-only routine was called on an instance above its size cap."""
-
-
 class InvalidDropout(EdlaeError):
     """Dropout probability outside [0, 1)."""
 

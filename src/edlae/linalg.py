@@ -1,11 +1,11 @@
 """Dense symmetric linear algebra kernel.
 
-Positive-definite inversion, top-k symmetric eigendecomposition, and a dense
-SVD oracle used by the verification suites.  All arithmetic is 64-bit; every
-routine is a pure function and safe to call from multiple threads, except
-that ``sym_inverse`` and ``top_k_eig`` with ``overwrite_a=True`` reuse the
-caller's ``a`` as their workspace.  Checks and copies over n x n matrices
-run in blocks of ``_BLOCK_ROWS`` rows, so they need no n x n temporaries.
+Positive-definite inversion and top-k symmetric eigendecomposition.  All
+arithmetic is 64-bit; every routine is a pure function and safe to call
+from multiple threads, except that ``sym_inverse`` and ``top_k_eig`` with
+``overwrite_a=True`` reuse the caller's ``a`` as their workspace.  Checks
+and copies over n x n matrices run in blocks of ``_BLOCK_ROWS`` rows, so
+they need no n x n temporaries.
 ``scipy.linalg`` is imported by the routines that call LAPACK or BLAS, when
 they run, so importing this module does not load scipy.
 
@@ -24,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
-
-# dense_svd is a verification oracle, not a production path; refuse instances
-# whose smaller dimension exceeds this cap.
-SVD_ORACLE_CAP = 512
+from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
 _SYMMETRY_TOL = 1e-10
 _BLOCK_ROWS = 256
@@ -44,24 +40,6 @@ class SymEigResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``M = left @ diag(singular) @ right.T``, singular descending."""
-
-    left: np.ndarray
-    singular: np.ndarray
-    right: np.ndarray
-
-
-def _as_matrix(a, name="matrix"):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return a
 
 
 def _require_symmetric(a, name="matrix"):
@@ -192,33 +170,3 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SymEigResult(vals[::-1].copy(), _reverse_and_sign_columns(vecs))
-
-
-def dense_svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD of a dense matrix; verification oracle for small instances.
-
-    Raises OracleCapExceeded when min(m, n) is above SVD_ORACLE_CAP.
-    """
-    m = _as_matrix(m)
-    if min(m.shape) > SVD_ORACLE_CAP:
-        raise OracleCapExceeded(
-            f"dense_svd called on {m.shape[0]}x{m.shape[1]} instance, cap is {SVD_ORACLE_CAP}"
-        )
-    left, singular, right_t = np.linalg.svd(m, full_matrices=False)
-    right = right_t.T.copy()
-    # Deterministic sign choice keyed on the right vectors; flip pairs so the
-    # reconstruction is unchanged.
-    lead = np.argmax(np.abs(right), axis=0)
-    flip = right[lead, np.arange(right.shape[1])] < 0.0
-    right[:, flip] *= -1.0
-    left = left.copy()
-    left[:, flip] *= -1.0
-    return SvdResult(left, singular, right)
-
-
-def truncate_svd(s: SvdResult, k: int) -> np.ndarray:
-    """Best rank-k Frobenius approximation assembled from a thin SVD."""
-    r = s.singular.shape[0]
-    if not 0 <= k <= r:
-        raise DimensionMismatch(f"k must be in [0, {r}], got {k}")
-    return (s.left[:, :k] * s.singular[:k]) @ s.right[:, :k].T

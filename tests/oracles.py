@@ -7,7 +7,8 @@ one line at a time, fold-in scoring is a scipy sparse product, the ranking
 metrics enumerate full rankings in pure Python, and the factor-pair
 minimizer is multi-restart gradient descent on the written-out objective
 (restarts stacked in arrays, with the one-at-a-time loop kept as its
-bit-for-bit reference).  When a test compares the library against one of
+bit-for-bit reference), and the best rank-k approximation is numpy's SVD
+truncated.  When a test compares the library against one of
 these, the two sides share no code.  The one exception is the per-metric
 ranking path that ``evaluate.ranking_metrics`` replaced (``per_metric_*``):
 it reuses the library's top-list and input-check helpers, so that tests can
@@ -433,6 +434,13 @@ def binary_instance(seed, m=40, n=8, density=0.3) -> np.ndarray:
         if x[:, j].sum() == 0:
             x[rng.integers(m), j] = 1.0
     return x
+
+
+def truncated_svd(m: np.ndarray, k: int) -> np.ndarray:
+    """Best rank-k Frobenius approximation of ``m`` (Eckart-Young): its thin
+    SVD with all but the k largest singular values dropped."""
+    left, singular, right_t = np.linalg.svd(m, full_matrices=False)
+    return (left[:, :k] * singular[:k]) @ right_t[:k]
 
 
 def exact_gram(x: np.ndarray) -> np.ndarray:

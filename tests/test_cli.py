@@ -514,6 +514,22 @@ class TestEval:
         assert main([*args, str(run / "edlae_k2.model")]) == 0
         assert (out / "config.resolved.txt").exists()
 
+    def test_repeated_model_id_rejected_before_out(self, tmp_path, data_csv, capsys):
+        # rows name a model by its file name without the extension, so two
+        # runs' edlae_k2.model would give two edlae_k2 rows
+        split = ingest(tmp_path, data_csv)
+        for run, lam in (("run1", "0.5"), ("run2", "2.0")):
+            assert main(["train", "--split", str(split), "--out", str(tmp_path / run),
+                         "--ks", "2", "--lambdas", lam]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert main(["eval", "--split", str(split), "--out", str(out), "--models",
+                     str(tmp_path / "run1" / "edlae_k2.model"),
+                     str(tmp_path / "run2" / "edlae_k2.model")]) == 1
+        err = capsys.readouterr().err
+        assert "--models" in err and "'edlae_k2'" in err
+        assert not out.exists()
+
 
 class TestSplitFiles:
     def trained(self, tmp_path, data_csv):
@@ -814,8 +830,8 @@ class TestVerify:
         (["--ks", "0"], ["--ks"]),
         (["--ks", "2,-1"], ["--ks"]),
         (["--seed", "-1"], ["--seed"]),
-        # the dense SVD oracle refuses min(m, n) above its cap of 512
-        (["--m", "600", "--n", "513"], ["--m", "--n"]),
+        # every k must be below min(m, n) = 8, the only size rule
+        (["--ks", "8"], ["--ks"]),
     ])
     def test_run_that_trains_nothing_rejected_first(self, tmp_path, capsys, args, flags):
         # rejected before the invariant suite prints and before --out exists
@@ -825,6 +841,15 @@ class TestVerify:
         assert printed.out == ""
         assert all(flag in printed.err for flag in flags), printed.err
         assert not out.exists()
+
+    def test_runs_above_512(self, tmp_path, monkeypatch):
+        # no SVD size cap: min(m, n) = 513 trains and writes its report
+        monkeypatch.setattr(checks, "run_invariant_checks", canned_checks)
+        out = tmp_path / "verify"
+        assert main(["verify", "--m", "520", "--n", "513", "--ks", "2", "--trials", "1",
+                     "--steps", "1", "--restarts", "1", "--out", str(out)]) == 0
+        lines = (out / "bound_report.jsonl").read_text().splitlines()
+        assert len(lines) == 2 and json.loads(lines[-1])["passed"] is True
 
     def test_bound_report_is_strict_json(self, tmp_path, monkeypatch):
         # Infinity or NaN in bound_report.jsonl is not JSON
@@ -868,6 +893,16 @@ class TestBench:
         monkeypatch.setattr(os, "replace", replace)
         assert main(args) == 0  # no marker, so no --force needed
         assert {p.name for p in out.iterdir()} == {"bench.txt", "config.resolved.txt"}
+
+    def test_repeated_rank_rejected_before_out(self, tmp_path, capsys):
+        # each rank is one slice row; a repeat would merge two slices' runs
+        out = tmp_path / "bench"
+        assert main(["bench", "--n", "50", "--ks", "5,5", "--repeats", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--ks" in captured.err and "rank 5" in captured.err
+        assert not out.exists()
 
     def test_zero_repeats_rejected_before_out(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -26,7 +26,7 @@ from edlae.closed_form import (
     train_regularized,
 )
 from edlae.errors import DimensionMismatch, InvalidDropout, NotPositiveDefinite
-from edlae.linalg import dense_svd, sym_inverse, truncate_svd
+from edlae.linalg import sym_inverse
 
 from oracles import (
     binary_instance,
@@ -35,6 +35,7 @@ from oracles import (
     gd_min_uv,
     gd_restarts,
     gd_restarts_loop,
+    truncated_svd,
 )
 
 
@@ -229,10 +230,9 @@ class TestStudentProjection:
         teacher, student = teacher_and_student(g, lam)
         z = np.vstack([x, np.diag(np.sqrt(lam))])
         zb = z @ teacher
-        svd = dense_svd(zb)
         for k in (1, 2, 3):
             model = student_projection(student, k)
-            diff = np.linalg.norm(z @ model.matrix() - truncate_svd(svd, k))
+            diff = np.linalg.norm(z @ model.matrix() - truncated_svd(zb, k))
             assert diff <= 1e-8 * np.linalg.norm(zb)
 
     def test_v_columns_orthonormal(self):
@@ -615,4 +615,12 @@ class TestPublicApi:
     @pytest.mark.parametrize("name", ["FullRankModel", "teacher_from_inverse"])
     def test_removed_teacher_types_are_gone(self, name):
         assert not hasattr(edlae, name) and not hasattr(closed_form, name)
+        assert name not in edlae.__all__
+
+    @pytest.mark.parametrize("name", ["dense_svd", "truncate_svd", "SvdResult", "_as_matrix",
+                                      "SVD_ORACLE_CAP", "OracleCapExceeded"])
+    def test_removed_svd_wrapper_is_gone(self, name):
+        # the two SVD callers call np.linalg.svd directly
+        for module in (edlae, edlae.linalg, edlae.errors):
+            assert not hasattr(module, name), (module.__name__, name)
         assert name not in edlae.__all__

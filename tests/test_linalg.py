@@ -1,4 +1,5 @@
-"""Tests for the dense symmetric kernel: inversion, top-k eig, SVD oracle."""
+"""Tests for the dense symmetric kernel (inversion, top-k eig) and for the
+truncated-SVD oracle the projection tests compare against."""
 
 import tracemalloc
 
@@ -7,8 +8,10 @@ import pytest
 import scipy.linalg
 
 from edlae import linalg
-from edlae.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, OracleCapExceeded
-from edlae.linalg import SVD_ORACLE_CAP, SvdResult, dense_svd, sym_inverse, top_k_eig, truncate_svd
+from edlae.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from edlae.linalg import sym_inverse, top_k_eig
+
+from oracles import truncated_svd
 
 
 def random_symmetric(rng, n):
@@ -319,65 +322,49 @@ class TestTopKEig:
 
 
 class TestDenseSvd:
+    """numpy's thin SVD as ``linear_ae_optimum`` reads it: singular values
+    non-negative and descending, so ``singular[k:]`` are the discarded ones."""
+
     def test_diagonal(self):
-        res = dense_svd(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(res.singular, [2.0, 1.0], atol=1e-14)
+        singular = np.linalg.svd(np.diag([2.0, 1.0]), full_matrices=False)[1]
+        np.testing.assert_allclose(singular, [2.0, 1.0], atol=1e-14)
 
     def test_zero_matrix(self):
-        res = dense_svd(np.zeros((3, 4)))
-        np.testing.assert_allclose(res.singular, 0.0, atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((5, 4))
-        res = dense_svd(m)
-        rebuilt = (res.left * res.singular) @ res.right.T
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
-
-    def test_orthonormal_factors(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((7, 5))
-        res = dense_svd(m)
-        np.testing.assert_allclose(res.left.T @ res.left, np.eye(5), atol=1e-10)
-        np.testing.assert_allclose(res.right.T @ res.right, np.eye(5), atol=1e-10)
-
-    def test_cap(self):
-        with pytest.raises(OracleCapExceeded):
-            dense_svd(np.ones((514, SVD_ORACLE_CAP + 1)))
+        singular = np.linalg.svd(np.zeros((3, 4)), full_matrices=False)[1]
+        np.testing.assert_allclose(singular, 0.0, atol=1e-14)
 
     def test_descending_order(self):
         rng = np.random.default_rng(12)
-        res = dense_svd(rng.standard_normal((8, 6)))
-        assert (np.diff(res.singular) <= 0).all()
-        assert (res.singular >= 0).all()
+        singular = np.linalg.svd(rng.standard_normal((8, 6)), full_matrices=False)[1]
+        assert (np.diff(singular) <= 0).all()
+        assert (singular >= 0).all()
 
 
 class TestTruncateSvd:
+    """The Eckart-Young oracle the projection tests compare against."""
+
     def test_diagonal_rank1(self):
-        res = dense_svd(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(truncate_svd(res, 1), np.diag([2.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(truncated_svd(np.diag([2.0, 1.0]), 1), np.diag([2.0, 0.0]),
+                                   atol=1e-14)
 
     def test_full_rank_exact(self):
         rng = np.random.default_rng(13)
         m = rng.standard_normal((6, 5))
-        res = dense_svd(m)
-        np.testing.assert_allclose(truncate_svd(res, 5), m, atol=1e-12)
+        np.testing.assert_allclose(truncated_svd(m, 5), m, atol=1e-12)
 
     def test_discarded_singular_values(self):
         rng = np.random.default_rng(14)
         m = rng.standard_normal((6, 5))
-        res = dense_svd(m)
-        approx = truncate_svd(res, 2)
+        approx = truncated_svd(m, 2)
         err2 = np.linalg.norm(m - approx) ** 2
-        expected = float(np.sum(res.singular[2:] ** 2))
+        expected = float(np.sum(np.linalg.svd(m, full_matrices=False)[1][2:] ** 2))
         assert abs(err2 - expected) <= 1e-10 * expected
 
     def test_beats_random_factor_pairs(self):
         rng = np.random.default_rng(15)
         m = rng.standard_normal((8, 6))
-        res = dense_svd(m)
         for k in (1, 2, 3):
-            best = np.linalg.norm(m - truncate_svd(res, k))
+            best = np.linalg.norm(m - truncated_svd(m, k))
             for _ in range(20):
                 a = rng.standard_normal((8, k))
                 b = rng.standard_normal((6, k))
@@ -387,13 +374,8 @@ class TestTruncateSvd:
         # X @ V_k V_k^T reproduces the truncated SVD
         rng = np.random.default_rng(16)
         m = rng.standard_normal((9, 7))
-        res = dense_svd(m)
+        right_t = np.linalg.svd(m, full_matrices=False)[2]
         for k in (1, 3, 5):
-            v_k = res.right[:, :k]
-            diff = np.linalg.norm(m @ v_k @ v_k.T - truncate_svd(res, k))
+            v_k = right_t[:k].T
+            diff = np.linalg.norm(m @ v_k @ v_k.T - truncated_svd(m, k))
             assert diff <= 1e-9 * np.linalg.norm(m)
-
-    def test_k_too_large(self):
-        res = dense_svd(np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            truncate_svd(res, 4)
