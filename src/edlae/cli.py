@@ -29,6 +29,7 @@ import numpy as np
 from . import checks, closed_form, dataset, deepae, evaluate, serialize
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     Divergence,
     EdlaeError,
     NoConvergence,
@@ -327,9 +328,13 @@ def cmd_train(opts):
 def cmd_eval(opts):
     out = _prepare_out_dir(opts.out, opts.force)
     split, _, _ = dataset.load_split_artifacts(opts.split, ("test",))
+    num_items = split.test_foldin.num_items
     rows = []
     for path in opts.models:
         model = serialize.load_model(path)
+        if model.u.shape[0] != num_items:
+            raise DimensionMismatch(f"{path}: model covers {model.u.shape[0]} items, split "
+                                    f"{opts.split} has {num_items}")
         model_id = _model_id(path)
         for res in evaluate.model_metrics(model, split.test_foldin, split.test_holdout):
             rows.append(

@@ -19,12 +19,14 @@ the first ``cutoff`` items of each ranking are formed: argpartition selects
 each row's top-cutoff candidates, and only those are sorted.  A row where an
 item tied with the cutoff-th score falls outside the candidates is fully
 sorted instead, so the tie rule holds exactly.  Rows are scored and ranked a
-block at a time: ``model_metrics`` scores, masks and ranks each block of
-users before it scores the next, and ``ranking_metrics`` ranks row blocks of
-a given score matrix.  A block's top lists are checked against the holdout
-in one reused (block rows x items) relevance mask, so neither the scores,
-the top lists nor the mask are ever held for all users at once; only ``X U``
-and a (users x cutoff) boolean gain matrix are.
+block at a time: ``model_metrics`` folds in, scores, masks, ranks and
+reduces each block of users before it folds in the next, and
+``ranking_metrics`` ranks and reduces row blocks of a given score matrix.  A
+block's top lists are checked against the holdout in one reused (block rows
+x items) relevance mask, and its per-user metrics are read off one
+rank-order cumulative sum of its hits and of its discounted gains.  So
+neither ``X U``, the scores, the top lists, the mask nor the gains are ever
+held for all users at once; only one float64 per user per metric is.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .closed_form import LowRankModel
 from .dataset import InteractionMatrix
 from .errors import DimensionMismatch, EmptyHoldout
 
-# Users scored and ranked at a time: bounds the score block and the
-# temporaries of the top-list selection.
+# Users folded in, scored and ranked at a time: bounds the block of X U, the
+# score block and the temporaries of the top-list selection.
 _BLOCK_ROWS = 256
 # Values of X U (rows times rank) summed at a time by the fold-in product.
 _FOLD_IN_BLOCK = 1 << 15
@@ -79,23 +81,32 @@ def _score_blocks(model, foldin, out=None):
     """Yield ``(lo, scores)`` per block of _BLOCK_ROWS users from ``lo``:
     ``(X U)[lo:hi] @ V.T`` with the block's fold-in entries set to -inf.
 
-    This is the one definition of a score.  ``X U`` (users x rank) is formed
-    once.  Each block's product is written into rows lo:hi of ``out`` when it
-    is given, else into one block buffer that the next block overwrites.
+    This is the one definition of a score.  ``(X U)[lo:hi]`` is folded in
+    from the block's own fold-in triples; a user's row of ``X U`` does not
+    depend on the other users, so it equals the row of the whole product.
+    Each block's product is written into rows lo:hi of ``out`` when it is
+    given, else into one block buffer that the next block overwrites.
     """
     _check_model(model, foldin)
-    xu = _fold_in(foldin, model.u)
     v_t = model.v.T
     num_users = foldin.num_users
     if out is None:
         buffer = np.empty((min(_BLOCK_ROWS, num_users), v_t.shape[1]))
     for lo in range(0, num_users, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, num_users)
-        block = np.matmul(xu[lo:hi], v_t, out=buffer[:hi - lo] if out is None else out[lo:hi])
-        entries = slice(*np.searchsorted(foldin.users, (lo, hi)))
-        block[foldin.users[entries] - lo, foldin.items[entries]] = -np.inf
+        rows = _user_rows(foldin, lo, hi)
+        block = np.matmul(_fold_in(rows, model.u), v_t,
+                          out=buffer[:hi - lo] if out is None else out[lo:hi])
+        block[rows.users, rows.items] = -np.inf
         _check_no_nan(block)
         yield lo, block
+
+
+def _user_rows(matrix, lo, hi):
+    """Users lo:hi of ``matrix`` as a matrix of hi - lo users from 0."""
+    entries = slice(*np.searchsorted(matrix.users, (lo, hi)))
+    return InteractionMatrix(hi - lo, matrix.num_items, matrix.users[entries] - lo,
+                             matrix.items[entries], matrix.values[entries], matrix.binarized)
 
 
 def _fold_in(foldin, u):
@@ -148,9 +159,9 @@ def _check_eval_inputs(scores, holdout):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise DimensionMismatch("scores must be 2-d (users x items)")
-    counts = _check_holdout(scores.shape, holdout)
+    _check_holdout(scores.shape, holdout)
     _check_no_nan(scores)
-    return scores, counts
+    return scores
 
 
 def _check_no_nan(scores):
@@ -159,17 +170,15 @@ def _check_no_nan(scores):
 
 
 def _check_holdout(shape, holdout):
-    """The holdout's per-user counts, if it fits a ``shape`` score matrix
-    and every user holds an item."""
+    """Reject a holdout that does not fit a ``shape`` score matrix or has a
+    user without an item."""
     if (holdout.num_users, holdout.num_items) != shape:
         raise DimensionMismatch(
             f"scores shape {shape} does not match holdout "
             f"({holdout.num_users}, {holdout.num_items})"
         )
-    counts = holdout.user_counts()
-    if holdout.num_users == 0 or counts.min(initial=1) == 0:
+    if holdout.num_users == 0 or holdout.user_counts().min(initial=1) == 0:
         raise EmptyHoldout("every scored user needs at least one holdout item")
-    return counts
 
 
 def _top_lists(scores, cutoff):
@@ -182,7 +191,10 @@ def _top_lists(scores, cutoff):
     stably by descending score, it is the row's exact top list unless an
     item tied with the boundary (the width-th best) score was left out.
     Such rows, including rows with fewer than width finite scores, are
-    ranked by a full stable sort instead.
+    ranked by a full stable sort instead.  Candidates are sorted by score
+    with numpy's default (unstable) sort, which orders distinct scores the
+    same way; only rows where two sorted candidate scores are equal are
+    sorted again stably.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
@@ -192,7 +204,12 @@ def _top_lists(scores, cutoff):
     cand = np.argpartition(scores, n - width, axis=1)[:, -width:].copy()  # frees the rest
     cand.sort(axis=1)
     cand_scores = scores[rows, cand]
-    order = np.argsort(-cand_scores, axis=1, kind="stable")
+    neg = -cand_scores
+    order = np.argsort(neg, axis=1)
+    ranked = np.take_along_axis(neg, order, axis=1)
+    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
     top = cand[rows, order]
     boundary = cand_scores[rows, order[:, -1:]]
     ties = np.count_nonzero(scores == boundary, axis=1)
@@ -236,10 +253,10 @@ def ranking_metrics(
     the fraction of holdout items retrieved in the top ``cutoff``, normalized
     by min(cutoff, #holdout) so a full retrieval scores 1.
     """
-    scores, counts = _check_eval_inputs(scores, holdout)
+    scores = _check_eval_inputs(scores, holdout)
     _check_metrics(metrics)
     blocks = ((lo, scores[lo:lo + _BLOCK_ROWS]) for lo in range(0, scores.shape[0], _BLOCK_ROWS))
-    return _rank_blocks(blocks, holdout, counts, metrics)
+    return _rank_blocks(blocks, holdout, metrics)
 
 
 def model_metrics(
@@ -251,52 +268,58 @@ def model_metrics(
     """``ranking_metrics(score_users(model, foldin), holdout, metrics)``,
     without the (users x items) score matrix.
 
-    Each block of users is scored, masked, checked for NaN and ranked before
-    the next is scored, so besides ``X U`` only the (users x max cutoff)
-    boolean gains are held for all users.  Dimensions, empty holdouts and
-    ``metrics`` are checked before any scoring.
+    Each block of users is folded in, scored, masked, checked for NaN, ranked
+    and reduced to its per-user metrics before the next is folded in, so only
+    one float64 per user per metric is held for all users.  Dimensions, empty
+    holdouts and ``metrics`` are checked before any scoring.
     """
     _check_model(model, foldin)
-    counts = _check_holdout((foldin.num_users, model.v.shape[0]), holdout)
+    _check_holdout((foldin.num_users, model.v.shape[0]), holdout)
     _check_metrics(metrics)
-    return _rank_blocks(_score_blocks(model, foldin), holdout, counts, metrics)
+    return _rank_blocks(_score_blocks(model, foldin), holdout, metrics)
 
 
-def _rank_blocks(blocks, holdout, counts, metrics):
+def _rank_blocks(blocks, holdout, metrics):
     """The ranking of ranking_metrics over ``(lo, scores of rows lo:hi)``
-    blocks that cover the holdout's users in order."""
-    n = holdout.num_items
-    gains = _gains(blocks, holdout, min(max(cutoff for _, cutoff in metrics), n))
-    results = []
-    for name, cutoff in metrics:
-        width = min(cutoff, n)
-        if name == "ndcg":
-            discounts = 1.0 / np.log2(np.arange(2, width + 2))
-            idcg = np.concatenate([[0.0], np.cumsum(discounts)])[np.minimum(counts, width)]
-            per_user = (gains[:, :width] @ discounts) / idcg
-        else:
-            per_user = gains[:, :width].sum(axis=1) / np.minimum(counts, cutoff)
-        results.append(_aggregate(name, cutoff, per_user))
-    return results
+    blocks that cover the holdout's users in order.
 
-
-def _gains(blocks, holdout, width):
-    """gains[u, r]: the item at rank r of user u's top list is a holdout item.
-
-    The last block and its top list are released on return, before the
-    metrics are formed from the gains.
+    Each block's gains (its top lists' hits) are reduced to its users'
+    metrics before the next block is ranked.
     """
-    num_users, n = holdout.num_users, holdout.num_items
-    gains = np.empty((num_users, width), dtype=bool)
-    rel = np.zeros((min(_BLOCK_ROWS, num_users), n), dtype=bool)
+    n = holdout.num_items
+    discounts = 1.0 / np.log2(np.arange(2, min(max(cutoff for _, cutoff in metrics), n) + 2))
+    per_user = [np.empty(holdout.num_users) for _ in metrics]
+    rel = np.zeros((min(_BLOCK_ROWS, holdout.num_users), n), dtype=bool)
     for lo, scores in blocks:
         hi = lo + scores.shape[0]
-        entries = slice(*np.searchsorted(holdout.users, (lo, hi)))
-        rows, items = holdout.users[entries] - lo, holdout.items[entries]
-        rel[rows, items] = True
-        gains[lo:hi] = np.take_along_axis(rel[:hi - lo], _top_lists(scores, width), axis=1)
-        rel[rows, items] = False
-    return gains
+        held = _user_rows(holdout, lo, hi)
+        rel[held.users, held.items] = True
+        gains = np.take_along_axis(rel[:hi - lo], _top_lists(scores, discounts.size), axis=1)
+        rel[held.users, held.items] = False
+        _reduce_block(gains, held.user_counts(), metrics, discounts,
+                      [values[lo:hi] for values in per_user])
+    return [_aggregate(name, cutoff, values) for (name, cutoff), values in zip(metrics, per_user)]
+
+
+def _reduce_block(gains, counts, metrics, discounts, out):
+    """Write each metric's values for one block's users into its ``out`` array.
+
+    ``gains`` are the block's top lists' hits and ``counts`` its users'
+    holdout sizes.  The DCG at every cutoff is a column of one rank-order
+    cumulative sum of the hits' discounts, so each hit's discount is added in
+    rank order; every recall's hit count is a column of one cumulative count.
+    These block-sized temporaries are freed on return, before the next block
+    is scored.
+    """
+    dcg = np.cumsum(gains * discounts, axis=1)
+    hits = np.cumsum(gains, axis=1)
+    ideal = np.concatenate([[0.0], np.cumsum(discounts)])  # ideal[h]: DCG of h leading hits
+    for (name, cutoff), values in zip(metrics, out):
+        at = min(cutoff, gains.shape[1])
+        if name == "ndcg":
+            np.divide(dcg[:, at - 1], ideal[np.minimum(counts, at)], out=values)
+        else:
+            np.divide(hits[:, at - 1], np.minimum(counts, cutoff), out=values)
 
 
 def ndcg_at_k(scores: np.ndarray, holdout: InteractionMatrix, cutoff: int = 100) -> MetricResult:

@@ -235,15 +235,18 @@ def brute_recall(scores, holdout_sets, cutoff) -> list:
 
 def per_metric_ndcg(scores, holdout: InteractionMatrix, cutoff: int = 100) -> MetricResult:
     """nDCG as evaluate.ndcg_at_k computed it before ranking_metrics: its
-    own top list and a dense users x items relevance mask per call."""
-    scores, counts = _check_eval_inputs(scores, holdout)
+    own top list and a dense users x items relevance mask per call.  Each
+    user's DCG adds the discounts of its hits one at a time in rank order,
+    as ``brute_ndcg`` does."""
+    scores = _check_eval_inputs(scores, holdout)
+    counts = holdout.user_counts()
     num_users = scores.shape[0]
     top = _top_lists(scores, cutoff)
     rel = np.zeros(scores.shape, dtype=bool)
     rel[holdout.users, holdout.items] = True
     gains = rel[np.arange(num_users)[:, None], top]
     discounts = 1.0 / np.log2(np.arange(2, top.shape[1] + 2))
-    dcg = gains @ discounts
+    dcg = np.array([sum(discounts[hits], 0.0) for hits in gains])
     ideal_hits = np.minimum(counts, top.shape[1])
     idcg = np.concatenate([[0.0], np.cumsum(discounts)])[ideal_hits]
     return _aggregate("ndcg", cutoff, dcg / idcg)
@@ -251,7 +254,8 @@ def per_metric_ndcg(scores, holdout: InteractionMatrix, cutoff: int = 100) -> Me
 
 def per_metric_recall(scores, holdout: InteractionMatrix, cutoff: int) -> MetricResult:
     """Recall as evaluate.recall_at_k computed it before ranking_metrics."""
-    scores, counts = _check_eval_inputs(scores, holdout)
+    scores = _check_eval_inputs(scores, holdout)
+    counts = holdout.user_counts()
     num_users = scores.shape[0]
     top = _top_lists(scores, cutoff)
     rel = np.zeros(scores.shape, dtype=bool)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import edlae
 from edlae import checks, serialize
 from edlae.cli import main
+from edlae.closed_form import EdlaeConfig, LowRankModel
 from edlae.dataset import (
     SPLIT_FILES,
     SplitSpec,
@@ -460,6 +461,28 @@ class TestEval:
         assert main(["eval", "--split", str(split), "--out", str(out), "--models",
                      str(run / "edlae_k2.model"), str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: bad magic b'XXXX'\n"
+        assert not (out / "config.resolved.txt").exists()
+
+    def test_model_that_does_not_fit_the_split_is_named(self, tmp_path, data_csv, capsys,
+                                                         monkeypatch):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        wide = tmp_path / "wide.model"  # 9 items against the split's 8
+        serialize.save_model(wide, LowRankModel(u=np.ones((9, 2)), v=np.ones((9, 2)),
+                                                config=EdlaeConfig(lam=1.0, dropout_p=0.25)))
+        scored = []
+        score_blocks = edlae.evaluate._score_blocks
+        monkeypatch.setattr(edlae.evaluate, "_score_blocks",
+                            lambda model, *args: scored.append(model.u.shape[0])
+                            or score_blocks(model, *args))
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert main(["eval", "--split", str(split), "--out", str(out), "--models",
+                     str(run / "edlae_k2.model"), str(wide)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {wide}: model covers 9 items, split {split} has 8\n")
+        assert scored == [8]  # the first model is scored, the second is not
         assert not (out / "config.resolved.txt").exists()
 
     def test_each_user_ranked_once_per_model(self, tmp_path, data_csv, monkeypatch):

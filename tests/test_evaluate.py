@@ -498,6 +498,24 @@ class TestRankingMetrics:
         scores, holdout = tied_case(rng, 601, 130, 6, 0.1, 5)
         assert_same_results(ranking_metrics(scores, holdout, metrics), scores, holdout, metrics)
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    def test_ndcg_equals_brute_force_exactly(self, monkeypatch, block_rows):
+        # DCG adds each hit's discount in rank order, as brute_ndcg does, in
+        # every block size; ties straddle the cutoffs, and some entries and
+        # whole rows are masked.  Users hold up to 25 of the 60 items.
+        monkeypatch.setattr(evaluate, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(11)
+        scores, _ = tied_case(rng, 300, 60, 5, 0.2, 4)
+        scores[:100] += rng.standard_normal((100, 60))  # and rows with no ties
+        holdout = interactions(300, 60, [(u, int(i)) for u in range(300)
+                                         for i in rng.choice(60, size=int(rng.integers(1, 26)),
+                                                             replace=False)])
+        sets = holdout_sets(holdout)
+        cutoffs = (1, 7, 20, 60, 100)
+        results = ranking_metrics(scores, holdout, [("ndcg", c) for c in cutoffs])
+        for cutoff, res in zip(cutoffs, results):
+            assert res.per_user.tolist() == brute_ndcg(scores, sets, cutoff)
+
     def test_default_metrics(self):
         rng = np.random.default_rng(5)
         scores, holdout = tied_case(rng, 40, 60, 3, 0.2, 2)
@@ -685,18 +703,34 @@ class TestModelMetrics:
             evaluate.model_metrics(model, interactions(1, 2, [(0, 0)]),
                                    interactions(1, 2, [(0, 1)]), (("precision", 10),))
 
-    def test_holds_no_score_matrix(self):
-        # a users x n float64 score matrix would be users * n * 8 bytes
-        users, n, k = 3000, 500, 8
+    @staticmethod
+    def traced_peak(users, n, k):
+        """tracemalloc's peak over model_metrics with the default metrics for
+        ``users`` users, each with about 2% of the n items folded in and one
+        holdout item."""
         rng = np.random.default_rng(0)
         model = LowRankModel(u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)))
         mask = rng.random((users, n)) < 0.02
         foldin = foldin_matrix(mask, np.ones(int(mask.sum())))
-        holdout = interactions(users, n, [(u, (7 * u) % n) for u in range(users)])
+        holdout = InteractionMatrix.from_triples(users, n, np.arange(users),
+                                                 7 * np.arange(users) % n, np.ones(users))
         tracemalloc.start()
         try:
             evaluate.model_metrics(model, foldin, holdout)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < users * n * 8 / 4
+
+    def test_holds_no_score_matrix(self):
+        # a users x n float64 score matrix would be users * n * 8 bytes
+        users, n = 3000, 500
+        assert self.traced_peak(users, n, 8) < users * n * 8 / 4
+
+    def test_holds_one_float_per_user_per_metric(self):
+        # Blocks cost the same at any number of users, so 18,000 more users
+        # may add only their per-user values: a float64 per metric, the
+        # standard error's temporary and room for one more.  X U (users x k)
+        # or the users x 100 gains would each exceed that.
+        metrics = len(evaluate._DEFAULT_METRICS)
+        growth = self.traced_peak(20_000, 200, 8) - self.traced_peak(2_000, 200, 8)
+        assert growth <= 8 * (metrics + 2) * 18_000
