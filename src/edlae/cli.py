@@ -1,4 +1,4 @@
-"""Command-line entry point: ingest, train, eval, verify, bench.
+"""Command-line entry point: ingest, train, eval, verify.
 
 Every command records its resolved configuration into the output directory
 once its artifacts are written, and refuses to silently overwrite a previous
@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .linalg import _mirror_lower
 
 _VALIDATION_ERRORS = (ConfigError, ValueError, OSError)
 _NUMERICAL_ERRORS = (NotPositiveDefinite, NoConvergence, Divergence)
@@ -60,7 +58,7 @@ _int_list = functools.partial(_list, int)
 
 def _ranks(text):
     """Ranks, none repeated: `train` selects and saves one model per
-    (family, k), and `bench` times one slice per rank."""
+    (family, k)."""
     ranks = _int_list(text)
     for k in ranks:
         if ranks.count(k) > 1:
@@ -175,12 +173,6 @@ OPTIONS = {
         ("steps", _at_least(1), 400),
         ("restarts", _at_least(1), 5),
         ("lr", _step_size, 5e-4),
-        ("seed", _at_least(0), 0),
-    ),
-    "bench": (
-        ("n", int, 1000),
-        ("ks", _ranks, [10, 100, 500]),
-        ("repeats", _at_least(1), 3),
         ("seed", _at_least(0), 0),
     ),
 }
@@ -395,57 +387,6 @@ def cmd_verify(opts):
     return 0 if all_passed else 2
 
 
-def cmd_bench(opts):
-    n, ks, repeats = opts.n, opts.ks, opts.repeats
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ConfigError(f"rank {k} outside [1, {n}]")
-    out = opts.out
-    if out is not None:
-        out = _prepare_out_dir(out, opts.force)
-    rng = np.random.default_rng(opts.seed)
-    a = rng.standard_normal((2 * n, n))
-    g = a.T @ a
-    _mirror_lower(g.T)  # exactly symmetric, as dataset.gram makes G
-    lam_diag = closed_form.regularizer(np.diag(g), 1.0, 0.0)
-
-    # LAPACK runs through scipy.linalg; importing it before the timing loop
-    # keeps its import time out of the first chain sample.
-    import scipy.linalg  # noqa: F401
-
-    timings = {}
-
-    def timed(stage, fn):
-        t0 = time.perf_counter()
-        result = fn()
-        timings.setdefault(stage, []).append(time.perf_counter() - t0)
-        return result
-
-    # One (lambda, p) of an edlae `train`, as train_grid runs it: the chain
-    # at rank max(ks), then a column slice per rank.
-    top = max(ks)
-    for _ in range(repeats):
-        (model,) = timed(f"rank-{top} edlae chain (train_regularized)",
-                         lambda: closed_form.train_regularized(g, lam_diag, ["edlae"], top))
-        for k in ks:
-            timed(f"rank-{k} slice", lambda: (model.u[:, :k].copy(), model.v[:, :k].copy()))
-        del model
-
-    width = max(len(stage) for stage in timings)
-    header = f"{'stage':{width}s} {'mean (s)':>10s} {'std (s)':>10s} {'runs':>5s}"
-    lines = [f"bench: n={n}, repeats={repeats}", header, "-" * len(header)]
-    for stage, values in timings.items():
-        arr = np.asarray(values)
-        std = arr.std(ddof=1) if arr.size > 1 else 0.0
-        lines.append(f"{stage:{width}s} {arr.mean():10.3f} {std:10.3f} {arr.size:5d}")
-    text = "\n".join(lines)
-    print(text)
-    if out is not None:
-        serialize.write_atomic(os.path.join(out, "bench.txt"), (text + "\n").encode("utf-8"))
-        _record_run(out, opts)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="edlae",
@@ -458,7 +399,6 @@ def build_parser():
         "train": (cmd_train, "closed-form training over a hyperparameter grid"),
         "eval": (cmd_eval, "ranking metrics of serialized models on the test split"),
         "verify": (cmd_verify, "numerical invariants and the deep-vs-linear bound"),
-        "bench": (cmd_bench, "wall-clock timings of the training chain"),
     }
     for command, (func, help_text) in commands.items():
         p = sub.add_parser(command, help=help_text)

@@ -31,10 +31,10 @@ checks and tests; every model is a ``LowRankModel``.
 ``train_regularized(g, lam_diag, kinds, k)`` composes the chain once, for
 one regularizer diagonal: one C, then each family's student Gram and
 projection.  Every trainer calls it: ``train_grid`` once per (lambda, p),
-``baselines.ridge_low_rank`` for ridge at an explicit Lambda, and
-``edlae bench``.  ``train_grid`` returns the models of a
-(kind, k, lambda, p) grid as a list in that order, the order of
-``edlae train``'s log, and ``train_closed_form`` is its one-point case.  The
+and ``baselines.ridge_low_rank`` for ridge at an explicit Lambda.
+``train_grid`` returns the models of a (kind, k, lambda, p) grid as a list
+in that order, the order of ``edlae train``'s log, and
+``train_closed_form`` is its one-point case.  The
 grid shares work: C depends only on (lambda, p), so one inverse serves both
 families, and the leading eigenvectors of M do not depend on k, so one
 top-max(k) eigendecomposition per family serves every rank as column slices

@@ -417,7 +417,10 @@ def _id_map_bytes(ids):
 
 
 def _read_id_map(path):
-    ids = []
+    """The ids of a map that ``_id_map_bytes`` wrote, and each id's index:
+    the i-th non-blank line must be ``id<TAB>i``, and no id may repeat, so a
+    reordered or edited map raises ParseError instead of moving ids."""
+    index = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -427,8 +430,14 @@ def _read_id_map(path):
             if len(parts) != 2:
                 raise ParseError(f"expected id<TAB>index, got {line!r}", lineno,
                                  os.path.basename(path))
-            ids.append(parts[0])
-    return ids
+            i = len(index)
+            if parts[1] != str(i):
+                raise ParseError(f"expected index {i}, got {parts[1]!r}", lineno,
+                                 os.path.basename(path))
+            if index.setdefault(parts[0], i) != i:
+                raise ParseError(f"id {parts[0]!r} repeats index {index[parts[0]]}", lineno,
+                                 os.path.basename(path))
+    return list(index), index
 
 
 def _object_array(values):
@@ -569,7 +578,8 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
     manifest's user and item counts, and each parsed file against its
     group's user count, so a truncated artifact raises ParseError naming it,
     as does a manifest whose ``binarized`` is not ``true`` or ``false``;
-    a bad line of a split file, a repeated (user, item) pair among them, or
+    an id map line whose index is not its position or whose id repeats, a
+    bad line of a split file, a repeated (user, item) pair among them, or
     a value other than 1 in a binarized split, raises ParseError naming the
     file and line.
     Fold-in and holdout matrices of the same group share row order by
@@ -585,12 +595,10 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
         raise ParseError(f"binarized must be true or false, got {binarized!r}",
                          file="manifest.txt")
     binarized = binarized == "true"
-    user_ids = _read_id_map(os.path.join(split_dir, "users.tsv"))
-    item_ids = _read_id_map(os.path.join(split_dir, "items.tsv"))
+    user_ids, user_to_index = _read_id_map(os.path.join(split_dir, "users.tsv"))
+    item_ids, item_to_index = _read_id_map(os.path.join(split_dir, "items.tsv"))
     _manifest_count(manifest, "num_users", len(user_ids), "users.tsv", "ids")
     _manifest_count(manifest, "num_items", len(item_ids), "items.tsv", "ids")
-    user_to_index = {v: k for k, v in enumerate(user_ids)}
-    item_to_index = {v: k for k, v in enumerate(item_ids)}
     n = len(item_ids)
 
     fields = {}

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import edlae
 from edlae import checks, serialize
-from edlae.cli import main
+from edlae.cli import build_parser, main
 from edlae.closed_form import EdlaeConfig, LowRankModel
 from edlae.dataset import (
     SPLIT_FILES,
@@ -283,6 +284,24 @@ class TestTrain:
         a = (tmp_path / "r1" / "edlae_k2.model").read_bytes()
         b = (tmp_path / "r2" / "edlae_k2.model").read_bytes()
         assert a == b
+
+    def test_scipy_imported_before_the_split_is_read(self, tmp_path, data_csv):
+        # In a fresh process: the first library call already finds scipy
+        # loaded, so a tracer does not count its import in a layer's span.
+        split, out = str(ingest(tmp_path, data_csv)), str(tmp_path / "run")
+        code = f"""
+import sys
+from edlae import dataset
+from edlae.cli import main
+seen, load = [], dataset.load_split_artifacts
+def probe(*args, **kwargs):
+    seen.append([m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules])
+    return load(*args, **kwargs)
+dataset.load_split_artifacts = probe
+assert main(["train", "--split", {split!r}, "--out", {out!r}, "--ks", "2"]) == 0
+print(seen)
+"""
+        assert TestNoScipy.run_python(code) == "[['scipy.linalg', 'scipy.sparse']]"
 
     def test_config_file_with_flag_override(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
@@ -656,6 +675,27 @@ class TestSplitFiles:
         assert "error: users.tsv, line 3: expected id<TAB>index" in capsys.readouterr().err
         assert not (out / "config.resolved.txt").exists()
 
+    @pytest.mark.parametrize("name, edit, error", [
+        # swapped lines would move every interaction of two items
+        ("items.tsv", lambda lines: [lines[1], lines[0], *lines[2:]],
+         "error: items.tsv, line 1: expected index 0, got '1'"),
+        ("users.tsv", lambda lines: [lines[0], lines[0].replace("\t0", "\t1"), *lines[2:]],
+         "error: users.tsv, line 2: id '{first}' repeats index 0"),
+    ], ids=["swapped-items", "repeated-user"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_id_map_index_and_repeats_checked(self, tmp_path, data_csv, capsys, command,
+                                              name, edit, error):
+        split, run, _ = self.trained(tmp_path, data_csv)
+        path = split / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(edit(lines)), encoding="utf-8")
+        capsys.readouterr()
+        options = {"train": ["--ks", "2"], "eval": ["--models", str(run / "edlae_k2.model")]}
+        out = tmp_path / "out"
+        assert main([command, "--split", str(split), "--out", str(out), *options[command]]) == 1
+        assert error.format(first=lines[0].split("\t")[0]) in capsys.readouterr().err
+        assert not (out / "config.resolved.txt").exists()
+
     def test_foldin_and_holdout_users_differ(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
         path = split / "test_holdout.csv"
@@ -888,87 +928,33 @@ class TestVerify:
         assert len(records) == 5 and records[-1]["passed"] is True
 
 
-class TestBench:
-    def test_tiny_bench(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        code = main(["bench", "--n", "40", "--ks", "2,8", "--repeats", "2", "--out", str(out)])
-        assert code == 0
-        text = (out / "bench.txt").read_text()
-        assert "rank-8 edlae chain (train_regularized)" in text
-        assert "rank-2 slice" in text and "rank-8 slice" in text
-        assert "mean (s)" in capsys.readouterr().out
-
-    def test_projection_stage_uses_the_trainers_product(self, monkeypatch):
-        # bench forms U through student_projection's own product, G V
-        calls = []
-        product = edlae.closed_form._matmul
-        monkeypatch.setattr(edlae.closed_form, "_matmul",
-                            lambda a, b: calls.append(b.shape) or product(a, b))
-        assert main(["bench", "--n", "20", "--ks", "2,5", "--repeats", "2"]) == 0
-        assert calls == [(20, 5), (20, 5)]
-
-    def test_failed_write_leaves_nothing_and_rerun(self, tmp_path, monkeypatch):
-        out = tmp_path / "bench"
-        args = ["bench", "--n", "20", "--ks", "2", "--repeats", "1", "--out", str(out)]
-        replace = fail_replace_onto(monkeypatch, "bench.txt")
-        assert main(args) == 1
-        assert list(out.iterdir()) == []  # no partial bench.txt, no .tmp, no marker
-        monkeypatch.setattr(os, "replace", replace)
-        assert main(args) == 0  # no marker, so no --force needed
-        assert {p.name for p in out.iterdir()} == {"bench.txt", "config.resolved.txt"}
-
-    def test_repeated_rank_rejected_before_out(self, tmp_path, capsys):
-        # each rank is one slice row; a repeat would merge two slices' runs
-        out = tmp_path / "bench"
-        assert main(["bench", "--n", "50", "--ks", "5,5", "--repeats", "2",
-                     "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--ks" in captured.err and "rank 5" in captured.err
-        assert not out.exists()
-
-    def test_zero_repeats_rejected_before_out(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        assert main(["bench", "--n", "20", "--ks", "2", "--repeats", "0", "--out", str(out)]) == 1
-        assert "--repeats" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_scipy_imported_before_first_sample(self):
-        # In a fresh process: the first timed chain must not pay for the
-        # import; its first LAPACK call is the inverse.
-        code = """
-import sys
-import edlae.cli as cli
-from edlae import closed_form
-seen, inverse = [], closed_form.sym_inverse
-def probe(*args, **kwargs):
-    seen.append("scipy.linalg" in sys.modules)
-    return inverse(*args, **kwargs)
-closed_form.sym_inverse = probe
-assert cli.main(["bench", "--n", "20", "--ks", "2", "--repeats", "2"]) == 0
-print(seen)
-"""
-        assert TestNoScipy.run_python(code) == "[True, True]"
-
-    def test_times_the_trainers_chain_once_per_repeat_at_the_top_rank(self, monkeypatch):
-        ranks = []
-        train = edlae.closed_form.train_regularized
-        monkeypatch.setattr(edlae.closed_form, "train_regularized",
-                            lambda g, lam_diag, kinds, k: ranks.append((kinds, k))
-                            or train(g, lam_diag, kinds, k))
-        assert main(["bench", "--n", "20", "--ks", "2,5", "--repeats", "2"]) == 0
-        assert ranks == [(["edlae"], 5), (["edlae"], 5)]
-
+class TestCommands:
     def test_cli_composes_no_chain_stage_of_its_own(self):
-        # cli reaches the chain only through closed_form's public trainers
+        # cli reaches the chain only through closed_form's public trainers,
+        # and reaches into no edlae module past its public names
         tree = ast.parse(open(edlae.cli.__file__, encoding="utf-8").read())
         stages = {"sym_inverse", "top_k_eig", "student_gram", "student_projection"}
+        modules = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.ImportFrom) and (node.level
+                                                     or node.module.split(".")[0] == "edlae"):
                 names = {alias.name for alias in node.names}
                 assert not names & stages, names
-                if node.module == "closed_form":
-                    assert not any(name.startswith("_") for name in names), names
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id == "closed_form":
-                assert not node.attr.startswith("_") and node.attr not in stages, node.attr
+                assert not any(name.startswith("_") for name in names), (node.module, names)
+                if node.module in (None, "edlae"):
+                    modules |= names
+        assert "closed_form" in modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                assert not node.attr.startswith("_"), f"{node.value.id}.{node.attr}"
+                assert node.value.id != "closed_form" or node.attr not in stages, node.attr
+
+    def test_readme_usage_lists_every_command(self):
+        # the README's usage block shows one example per command, and no other
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
+        usage = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+        shown = set(re.findall(r"^edlae (\S+)", usage, re.MULTILINE))
+        choices = re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1)
+        assert shown == set(choices.split(","))
