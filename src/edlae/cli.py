@@ -272,7 +272,7 @@ def cmd_train(opts):
     import scipy.linalg  # noqa: F401
     import scipy.sparse  # noqa: F401
 
-    split, _, item_ids = dataset.load_split_artifacts(opts.split, ("train", "validation"))
+    split, item_ids = dataset.load_split_artifacts(opts.split, ("train", "validation"))
     n = len(item_ids)
     for k in ks:
         if not 1 <= k <= n:
@@ -319,7 +319,7 @@ def cmd_train(opts):
 
 def cmd_eval(opts):
     out = _prepare_out_dir(opts.out, opts.force)
-    split, _, _ = dataset.load_split_artifacts(opts.split, ("test",))
+    split, _ = dataset.load_split_artifacts(opts.split, ("test",))
     num_items = split.test_foldin.num_items
     rows = []
     for path in opts.models:

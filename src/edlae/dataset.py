@@ -14,15 +14,15 @@ is parsed again one line at a time by the same parser, so an error names the
 first bad line, with the message of the first check that line fails.
 
 The split's layout is one table, ``_SPLIT_GROUPS``, of each group's parts.
-A part is the file ``<part>.csv`` and the EvalSplit field of that name; a
-group's users are the field and the manifest key ``<group>_users``.
-``save_split_artifacts`` writes every file atomically
-(``serialize.write_atomic``), so a failed ingest leaves no half-written one.
-``load_split_artifacts`` parses only the groups a command uses (``train``
-the train and validation files, ``eval`` the test files).  It reads the
-manifest with ``serialize.read_record``, which checks its header line and
-rejects a repeated key, reads its ``binarized`` as ``true`` or ``false`` only,
-and checks each file it reads against the counts.
+A part is the EvalSplit field of that name, written as ``<part>.csv`` with
+string ids, for other tools, and as ``<part>.npy``, the ``(2, nnz)`` int64
+array of each pair's original user and item index in (user, item) order
+(plus ``<part>.values.npy`` unless binarized).  A group's users are the
+field and the manifest key ``<group>_users``.  Every file is written
+atomically (``serialize.write_atomic``), so a failed ingest leaves no
+half-written one.  ``load_split_artifacts`` reads the manifest (with
+``serialize.read_record``), ``items.tsv`` and the arrays of the groups a
+command uses, each checked against the manifest's counts.
 Only ``gram`` needs scipy (a sparse product); ``to_csr`` imports it when
 called, so parsing and splitting run on numpy alone.
 
@@ -37,6 +37,7 @@ keeps without a copy.  No full-size copy of the triples outlives its step.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import os
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ _SPLIT_GROUPS = {
     "test": ("test_foldin", "test_holdout"),
 }
 SPLIT_FILES = tuple(f"{part}.csv" for parts in _SPLIT_GROUPS.values() for part in parts)
-_MANIFEST_HEADER = "edlae split manifest v1"
+_MANIFEST_HEADER = "edlae split manifest v2"
 
 _CHUNK_LINES = 8192
 
@@ -172,12 +173,12 @@ class _BadLine(Exception):
     chunk's first line, so it is exact for a one-line chunk."""
 
 
-def _parsed_chunks(path, parse, file=None):
+def _parsed_chunks(path, parse):
     """``parse(lines, header)`` of each chunk of non-blank lines of the text
     file ``path``; ``header`` is true only for the file's first non-blank
     line.  A chunk the parser rejects is parsed again one line at a time by
     the same parser: its first bad line raises ParseError with the parser's
-    message, the line number and ``file``."""
+    message and the line number."""
     header = True
     with open(path, "r", encoding="utf-8") as handle:
         for first, lines, raw in _chunks(handle):
@@ -191,7 +192,7 @@ def _parsed_chunks(path, parse, file=None):
                         try:
                             parse([line], header)
                         except _BadLine as bad:
-                            raise ParseError(str(bad), lineno, file) from None
+                            raise ParseError(str(bad), lineno) from None
                         header = False
                 raise AssertionError("a rejected chunk holds no bad line") from None
             header = False
@@ -417,9 +418,9 @@ def _id_map_bytes(ids):
 
 
 def _read_id_map(path):
-    """The ids of a map that ``_id_map_bytes`` wrote, and each id's index:
-    the i-th non-blank line must be ``id<TAB>i``, and no id may repeat, so a
-    reordered or edited map raises ParseError instead of moving ids."""
+    """The ids of a map that ``_id_map_bytes`` wrote: the i-th non-blank line
+    must be ``id<TAB>i``, and no id may repeat, so a reordered or edited map
+    raises ParseError instead of moving ids."""
     index = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -437,7 +438,7 @@ def _read_id_map(path):
             if index.setdefault(parts[0], i) != i:
                 raise ParseError(f"id {parts[0]!r} repeats index {index[parts[0]]}", lineno,
                                  os.path.basename(path))
-    return list(index), index
+    return list(index)
 
 
 def _object_array(values):
@@ -465,101 +466,107 @@ def _interaction_chunks(x, row_users, user_names, item_cells):
         yield "".join(cells.ravel().tolist()).encode("utf-8")
 
 
+def _write_array(path, descr, *rows):
+    """Write the array of ``descr`` values whose rows are ``rows`` (of one
+    row, the 1-d array) as ``np.save`` would, without stacking them."""
+    rows = [np.ascontiguousarray(row, dtype=descr) for row in rows]
+    shape = (rows[0].size,) if len(rows) == 1 else (len(rows), rows[0].size)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": descr, "fortran_order": False, "shape": shape})
+    serialize.write_atomic(path, header.getvalue(), *rows)
+
+
 def save_split_artifacts(out_dir, split: EvalSplit, user_ids, item_ids, spec: SplitSpec):
-    """Write the split as CSV files plus id maps and a deterministic manifest,
-    each file atomically."""
+    """Write the split as CSV files plus id maps, as index arrays (see the
+    module docstring) and a deterministic manifest, each file atomically."""
     os.makedirs(out_dir, exist_ok=True)
     serialize.write_atomic(os.path.join(out_dir, "users.tsv"), _id_map_bytes(user_ids))
     serialize.write_atomic(os.path.join(out_dir, "items.tsv"), _id_map_bytes(item_ids))
     user_names = _object_array(user_ids)
     item_cells = _object_array(item_ids) + ","
-    for group, parts in _SPLIT_GROUPS.items():
-        for part in parts:
-            serialize.write_atomic(
-                os.path.join(out_dir, f"{part}.csv"),
-                *_interaction_chunks(getattr(split, part), getattr(split, f"{group}_users"),
-                                     user_names, item_cells),
-            )
+    parts = [(part, getattr(split, part), getattr(split, f"{group}_users"))
+             for group, names in _SPLIT_GROUPS.items() for part in names]
+    for part, x, row_users in parts:
+        serialize.write_atomic(os.path.join(out_dir, f"{part}.csv"),
+                               *_interaction_chunks(x, row_users, user_names, item_cells))
+    arrays = []
+    for part, x, row_users in parts:
+        arrays.append(f"{part}.npy")
+        _write_array(os.path.join(out_dir, arrays[-1]), "<i8", row_users[x.users], x.items)
+        if not split.train.binarized:
+            arrays.append(f"{part}.values.npy")
+            _write_array(os.path.join(out_dir, arrays[-1]), "<f8", x.values)
     serialize.write_record(os.path.join(out_dir, "manifest.txt"), [
         ("seed", spec.seed), ("validation_fraction", spec.validation_fraction),
         ("test_fraction", spec.test_fraction), ("foldin_fraction", spec.foldin_fraction),
         ("num_users", len(user_ids)), ("num_items", len(item_ids)),
         ("binarized", split.train.binarized),
         *((f"{group}_users", getattr(split, f"{group}_users").size) for group in _SPLIT_GROUPS),
-        ("files", " ".join(("users.tsv", "items.tsv", *SPLIT_FILES))),
+        ("files", " ".join(("users.tsv", "items.tsv", *SPLIT_FILES, *arrays))),
     ], header=_MANIFEST_HEADER)
 
 
-def _parse_split_chunk(lines, user_to_index, item_to_index):
-    """Indices and values of non-blank split-file lines.  Each check runs on
-    every line before the next; one that fails raises _BadLine."""
-    if set(map(str.count, lines, itertools.repeat(","))) != {2}:
-        raise _BadLine(f"expected user,item,value, got {lines[0]!r}")
-    tokens = ",".join(lines).split(",")
+def _read_array(split_dir, name, descr, shape):
+    """The C-ordered ``descr`` array of ``shape`` (a length of -1 may be any)
+    in the ``.npy`` file ``name``; anything else, or a file that can not be
+    read whole, raises ParseError naming the file."""
     try:
-        users = np.fromiter(map(user_to_index.__getitem__, tokens[0::3]), dtype=np.int64,
-                            count=len(lines))
-        items = np.fromiter(map(item_to_index.__getitem__, tokens[1::3]), dtype=np.int64,
-                            count=len(lines))
-    except KeyError as missing:
-        raise _BadLine(f"id {missing} not present in id maps") from None
+        with open(os.path.join(split_dir, name), "rb") as handle:
+            array = np.load(handle, allow_pickle=False)
+        if not isinstance(array, np.ndarray):
+            raise ValueError("an .npz archive, not an array")
+    except (OSError, ValueError, EOFError, MemoryError) as exc:  # MemoryError: a huge header
+        raise ParseError(f"not a readable .npy array: {exc}", file=name) from None
+    if not (array.dtype == np.dtype(descr) and array.flags.c_contiguous
+            and len(array.shape) == len(shape)
+            and all(want in (-1, got) for want, got in zip(shape, array.shape))):
+        order = "C" if array.flags.c_contiguous else "Fortran"
+        raise ParseError(f"expected a C-ordered {descr} array of shape {shape}, got a {order}-"
+                         f"ordered {array.dtype.str} array of shape {array.shape}", file=name)
+    return array
+
+
+def _read_part(split_dir, part, num_users, num_items, binarized):
+    """The matrix of one part's arrays and the original index of each row's
+    user; a new row starts where the user index changes.  A user index out
+    of ``[0, num_users)`` or decreasing, an item index out of range, a
+    repeated pair, a value that is not positive and finite, and a values
+    file in a binarized split or missing from another raise ParseError."""
+    name, values_name = f"{part}.npy", f"{part}.values.npy"
+    users, items = _read_array(split_dir, name, "<i8", (2, -1))
+    if binarized:
+        if os.path.exists(os.path.join(split_dir, values_name)):
+            raise ParseError("a binarized split has no values file", file=values_name)
+        values = np.ones(users.size)
+    else:
+        values = _read_array(split_dir, values_name, "<f8", (users.size,))
+        if not (np.isfinite(values).all() and values.min(initial=1.0) > 0):
+            raise ParseError("values must be positive and finite", file=values_name)
+    step = np.diff(users, prepend=users[:1] - 1)  # 1 at the first pair
+    if step.min(initial=0) < 0:
+        raise ParseError("user indices decrease", file=name)
+    if users.size and (users[0] < 0 or users[-1] >= num_users):
+        raise ParseError(f"user index outside [0, {num_users})", file=name)
+    first = step != 0  # each user's first pair
     try:
-        values = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(lines))
-    except ValueError:
-        raise _BadLine(f"value {tokens[2]!r} is not a number") from None
-    if not (np.isfinite(values).all() and values.min() > 0):
-        raise _BadLine(f"value must be positive and finite, got {tokens[2]!r}")
-    return users, items, values
+        matrix = InteractionMatrix.from_triples(np.count_nonzero(first), num_items,
+                                                np.cumsum(first) - 1, items, values, binarized)
+    except ValueError as exc:  # an item index out of range or a repeated pair
+        raise ParseError(str(exc), file=name) from None
+    return matrix, users[first]
 
 
-def _read_interactions(path, user_to_index, item_to_index, num_items, binarized):
-    def parse(lines, header):  # a split file has no header
-        return _parse_split_chunk(lines, user_to_index, item_to_index)
-
-    users, items, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for chunk_users, chunk_items, chunk_values in _parsed_chunks(path, parse,
-                                                                 os.path.basename(path)):
-        users.append(chunk_users)
-        items.append(chunk_items)
-        values.append(chunk_values)
-    users, items, values = map(np.concatenate, (users, items, values))
-    rows, row_of = np.unique(users, return_inverse=True)
+def _manifest_int(manifest, key):
     try:
-        matrix = InteractionMatrix.from_triples(
-            rows.size, num_items, row_of, items, values, binarized=binarized
-        )
-    except ValueError:
-        _raise_pair_error(path, binarized)
-        raise
-    return matrix, rows
-
-
-def _raise_pair_error(path, binarized):
-    """Raise the ParseError of the first line of split file ``path`` that
-    repeats an earlier (user, item) pair or, in a binarized split, holds a
-    value other than 1.  Every line is known to parse."""
-    name = os.path.basename(path)
-    seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line:
-                continue
-            user, item, value = line.split(",")
-            if (user, item) in seen:
-                raise ParseError("duplicate (user, item) pair", lineno, name)
-            seen.add((user, item))
-            if binarized and float(value) != 1.0:
-                raise ParseError(f"value must be 1 in a binarized split, got {value!r}",
-                                 lineno, name)
+        return int(manifest[key])
+    except (KeyError, ValueError):
+        raise ParseError(f"no integer {key}", file="manifest.txt") from None
 
 
 def _manifest_count(manifest, key, actual, name, what):
     """Check one count of the manifest against the ``what`` file ``name`` holds."""
-    try:
-        expected = int(manifest[key])
-    except (KeyError, ValueError):
-        raise ParseError(f"no integer {key}", file="manifest.txt") from None
+    expected = _manifest_int(manifest, key)
     if actual != expected:
         raise ParseError(
             f"{name} holds {actual} {what}, manifest says {key} = {expected}; "
@@ -569,19 +576,15 @@ def _manifest_count(manifest, key, actual, name, what):
 
 
 def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
-    """Load the artifacts written by save_split_artifacts.
+    """The split that save_split_artifacts wrote, read from its arrays.
 
-    Returns (EvalSplit, user_ids, item_ids).  Only the files of ``groups``
-    (``"train"``, ``"validation"``, ``"test"``) are parsed; the parts of any
+    Returns (EvalSplit, item_ids).  Only the arrays of ``groups``
+    (``"train"``, ``"validation"``, ``"test"``) are read; the parts of any
     other group are empty 0-row matrices with every item as a column, and
-    their user arrays are empty.  The id maps are checked against the
-    manifest's user and item counts, and each parsed file against its
-    group's user count, so a truncated artifact raises ParseError naming it,
-    as does a manifest whose ``binarized`` is not ``true`` or ``false``;
-    an id map line whose index is not its position or whose id repeats, a
-    bad line of a split file, a repeated (user, item) pair among them, or
-    a value other than 1 in a binarized split, raises ParseError naming the
-    file and line.
+    their user arrays are empty.  The user count comes from the manifest,
+    so no CSV file and not ``users.tsv`` is read.  A fault of the manifest,
+    of ``items.tsv`` or of an array (see ``_read_part``), and a count that
+    disagrees with the manifest, raise ParseError naming the file.
     Fold-in and holdout matrices of the same group share row order by
     construction (ascending user index).
     """
@@ -595,9 +598,8 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
         raise ParseError(f"binarized must be true or false, got {binarized!r}",
                          file="manifest.txt")
     binarized = binarized == "true"
-    user_ids, user_to_index = _read_id_map(os.path.join(split_dir, "users.tsv"))
-    item_ids, item_to_index = _read_id_map(os.path.join(split_dir, "items.tsv"))
-    _manifest_count(manifest, "num_users", len(user_ids), "users.tsv", "ids")
+    num_users = _manifest_int(manifest, "num_users")
+    item_ids = _read_id_map(os.path.join(split_dir, "items.tsv"))
     _manifest_count(manifest, "num_items", len(item_ids), "items.tsv", "ids")
     n = len(item_ids)
 
@@ -610,11 +612,8 @@ def load_split_artifacts(split_dir, groups=("train", "validation", "test")):
             fields[users] = np.zeros(0, dtype=np.int64)
             continue
         for part in parts:
-            name = f"{part}.csv"
-            fields[part], rows = _read_interactions(
-                os.path.join(split_dir, name), user_to_index, item_to_index, n, binarized
-            )
-            _manifest_count(manifest, users, rows.size, name, "users")
+            fields[part], rows = _read_part(split_dir, part, num_users, n, binarized)
+            _manifest_count(manifest, users, rows.size, f"{part}.npy", "users")
             if not np.array_equal(fields.setdefault(users, rows), rows):
-                raise ParseError(f"{parts[0]}.csv and {name} hold different users")
-    return EvalSplit(**fields), user_ids, item_ids
+                raise ParseError(f"{parts[0]}.npy and {part}.npy hold different users")
+    return EvalSplit(**fields), item_ids

@@ -19,7 +19,6 @@ for bit.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -128,50 +127,6 @@ def load_interactions(path, fmt="csv", binarize=True):
         len(user_index), len(item_index), users, items, values, binarized=binarize
     )
     return matrix, list(user_index), list(item_index)
-
-
-def read_interactions(path, user_to_index, item_to_index, num_items, binarized):
-    """``dataset._read_interactions`` one line at a time: the matrix of a
-    split file and the original index of each of its rows.  A bad line is a
-    ParseError naming the file and the line; only when every line parses is
-    the first line that repeats a pair, or holds a value other than 1 in a
-    binarized split, one."""
-    name = os.path.basename(path)
-    triples = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ParseError(f"expected user,item,value, got {line!r}", lineno, name)
-            try:
-                user, item = user_to_index[fields[0]], item_to_index[fields[1]]
-            except KeyError as missing:
-                raise ParseError(f"id {missing} not present in id maps", lineno, name) from None
-            try:
-                value = float(fields[2])
-            except ValueError:
-                raise ParseError(f"value {fields[2]!r} is not a number", lineno, name) from None
-            if not math.isfinite(value) or value <= 0:
-                raise ParseError(f"value must be positive and finite, got {fields[2]!r}",
-                                 lineno, name)
-            triples.append((user, item, value, lineno, fields[2]))
-    seen = set()
-    for user, item, value, lineno, field in triples:
-        if (user, item) in seen:
-            raise ParseError("duplicate (user, item) pair", lineno, name)
-        seen.add((user, item))
-        if binarized and value != 1.0:
-            raise ParseError(f"value must be 1 in a binarized split, got {field!r}", lineno, name)
-    rows = sorted({t[0] for t in triples})
-    row_of = {u: r for r, u in enumerate(rows)}
-    matrix = InteractionMatrix.from_triples(
-        len(rows), num_items, [row_of[t[0]] for t in triples], [t[1] for t in triples],
-        [t[2] for t in triples], binarized=binarized,
-    )
-    return matrix, np.array(rows, dtype=np.int64)
 
 
 def csr_scores(u, v, foldin: InteractionMatrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests (in-process via main)."""
 
 import ast
+import io
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edlae
-from edlae import checks, serialize
+from edlae import checks, dataset, serialize
 from edlae.cli import build_parser, main
 from edlae.closed_form import EdlaeConfig, LowRankModel
 from edlae.dataset import (
@@ -39,11 +40,12 @@ def data_csv(tmp_path):
     return path
 
 
-def ingest(tmp_path, data_csv, name="split", seed=3):
+def ingest(tmp_path, data_csv, name="split", seed=3, binarize=True):
     out = tmp_path / name
     code = main([
         "ingest", "--data", str(data_csv), "--out", str(out),
         "--validation-fraction", "0.2", "--test-fraction", "0.2", "--seed", str(seed),
+        "--binarize", "true" if binarize else "false",
     ])
     assert code == 0
     return out
@@ -69,6 +71,8 @@ class TestIngest:
             "manifest.txt", "users.tsv", "items.tsv", "train.csv",
             "validation_foldin.csv", "validation_holdout.csv",
             "test_foldin.csv", "test_holdout.csv", "config.resolved.txt",
+            "train.npy", "validation_foldin.npy", "validation_holdout.npy",
+            "test_foldin.npy", "test_holdout.npy",
         }
         assert expected <= {p.name for p in out.iterdir()}
         assert "wrote split" in capsys.readouterr().out
@@ -302,6 +306,26 @@ assert main(["train", "--split", {split!r}, "--out", {out!r}, "--ks", "2"]) == 0
 print(seen)
 """
         assert TestNoScipy.run_python(code) == "[['scipy.linalg', 'scipy.sparse']]"
+
+    def test_train_and_eval_open_no_csv_or_user_map(self, tmp_path, data_csv):
+        # In a fresh process, an audit hook sees every file train and eval open.
+        split, run, metrics = str(ingest(tmp_path, data_csv)), str(tmp_path / "run"), str(tmp_path / "m")
+        code = f"""
+import os, sys
+from edlae.cli import main
+opened = set()
+def hook(event, args):
+    if event == "open" and isinstance(args[0], str) and os.path.dirname(args[0]) == {split!r}:
+        opened.add(os.path.basename(args[0]))
+sys.addaudithook(hook)
+assert main(["train", "--split", {split!r}, "--out", {run!r}, "--ks", "2"]) == 0
+assert main(["eval", "--split", {split!r}, "--out", {metrics!r},
+             "--models", os.path.join({run!r}, "edlae_k2.model")]) == 0
+print(sorted(opened))
+"""
+        assert TestNoScipy.run_python(code) == str([
+            "items.tsv", "manifest.txt", "test_foldin.npy", "test_holdout.npy", "train.npy",
+            "validation_foldin.npy", "validation_holdout.npy"])
 
     def test_config_file_with_flag_override(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
@@ -573,6 +597,96 @@ class TestEval:
         assert not out.exists()
 
 
+def rewrite(split, name, edit):
+    """Save ``edit`` of the array in the .npy file ``name`` of ``split``, C-ordered,
+    in its place."""
+    path = split / name
+    np.save(path, np.ascontiguousarray(edit(np.load(path))))
+
+
+def set_at(index, value):
+    """An edit that sets ``array[index] = value`` in a copy."""
+    def edit(array):
+        array = array.copy()
+        array[index] = value
+        return array
+    return edit
+
+
+def drop_last_user(pairs):
+    return pairs[:, pairs[0] != pairs[0, -1]]
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def npz_bytes(array):
+    buffer = io.BytesIO()
+    np.savez(buffer, array=array)
+    return buffer.getvalue()
+
+
+def npy_header(descr, shape):
+    """A .npy header that claims a C-ordered ``descr`` array of ``shape``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": descr, "fortran_order": False, "shape": shape})
+    return header.getvalue()
+
+
+# (binarize, edit of the split directory, error): each fault of a part's
+# arrays that ``train`` must reject, naming the file.
+ARRAY_FAULTS = {
+    "truncated": (True, lambda d: truncate(d / "train.npy"),
+                  "train.npy: not a readable .npy array: Failed to read all data"),
+    "empty": (True, lambda d: (d / "validation_foldin.npy").write_bytes(b""),
+              "validation_foldin.npy: not a readable .npy array"),
+    "huge-header": (True, lambda d: (d / "train.npy").write_bytes(
+        npy_header("<i8", (2, 10**15)) + bytes(64)),
+                    "train.npy: not a readable .npy array: Unable to allocate"),
+    "pickled": (True, lambda d: np.save(d / "train.npy", np.array([1, "a"], dtype=object)),
+                "train.npy: not a readable .npy array: Object arrays cannot be loaded"),
+    "archive": (True, lambda d: (d / "train.npy").write_bytes(npz_bytes(np.zeros((2, 1), "<i8"))),
+                "train.npy: not a readable .npy array: an .npz archive, not an array"),
+    "int32": (True, lambda d: rewrite(d, "train.npy", lambda pairs: pairs.astype("<i4")),
+              "train.npy: expected a C-ordered <i8 array of shape (2, -1), "
+              "got a C-ordered <i4 array"),
+    "transposed": (True, lambda d: rewrite(d, "validation_holdout.npy", np.transpose),
+                   "validation_holdout.npy: expected a C-ordered <i8 array of shape (2, -1), "
+                   "got a C-ordered <i8 array of shape ("),
+    "fortran": (True, lambda d: np.save(d / "train.npy",
+                                        np.asfortranarray(np.load(d / "train.npy"))),
+                "train.npy: expected a C-ordered <i8 array of shape (2, -1), "
+                "got a Fortran-ordered <i8 array"),
+    "fewer-users": (True, lambda d: rewrite(d, "validation_foldin.npy", drop_last_user),
+                    "manifest.txt: validation_foldin.npy holds 4 users, "
+                    "manifest says validation_users = 5"),
+    "user-out-of-range": (True, lambda d: rewrite(d, "train.npy", set_at((0, -1), 24)),
+                          "train.npy: user index outside [0, 24)"),
+    "user-decreases": (True, lambda d: rewrite(d, "train.npy", set_at((0, 0), 23)),
+                       "train.npy: user indices decrease"),
+    "item-out-of-range": (True, lambda d: rewrite(d, "train.npy", set_at((1, 0), 8)),
+                          "train.npy: item index out of range"),
+    "repeated-pair": (True, lambda d: rewrite(d, "validation_foldin.npy", lambda pairs: np.insert(
+        pairs, 1, pairs[:, 0], axis=1)), "validation_foldin.npy: duplicate (user, item) pair"),
+    "values-in-binarized-split": (True, lambda d: np.save(d / "validation_holdout.values.npy",
+                                                          np.full(3, 2.0)),
+                                  "validation_holdout.values.npy: a binarized split has no "
+                                  "values file"),
+    "values-missing": (False, lambda d: os.remove(d / "train.values.npy"),
+                       "train.values.npy: not a readable .npy array: [Errno 2]"),
+    "values-wrong-length": (False, lambda d: rewrite(d, "train.values.npy", lambda v: v[1:]),
+                            "train.values.npy: expected a C-ordered <f8 array of shape ("),
+    "non-positive-value": (False, lambda d: rewrite(d, "validation_holdout.values.npy",
+                                                    set_at(0, 0.0)),
+                           "validation_holdout.values.npy: values must be positive and finite"),
+    "non-finite-value": (False, lambda d: rewrite(d, "validation_holdout.values.npy",
+                                                  set_at(-1, np.nan)),
+                         "validation_holdout.values.npy: values must be positive and finite"),
+}
+
+
 class TestSplitFiles:
     def trained(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
@@ -586,8 +700,9 @@ class TestSplitFiles:
         models = [str(run / "edlae_k2.model"), str(run / "ridge_k2.model")]
         assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m1"),
                      "--models", *models]) == 0
-        for name in ("train.csv", "validation_foldin.csv", "validation_holdout.csv"):
-            os.remove(split / name)
+        for part in ("train", "validation_foldin", "validation_holdout"):
+            os.remove(split / f"{part}.csv")
+            os.remove(split / f"{part}.npy")
         assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m2"),
                      "--models", *models]) == 0
         assert ((tmp_path / "m1" / "metrics.jsonl").read_bytes()
@@ -595,11 +710,34 @@ class TestSplitFiles:
 
     def test_train_reads_only_train_and_validation_files(self, tmp_path, data_csv):
         split, run, args = self.trained(tmp_path, data_csv)
-        os.remove(split / "test_foldin.csv")
-        os.remove(split / "test_holdout.csv")
+        for name in ("test_foldin.csv", "test_holdout.csv", "test_foldin.npy", "test_holdout.npy"):
+            os.remove(split / name)
         again = tmp_path / "again"
         assert main(["train", "--split", str(split), "--out", str(again), *args]) == 0
         assert (again / "train_log.tsv").read_bytes() == (run / "train_log.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_edited_text_files_change_nothing(self, tmp_path, data_csv, command):
+        # train and eval read the arrays; the CSVs and users.tsv are for other tools.
+        split, run, args = self.trained(tmp_path, data_csv)
+        models = ["edlae_k2.model", "ridge_k2.model"]
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m1"),
+                     "--models", *(str(run / m) for m in models)]) == 0
+        (split / "train.csv").write_text("nobody,nothing,abc\n", encoding="utf-8")
+        (split / "test_foldin.csv").write_text("", encoding="utf-8")
+        lines = (split / "users.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace("\t", " ")
+        (split / "users.tsv").write_text("".join(lines[1:]), encoding="utf-8")
+        if command == "train":
+            again = tmp_path / "again"
+            assert main(["train", "--split", str(split), "--out", str(again), *args]) == 0
+            for name in ("train_log.tsv", *models):
+                assert (again / name).read_bytes() == (run / name).read_bytes()
+        else:
+            assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m2"),
+                         "--models", *(str(run / m) for m in models)]) == 0
+            assert ((tmp_path / "m2" / "metrics.jsonl").read_bytes()
+                    == (tmp_path / "m1" / "metrics.jsonl").read_bytes())
 
     def test_truncated_item_map_fails_train(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
@@ -614,15 +752,11 @@ class TestSplitFiles:
     def test_truncated_holdout_fails_eval_only(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
         test_users = len(load_split_artifacts(split, ("test",))[0].test_users)
-        path = split / "test_holdout.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        last_user = lines[-1].split(",")[0]
-        path.write_text("".join(l for l in lines if not l.startswith(last_user + ",")),
-                        encoding="utf-8")
+        rewrite(split, "test_holdout.npy", drop_last_user)
         code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
                      "--models", str(run / "edlae_k2.model")])
         assert code == 1
-        assert (f"error: manifest.txt: test_holdout.csv holds {test_users - 1} users, "
+        assert (f"error: manifest.txt: test_holdout.npy holds {test_users - 1} users, "
                 f"manifest says test_users = {test_users}" in capsys.readouterr().err)
         assert main(["train", "--split", str(split), "--out", str(tmp_path / "r2"),
                      "--ks", "2"]) == 0
@@ -632,7 +766,7 @@ class TestSplitFiles:
         (lambda lines: lines[:6] + ["num_items = 5\n"] + lines[6:],
          "error: manifest.txt, line 8: repeated key 'num_items'"),
         (lambda lines: lines[1:],
-         "error: manifest.txt, line 1: expected 'edlae split manifest v1', got 'seed = 3'"),
+         "error: manifest.txt, line 1: expected 'edlae split manifest v2', got 'seed = 3'"),
         (lambda lines: lines[:7] + ["binarized = yes\n"] + lines[8:],
          "error: manifest.txt: binarized must be true or false, got 'yes'"),
         (lambda lines: lines[:7] + lines[8:],
@@ -649,39 +783,43 @@ class TestSplitFiles:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_foldin_line_names_file_and_line(self, tmp_path, data_csv, capsys):
+    def test_split_of_the_old_format_fails_early(self, tmp_path, data_csv, capsys):
+        # A split written before the index arrays: a v1 manifest and no .npy files.
         split, run, _ = self.trained(tmp_path, data_csv)
-        path = split / "test_foldin.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[2] = "nobody," + lines[2].split(",", 1)[1]
-        path.write_text("".join(lines), encoding="utf-8")
+        path = split / "manifest.txt"
+        path.write_text(path.read_text(encoding="utf-8").replace(" v2\n", " v1\n", 1),
+                        encoding="utf-8")
+        for name in os.listdir(split):
+            if name.endswith(".npy"):
+                os.remove(split / name)
         capsys.readouterr()
-        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
-                     "--models", str(run / "edlae_k2.model")])
-        assert code == 1
-        assert "test_foldin.csv, line 3: id 'nobody' not present" in capsys.readouterr().err
+        error = ("error: manifest.txt, line 1: expected 'edlae split manifest v2', "
+                 "got 'edlae split manifest v1'")
+        assert main(["train", "--split", str(split), "--out", str(tmp_path / "r"),
+                     "--ks", "2"]) == 1
+        assert error in capsys.readouterr().err
+        assert main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
+                     "--models", str(run / "edlae_k2.model")]) == 1
+        assert error in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_bad_user_map_line_names_file_and_line(self, tmp_path, data_csv, capsys, command):
-        split, run, _ = self.trained(tmp_path, data_csv)
-        path = split / "users.tsv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[2] = lines[2].replace("\t", " ")
-        path.write_text("".join(lines), encoding="utf-8")
+    @pytest.mark.parametrize("fault", ARRAY_FAULTS)
+    def test_array_fault_names_the_file(self, tmp_path, data_csv, capsys, fault):
+        binarize, edit, error = ARRAY_FAULTS[fault]
+        split = ingest(tmp_path, data_csv, binarize=binarize)
+        edit(split)
         capsys.readouterr()
-        options = {"train": ["--ks", "2"], "eval": ["--models", str(run / "edlae_k2.model")]}
-        out = tmp_path / "out"
-        assert main([command, "--split", str(split), "--out", str(out), *options[command]]) == 1
-        assert "error: users.tsv, line 3: expected id<TAB>index" in capsys.readouterr().err
-        assert not (out / "config.resolved.txt").exists()
+        out = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, edit, error", [
         # swapped lines would move every interaction of two items
         ("items.tsv", lambda lines: [lines[1], lines[0], *lines[2:]],
          "error: items.tsv, line 1: expected index 0, got '1'"),
-        ("users.tsv", lambda lines: [lines[0], lines[0].replace("\t0", "\t1"), *lines[2:]],
-         "error: users.tsv, line 2: id '{first}' repeats index 0"),
-    ], ids=["swapped-items", "repeated-user"])
+        ("items.tsv", lambda lines: [lines[0], lines[0].replace("\t0", "\t1"), *lines[2:]],
+         "error: items.tsv, line 2: id '{first}' repeats index 0"),
+    ], ids=["swapped-items", "repeated-item"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_id_map_index_and_repeats_checked(self, tmp_path, data_csv, capsys, command,
                                               name, edit, error):
@@ -698,60 +836,22 @@ class TestSplitFiles:
 
     def test_foldin_and_holdout_users_differ(self, tmp_path, data_csv, capsys):
         split, run, _ = self.trained(tmp_path, data_csv)
-        path = split / "test_holdout.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        last_user = lines[-1].split(",")[0]
-        train_user = (split / "train.csv").read_text(encoding="utf-8").split(",")[0]
-        # same user count as the manifest says, but one user swapped for a train user
-        path.write_text("".join(train_user + "," + l.split(",", 1)[1]
-                                if l.startswith(last_user + ",") else l for l in lines),
-                        encoding="utf-8")
+        last_user = int(np.load(split / "test_holdout.npy")[0, -1])
+        train_user = int(np.load(split / "train.npy")[0, 0])
+
+        def swap(pairs):
+            # same user count as the manifest says, but one user swapped for a train user
+            pairs = pairs.copy()
+            pairs[0][pairs[0] == last_user] = train_user
+            return pairs[:, np.lexsort(pairs[::-1])]
+
+        rewrite(split, "test_holdout.npy", swap)
         capsys.readouterr()
         code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
                      "--models", str(run / "edlae_k2.model")])
         assert code == 1
-        assert ("error: test_foldin.csv and test_holdout.csv hold different users"
+        assert ("error: test_foldin.npy and test_holdout.npy hold different users"
                 in capsys.readouterr().err)
-
-    def test_duplicate_foldin_pair_names_file_and_line(self, tmp_path, data_csv, capsys):
-        split, run, _ = self.trained(tmp_path, data_csv)
-        path = split / "test_foldin.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines.insert(6, lines[0])  # line 7 repeats line 1
-        path.write_text("".join(lines), encoding="utf-8")
-        capsys.readouterr()
-        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
-                     "--models", str(run / "edlae_k2.model")])
-        assert code == 1
-        assert ("error: test_foldin.csv, line 7: duplicate (user, item) pair"
-                in capsys.readouterr().err)
-
-    def test_non_unit_value_in_binarized_split_names_file_and_line(self, tmp_path, data_csv,
-                                                                  capsys):
-        split, run, _ = self.trained(tmp_path, data_csv)
-        path = split / "test_holdout.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[2] = lines[2].rsplit(",", 1)[0] + ",2\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        capsys.readouterr()
-        code = main(["eval", "--split", str(split), "--out", str(tmp_path / "m"),
-                     "--models", str(run / "edlae_k2.model")])
-        assert code == 1
-        assert ("error: test_holdout.csv, line 3: value must be 1 in a binarized split, "
-                "got '2'" in capsys.readouterr().err)
-
-    def test_bad_holdout_value_names_file_and_line(self, tmp_path, data_csv, capsys):
-        split = ingest(tmp_path, data_csv)
-        path = split / "validation_holdout.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = lines[1].rsplit(",", 1)[0] + ",abc\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        capsys.readouterr()
-        out = tmp_path / "run"
-        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2"]) == 1
-        assert ("validation_holdout.csv, line 2: value 'abc' is not a number"
-                in capsys.readouterr().err)
-        assert not out.exists()
 
     # Ids as ingest accepts them: no comma, tab or line break, and no
     # surrounding whitespace (ingest strips it).
@@ -785,12 +885,13 @@ class TestSplitFiles:
             assert main(["eval", "--split", split, "--out", os.path.join(tmp, "m"),
                          "--models", os.path.join(run, "edlae_k2.model")]) == 0
             matrix, user_ids, item_ids = load_interactions(data)
+            assert dataset._read_id_map(os.path.join(split, "users.tsv")) == user_ids
             want = split_strong_generalization(matrix, SplitSpec(0.2, 0.2, seed=1))
             for groups, parts in ((("train", "validation"),
                                    ("train", "validation_foldin", "validation_holdout")),
                                   (("test",), ("test_foldin", "test_holdout"))):
-                got, got_users, got_items = load_split_artifacts(split, groups)
-                assert got_users == user_ids and got_items == item_ids
+                got, got_items = load_split_artifacts(split, groups)
+                assert got_items == item_ids
                 for name in parts:
                     a, b = getattr(got, name), getattr(want, name)
                     np.testing.assert_array_equal(a.users, b.users)

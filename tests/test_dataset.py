@@ -3,15 +3,17 @@
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from edlae import dataset, linalg
+from edlae.cli import main
 from edlae.dataset import (
     InteractionMatrix,
     SplitSpec,
@@ -319,15 +321,52 @@ class TestSplitArtifacts:
         item_ids = [f"i{j}" for j in range(x.num_items)]
         out = tmp_path / "split"
         save_split_artifacts(out, split, user_ids, item_ids, spec)
-        loaded, loaded_users, loaded_items = load_split_artifacts(out)
-        assert loaded_users == user_ids and loaded_items == item_ids
-        np.testing.assert_array_equal(loaded.train_users, split.train_users)
-        np.testing.assert_array_equal(loaded.test_users, split.test_users)
+        loaded, loaded_items = load_split_artifacts(out)
+        assert loaded_items == item_ids
+        assert dataset._read_id_map(out / "users.tsv") == user_ids
+        for name in ("train_users", "validation_users", "test_users"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(split, name))
         for name in ("train", "validation_foldin", "validation_holdout", "test_foldin", "test_holdout"):
-            a, b = getattr(split, name), getattr(loaded, name)
-            np.testing.assert_array_equal(a.users, b.users)
-            np.testing.assert_array_equal(a.items, b.items)
-            np.testing.assert_array_equal(a.values, b.values)
+            assert_same_matrix(getattr(loaded, name), getattr(split, name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(12, 40), n=st.integers(2, 9),
+           binarize=st.booleans())
+    def test_arrays_round_trip(self, seed, m, n, binarize):
+        # Two ingest runs, binarized or counted, write the same arrays, and
+        # they read back as the parts of split_strong_generalization: equal
+        # indices and users, bit-equal values.
+        rng = np.random.default_rng(seed)
+        touched = rng.random((m, n)) < 0.5
+        touched[np.arange(m), rng.integers(n, size=m)] = True  # every user has an item
+        u, i = np.nonzero(touched)
+        counts = rng.choice([1.0, 0.1, 1 / 3, 2.5e-300, 7e22, 3.0], size=u.size)
+        order = rng.permutation(u.size)
+        text = "".join(f"u{a},i{b},{c!r}\n" for a, b, c in zip(
+            u[order].tolist(), i[order].tolist(), counts[order].tolist()))
+        spec = SplitSpec(0.2, 0.2, seed=seed)
+        flags = ["--validation-fraction", "0.2", "--test-fraction", "0.2", "--seed", str(seed),
+                 "--binarize", "true" if binarize else "false"]
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            data = write(tmp / "d.csv", text)
+            x, _, item_ids = load_interactions(data, binarize=binarize)
+            try:
+                split = split_strong_generalization(x, spec)
+            except InsufficientUsers:
+                assume(False)
+            for out in ("a", "b"):
+                assert main(["ingest", "--data", data, "--out", str(tmp / out), *flags]) == 0
+            loaded, loaded_items = load_split_artifacts(tmp / "a")
+            arrays = sorted(path.name for path in (tmp / "a").glob("*.npy"))
+            assert len(arrays) == (5 if binarize else 10)
+            for name in arrays:
+                assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
+        assert loaded_items == item_ids
+        for name in ("train_users", "validation_users", "test_users"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(split, name))
+        for name in ("train", "validation_foldin", "validation_holdout", "test_foldin", "test_holdout"):
+            assert_same_matrix(getattr(loaded, name), getattr(split, name))
 
     def test_manifest_is_deterministic(self, tmp_path):
         x = random_interactions(6)
@@ -420,38 +459,6 @@ class TestParsersMatchOracles:
             want = outcome(oracles.load_interactions, path, fmt=fmt, binarize=binarize)
             with mock.patch.object(dataset, "_CHUNK_LINES", chunk):
                 got = outcome(load_interactions, path, fmt=fmt, binarize=binarize)
-        assert_same_outcome(got, want)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                *[st.tuples(st.sampled_from(["u0", "u1", "u2", "u\x1c3", "ü4"] * 3 + ["zz"]),
-                            st.sampled_from(["i0", "i1", "i\x852", "i3", "i4", "i5"] * 2 + ["j"]),
-                            st.sampled_from(["1", "2", "0.5", "1e-3", " 4"] * 3 + ["x", "", "-1"]),
-                            _PAD)] * 6,
-                st.sampled_from(["", " ", "u0,i0", "u0,i0,1,1"]),
-            ),
-            max_size=10,
-        ),
-        st.lists(_ENDINGS, min_size=10, max_size=10),
-        st.sampled_from([1, 2, 3, 8192]),
-        st.booleans(),
-    )
-    def test_read_interactions(self, rows, endings, chunk, binarized):
-        user_to_index = {"u0": 0, "u1": 1, "u2": 2, "u\x1c3": 3, "ü4": 4}
-        item_to_index = {"i0": 0, "i1": 1, "i\x852": 2, "i3": 3, "i4": 4, "i5": 5}
-        lines = [row if isinstance(row, str) else f"{row[3]}{row[0]},{row[1]},{row[2]}"
-                 for row in rows]
-        text = "".join(line + end for line, end in zip(lines, endings))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "s.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-            args = (path, user_to_index, item_to_index, 6, binarized)
-            want = outcome(oracles.read_interactions, *args)
-            with mock.patch.object(dataset, "_CHUNK_LINES", chunk):
-                got = outcome(dataset._read_interactions, *args)
         assert_same_outcome(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
@@ -558,6 +565,15 @@ class TestSplitFiles:
         ):
             want = oracles.interactions_text(part, rows, user_ids, item_ids).encode("utf-8")
             assert (tmp_path / name).read_bytes() == want
+            # the arrays as np.save writes them, indices stacked and values apart
+            arrays = tmp_path / "np.save"
+            arrays.mkdir(exist_ok=True)
+            np.save(arrays / "pairs.npy", np.stack([rows[part.users], part.items]))
+            np.save(arrays / "values.npy", part.values)
+            stem = name.removesuffix(".csv")
+            assert (tmp_path / f"{stem}.npy").read_bytes() == (arrays / "pairs.npy").read_bytes()
+            assert ((tmp_path / f"{stem}.values.npy").read_bytes()
+                    == (arrays / "values.npy").read_bytes())
         assert (tmp_path / "users.tsv").read_bytes() == "".join(
             f"{name}\t{k}\n" for k, name in enumerate(user_ids)).encode("utf-8")
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
@@ -577,9 +593,10 @@ def saved_split(tmp_path, seed=5):
 class TestLoadGroups:
     def test_only_requested_groups_parsed(self, tmp_path):
         out, split = saved_split(tmp_path)
-        os.remove(out / "train.csv")
-        os.remove(out / "validation_foldin.csv")
-        loaded, _, items = load_split_artifacts(out, ("test",))
+        for part in ("train", "validation_foldin", "validation_holdout"):
+            os.remove(out / f"{part}.csv")
+            os.remove(out / f"{part}.npy")
+        loaded, items = load_split_artifacts(out, ("test",))
         assert_same_matrix(loaded.test_holdout, split.test_holdout)
         np.testing.assert_array_equal(loaded.test_users, split.test_users)
         for name in ("train", "validation_foldin", "validation_holdout"):
