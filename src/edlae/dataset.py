@@ -5,13 +5,25 @@ string ids from input files are mapped to indices in order of first
 appearance and the mapping is persisted next to the split files so that
 evaluation is reproducible across runs.
 
-Text files are read and written in chunks of ``_CHUNK_LINES`` lines, with
-no Python loop per row: a chunk is joined and split once, its fields are
-slices of the token list, and ids map to indices through dict lookups done
-by ``map``.  Lines end where iterating a text file ends them, never at the
-other characters ``str.splitlines`` breaks on.  A chunk that fails a check
-is parsed again one line at a time by the same parser, so an error names the
-first bad line, with the message of the first check that line fails.
+Input files are read in blocks of about ``_BLOCK_CHARS`` characters, each
+cut after its last newline, with no Python loop per row.  Lines end where
+iterating a text file ends them (at ``\n``, ``\r\n`` or ``\r``), never at
+the other characters ``str.splitlines`` breaks on.  A block is plain when it
+is ASCII, every byte is printable (0x21-0x7E), a newline or the delimiter,
+none is the other separator, and every non-blank line holds exactly one
+delimiter with a field of 1 to 8 bytes on each side.  A plain block is
+parsed in numpy: each field becomes one integer key, its bytes read as a
+``<u8``, one ``np.unique`` a column finds the block's distinct ids, and
+only those are decoded and looked up in the id dicts.  Any other block
+(non-ASCII ids, padding whitespace, an id longer than 8 bytes, a count
+column, a bad line) is parsed line by line as
+a chunk: it is joined and split once, its fields are slices of the token
+list, and ids map to indices through dict lookups done by ``map``.  Both
+give the same ids, order and errors, since stripping a plain field changes
+nothing.  A chunk that fails a check is parsed again one line at a time by
+the same parser, so an error names the first bad line, with the message of
+the first check that line fails.  Output CSV files are written in chunks of
+``_CHUNK_LINES`` lines.
 
 The split's layout is one table, ``_SPLIT_GROUPS``, of each group's parts.
 A part is the EvalSplit field of that name, written as ``<part>.csv`` with
@@ -27,7 +39,7 @@ Only ``gram`` needs scipy (a sparse product); ``to_csr`` imports it when
 called, so parsing and splitting run on numpy alone.
 
 Ingest sorts once.  ``load_interactions`` turns each line's pair into one
-int64 key, ``user * num_items + item``, built in place as the parsed chunks
+int64 key, ``user * num_items + item``, built in place as the parsed blocks
 are released, and merges repeated pairs from the sorted keys.  Every matrix
 after that, the split parts included, is built from triples already in
 (user, item) order, which ``InteractionMatrix.from_triples`` checks and
@@ -36,7 +48,6 @@ keeps without a copy.  No full-size copy of the triples outlives its step.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import os
@@ -70,6 +81,15 @@ SPLIT_FILES = tuple(f"{part}.csv" for parts in _SPLIT_GROUPS.values() for part i
 _MANIFEST_HEADER = "edlae split manifest v2"
 
 _CHUNK_LINES = 8192
+# Input files are parsed in blocks of about this many characters.
+_BLOCK_CHARS = 1 << 18
+# The bytes a plain block may hold besides the delimiter (see the module
+# docstring).
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[0x21:0x7F] = True
+_PLAIN_BYTES[ord("\n")] = True
+# Masks of the low w bytes of a uint64, for w = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -150,14 +170,26 @@ def _looks_like_header(fields):
     return a in _HEADER_USER_NAMES and b in _HEADER_ITEM_NAMES
 
 
-def _chunks(handle):
-    """``(first line number, stripped non-blank lines, raw lines)`` per chunk
-    of up to _CHUNK_LINES lines of a text file, split as iterating the file
-    splits them."""
-    first = 1
-    while raw := list(itertools.islice(handle, _CHUNK_LINES)):
-        yield first, list(filter(None, map(str.strip, raw))), raw
-        first += len(raw)
+def _blocks(handle):
+    """``(first line number, text)`` of each block of whole lines of a text
+    file: about _BLOCK_CHARS characters at a time, cut after the last newline
+    and without it.  Lines end where iterating the file ends them.  Only the
+    text just read is searched for a newline, and the pieces of a line that
+    spans reads are joined once, so a long line costs time linear in it."""
+    first, pieces = 1, []
+    while data := handle.read(_BLOCK_CHARS):
+        cut = data.rfind("\n")
+        if cut < 0:
+            pieces.append(data)
+            continue
+        pieces.append(data[:cut])
+        block = "".join(pieces)
+        yield first, block
+        first += block.count("\n") + 1
+        pieces = [data[cut + 1:]]
+    rest = "".join(pieces)
+    if rest:
+        yield first, rest
 
 
 def _index_of(ids, index):
@@ -168,35 +200,100 @@ def _index_of(ids, index):
     return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
+def _plain_lines(block, delim, other):
+    """``(bytes, starts, cuts, ends)`` of the non-blank lines of a plain
+    block (see the module docstring): line i is ``block[starts[i]:ends[i]]``
+    and its delimiter is at ``cuts[i]``.  The bytes are the block's, then 8
+    zeros.  None for any other block."""
+    if not block.isascii():
+        return None
+    raw = block.encode("ascii")
+    text = np.frombuffer(raw, dtype=np.uint8)
+    allowed = _PLAIN_BYTES.copy()
+    allowed[ord(delim)] = True
+    allowed[ord(other)] = False
+    if not allowed[text].all():
+        return None
+    ends = np.append(np.flatnonzero(text == ord("\n")), text.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    full = ends > starts
+    starts, ends = starts[full], ends[full]
+    cuts = np.flatnonzero(text == ord(delim))
+    # Cut i inside line i for every i, and as many cuts as lines: one a line,
+    # with 1 to 8 bytes on each side of it.
+    if cuts.size != starts.size:
+        return None
+    users, items = cuts - starts, ends - cuts - 1
+    if not ((users >= 1) & (users <= 8) & (items >= 1) & (items <= 8)).all():
+        return None
+    return np.frombuffer(raw + bytes(8), dtype=np.uint8), starts, cuts, ends
+
+
+def _plain_column(block, data, starts, ends):
+    """``(distinct fields in order of first appearance, each field's
+    position among them)`` of the fields ``block[starts[i]:ends[i]]``, each
+    1 to 8 bytes, of a plain block whose ``_plain_lines`` bytes are
+    ``data``.  A field's key is its bytes read as a ``<u8`` through an
+    8-byte window, the bytes past the field masked off.  No field holds a
+    zero byte, so equal keys are equal fields."""
+    windows = np.ndarray(data.size - 7, dtype="<u8", buffer=data, strides=(1,))
+    keys = windows[starts]
+    keys &= _LOW_BYTES[ends - starts]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct keys in order of first appearance
+    first = first[order]
+    ids = list(map(block.__getitem__, map(slice, starts[first].tolist(), ends[first].tolist())))
+    return ids, order.argsort()[which]
+
+
 class _BadLine(Exception):
     """A chunk parser's check failed; the message is the check's for the
     chunk's first line, so it is exact for a one-line chunk."""
 
 
-def _parsed_chunks(path, parse):
-    """``parse(lines, header)`` of each chunk of non-blank lines of the text
-    file ``path``; ``header`` is true only for the file's first non-blank
-    line.  A chunk the parser rejects is parsed again one line at a time by
-    the same parser: its first bad line raises ParseError with the parser's
-    message and the line number."""
-    header = True
-    with open(path, "r", encoding="utf-8") as handle:
-        for first, lines, raw in _chunks(handle):
-            if not lines:
-                continue
-            try:
-                parsed = parse(lines, header)
-            except _BadLine:
-                for lineno, line in enumerate(map(str.strip, raw), start=first):
-                    if line:
-                        try:
-                            parse([line], header)
-                        except _BadLine as bad:
-                            raise ParseError(str(bad), lineno) from None
-                        header = False
-                raise AssertionError("a rejected chunk holds no bad line") from None
-            header = False
-            yield parsed
+def _parse_lines(first, block, header, delim, other):
+    """``_parse_input_chunk`` of the non-blank lines of a block whose first
+    line is line ``first``, or None when it has none.  When the parser
+    rejects them, they are parsed again one line at a time: the first bad
+    line raises ParseError with the parser's message and the line number."""
+    raw = block.split("\n")
+    lines = list(filter(None, map(str.strip, raw)))
+    if not lines:
+        return None
+    try:
+        return _parse_input_chunk(lines, header, delim, other)
+    except _BadLine:
+        for lineno, line in enumerate(map(str.strip, raw), start=first):
+            if line:
+                try:
+                    _parse_input_chunk([line], header, delim, other)
+                except _BadLine as bad:
+                    raise ParseError(str(bad), lineno) from None
+                header = False
+        raise AssertionError("a rejected block holds no bad line") from None
+
+
+def _block_columns(first, block, header, delim, other):
+    """The user column, item column and counts of the non-blank lines of a
+    block whose first line is line ``first``, or None when it has none.  A
+    column is ``(ids, which)``: its line i holds ``ids[which[i]]``.  A plain
+    block is parsed by ``_plain_lines`` and ``_plain_column``, any other by
+    ``_parse_lines``.  ``header`` is true for the file's first non-blank
+    line, which is skipped when it looks like a header."""
+    plain = _plain_lines(block, delim, other)
+    if plain is None:
+        parsed = _parse_lines(first, block, header, delim, other)
+        if parsed is None:
+            return None
+        users, items, values = parsed
+        return (users, slice(None)), (items, slice(None)), values
+    data, starts, cuts, ends = plain
+    if not starts.size:
+        return None
+    if header and _looks_like_header(block[starts[0]:ends[0]].split(delim)):
+        starts, cuts, ends = starts[1:], cuts[1:], ends[1:]
+    return (_plain_column(block, data, starts, cuts), _plain_column(block, data, cuts + 1, ends),
+            np.ones(starts.size))
 
 
 def _parse_input_chunk(lines, header, delim, other):
@@ -251,15 +348,23 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    parse = functools.partial(_parse_input_chunk, delim=delim, other=other)
-    for chunk_users, chunk_items, chunk_values in _parsed_chunks(path, parse):
-        users.append(_index_of(chunk_users, user_index))
-        items.append(_index_of(chunk_items, item_index))
-        if not binarize:  # binarized counts are checked, then dropped
-            values.append(chunk_values)
+    header = True
+    with open(path, "r", encoding="utf-8") as handle:
+        for first, block in _blocks(handle):
+            columns = _block_columns(first, block, header, delim, other)
+            if columns is None:
+                continue
+            header = False
+            (block_users, user_rows), (block_items, item_rows), block_values = columns
+            users.append(_index_of(block_users, user_index)[user_rows])
+            items.append(_index_of(block_items, item_index)[item_rows])
+            if not binarize:  # binarized counts are checked, then dropped
+                values.append(block_values)
+            # The block's ids are not needed while the next one is parsed.
+            del columns, block_users, block_items
     n = len(item_index)
     # Each line's pair as one key, user * n + item, built in place; each
-    # chunk list is released as soon as it is concatenated.
+    # block list is released as soon as it is concatenated.
     keys = np.concatenate(users)
     del users
     if not keys.size:
@@ -391,14 +496,17 @@ def split_strong_generalization(x: InteractionMatrix, spec: SplitSpec) -> EvalSp
 
     # Per held-out user, draw the fold-in subset; iterate in a fixed order so
     # the rng stream (and hence the split) is reproducible.  Triples are
-    # sorted by user, so each user's entries form a contiguous range.
-    starts = np.cumsum(counts) - counts
-    chosen = []
-    for lo, cnt in zip(starts[held].tolist(), counts[held].tolist()):
-        n_fold = min(max(round(spec.foldin_fraction * cnt), 1), cnt - 1)
-        chosen.append(lo + rng.permutation(cnt)[:n_fold])
+    # sorted by user, so each user's entries form a contiguous range.  A
+    # user keeps round(foldin_fraction * count) entries (rint rounds half to
+    # even, as round does), at least one and all but one.
+    held_counts = counts[held]
+    n_fold = np.clip(np.rint(spec.foldin_fraction * held_counts), 1, held_counts - 1)
+    n_fold = n_fold.astype(np.int64)
+    chosen = np.concatenate([
+        rng.permutation(cnt)[:k] for cnt, k in zip(held_counts.tolist(), n_fold.tolist())])
+    chosen += np.repeat((np.cumsum(counts) - counts)[held], n_fold)
     foldin_mask = np.zeros(x.nnz, dtype=bool)
-    foldin_mask[np.concatenate(chosen)] = True
+    foldin_mask[chosen] = True
     part_of = part[x.users]
 
     return EvalSplit(
@@ -479,14 +587,23 @@ def _write_array(path, descr, *rows):
 
 def save_split_artifacts(out_dir, split: EvalSplit, user_ids, item_ids, spec: SplitSpec):
     """Write the split as CSV files plus id maps, as index arrays (see the
-    module docstring) and a deterministic manifest, each file atomically."""
+    module docstring) and a deterministic manifest, each file atomically.
+
+    The files hold a part's users only through their pairs, so a part with
+    a user who has none raises ValueError before any file is written.
+    """
+    parts = [(part, getattr(split, part), getattr(split, f"{group}_users"))
+             for group, names in _SPLIT_GROUPS.items() for part in names]
+    for part, x, _ in parts:
+        empty = x.num_users - np.count_nonzero(x.user_counts())
+        if empty:
+            raise ValueError(f"{part}: {empty} of its {x.num_users} users have no "
+                             "interactions, which the split files can not store")
     os.makedirs(out_dir, exist_ok=True)
     serialize.write_atomic(os.path.join(out_dir, "users.tsv"), _id_map_bytes(user_ids))
     serialize.write_atomic(os.path.join(out_dir, "items.tsv"), _id_map_bytes(item_ids))
     user_names = _object_array(user_ids)
     item_cells = _object_array(item_ids) + ","
-    parts = [(part, getattr(split, part), getattr(split, f"{group}_users"))
-             for group, names in _SPLIT_GROUPS.items() for part in names]
     for part, x, row_users in parts:
         serialize.write_atomic(os.path.join(out_dir, f"{part}.csv"),
                                *_interaction_chunks(x, row_users, user_names, item_cells))

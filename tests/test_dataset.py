@@ -1,6 +1,7 @@
 """Tests for ingestion, the Gram matrix, and strong-generalization splits."""
 
 import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -368,6 +369,21 @@ class TestSplitArtifacts:
         for name in ("train", "validation_foldin", "validation_holdout", "test_foldin", "test_holdout"):
             assert_same_matrix(getattr(loaded, name), getattr(split, name))
 
+    def test_user_without_interactions_rejected_before_any_file(self, tmp_path):
+        # Users 3 and 7 have no pair, so they stay in train, where the split
+        # files could not hold them.
+        touched = np.ones((12, 3), dtype=bool)
+        touched[[3, 7]] = False
+        u, i = np.nonzero(touched)
+        x = InteractionMatrix.from_triples(12, 3, u, i, np.ones(u.size))
+        spec = SplitSpec(0.2, 0.2, seed=1)
+        split = split_strong_generalization(x, spec)
+        out = tmp_path / "split"
+        out.mkdir()
+        with pytest.raises(ValueError, match=r"^train: 2 of its \d+ users have no interactions"):
+            save_split_artifacts(out, split, [f"u{k}" for k in range(12)], ["a", "b", "c"], spec)
+        assert os.listdir(out) == []
+
     def test_manifest_is_deterministic(self, tmp_path):
         x = random_interactions(6)
         spec = SplitSpec(0.2, 0.2, seed=4)
@@ -447,18 +463,114 @@ def input_files(draw):
     return fmt, text, draw(st.booleans()), draw(st.sampled_from([1, 2, 3, 8192]))
 
 
+# Plain input files (see the dataset module docstring): printable ASCII ids
+# of 1 to 12 characters, so that some blocks are plain and in others an id
+# longer than 8 bytes sends the block line by line, with now and then one
+# line that is not plain.
+_PLAIN_CHARS = [chr(c) for c in range(0x21, 0x7F) if chr(c) != ","]
+_PLAIN_IDS = st.text(alphabet=st.sampled_from(_PLAIN_CHARS), min_size=1, max_size=12)
+_NOT_PLAIN = st.sampled_from(["one field", "empty id", "two delimiters", "counted",
+                              "padded", "non-ascii", "other separator", "blank with space"])
+
+
+@st.composite
+def plain_files(draw):
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    delim, other = (",", "\t") if fmt == "csv" else ("\t", ",")
+    pool = draw(st.lists(_PLAIN_IDS, min_size=1, max_size=8, unique=True))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["user,item", "uid,song", "user,x"])).replace(",", delim))
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        else:
+            lines.append(delim.join(draw(st.sampled_from(pool)) for _ in range(2)))
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), {
+            "one field": "u", "empty id": f"u{delim}", "two delimiters": f"u{delim}i{delim}j",
+            "counted": f"u{delim}i{delim}2", "padded": f" u{delim}i", "non-ascii": f"u{delim}\xe9",
+            "other separator": f"u{delim}i{other}j", "blank with space": " "}[draw(_NOT_PLAIN)])
+    text = "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline at the end of the file
+    return fmt, text, draw(st.booleans()), draw(st.sampled_from([1, 5, 17, 64, 8192]))
+
+
+def spy(monkeypatch, name):
+    """Count the calls of the dataset function ``name``."""
+    calls = []
+    real = getattr(dataset, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dataset, name, counted)
+    return calls
+
+
+def assert_parse_matches_oracle(fmt, text, binarize, block):
+    """``load_interactions`` of ``text`` read in blocks of ``block``
+    characters has the oracle's outcome; blocks of a few characters cut
+    lines in the middle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"d.{fmt}")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        want = outcome(oracles.load_interactions, path, fmt=fmt, binarize=binarize)
+        with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+            got = outcome(load_interactions, path, fmt=fmt, binarize=binarize)
+    assert_same_outcome(got, want)
+
+
 class TestParsersMatchOracles:
     @settings(max_examples=400, deadline=None)
     @given(input_files())
     def test_load_interactions(self, case):
-        fmt, text, binarize, chunk = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, f"d.{fmt}")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-            want = outcome(oracles.load_interactions, path, fmt=fmt, binarize=binarize)
-            with mock.patch.object(dataset, "_CHUNK_LINES", chunk):
-                got = outcome(load_interactions, path, fmt=fmt, binarize=binarize)
+        assert_parse_matches_oracle(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_files())
+    def test_plain_blocks_match_oracle(self, case):
+        assert_parse_matches_oracle(*case)
+
+    def test_plain_and_other_blocks_alternate(self, tmp_path, monkeypatch):
+        # Blocks of about one line: padded lines and lines with non-ASCII ids
+        # go line by line, the others through numpy, and ids keep the order
+        # in which the file first names them.
+        lines = []
+        for k in range(60):
+            user, item = f"u{k % 7}" + "x" * (k % 7), f"item{k % 5}"
+            lines.append({0: f" {user},{item}", 1: f"{user},\xe9{item}"}.get(k % 4, f"{user},{item}"))
+        path = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", 8)
+        plain = spy(monkeypatch, "_plain_column")
+        other = spy(monkeypatch, "_parse_input_chunk")
+        got = outcome(load_interactions, path, binarize=False)
+        assert len(plain) == 2 * 30 and len(other) == 30
+        assert_same_outcome(got, outcome(oracles.load_interactions, path, binarize=False))
+
+    @pytest.mark.parametrize("block", [8192, 1 << 18])
+    def test_benchmark_input_takes_the_plain_path(self, tmp_path, monkeypatch, block):
+        # The benchmark's generator writes a header and u<k>,i<k> lines; every
+        # block of them is parsed in numpy, with the same result.
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        try:
+            import gen
+        finally:
+            sys.path.pop(0)
+        path = tmp_path / "d.csv"
+        gen.write_csv(path, *gen.interactions(3, 2000, 300, 8))
+        want = outcome(load_interactions, str(path))
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", block)
+
+        def refuse(*args):
+            raise AssertionError("a benchmark input block was parsed line by line")
+
+        monkeypatch.setattr(dataset, "_parse_input_chunk", refuse)
+        got = outcome(load_interactions, str(path))
+        assert got[1][0].nnz > 10_000
         assert_same_outcome(got, want)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
@@ -466,7 +578,7 @@ class TestParsersMatchOracles:
         lines = [f"u{k},i{k % 3}" for k in range(10)]
         lines[7] = "u7,i1,-2"
         path = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
-        monkeypatch.setattr(dataset, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", chunk)
         with pytest.raises(ParseError) as excinfo:
             load_interactions(path)
         assert excinfo.value.line == 8
@@ -516,6 +628,18 @@ class TestParsersMatchOracles:
         assert split.train.nnz > 0.7 * lines
         assert peak < 80 * lines
 
+    def test_long_id_among_short_lines_memory_bounded(self, tmp_path):
+        # A 4 KiB id among 30k short lines: its block is parsed line by line,
+        # so no line's key is as wide as the longest id.  Keys that wide
+        # would take about 100 MB here; the parse holds about 20 bytes per
+        # byte of the file.
+        lines = [f"u{k % 5000},i{k % 300}" for k in range(30_000)]
+        lines[12_345] = "u" * 4096 + ",i1"
+        path = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        peak, (x, user_ids, _) = traced_peak(load_interactions, path)
+        assert x.nnz == len(set(lines)) and "u" * 4096 in user_ids
+        assert peak < 40 * os.path.getsize(path)
+
     def test_duplicate_counts_summed_in_file_order(self, tmp_path):
         counts = ["0.1", "0.2", "0.3", "1e16"]
         path = write(tmp_path / "d.csv", "".join(f"u,i,{c}\n" for c in counts))
@@ -529,8 +653,17 @@ class TestParsersMatchOracles:
 class TestSplitMatchesOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_foldin_draw(self, seed):
+        self.check(seed, 0.7)
+
+    def test_half_way_fold_in_sizes_round_to_even(self):
+        # Half of an odd count lies half way: 2.5 keeps 2 pairs, 3.5 keeps 4.
+        split = self.check(3, 0.5)
+        counts = split.test_foldin.user_counts() + split.test_holdout.user_counts()
+        assert (counts % 2 == 1).any()
+
+    def check(self, seed, foldin_fraction):
         x = random_interactions(seed, m=90, n=15, density=0.3)
-        spec = SplitSpec(0.2, 0.3, foldin_fraction=0.7, seed=seed)
+        spec = SplitSpec(0.2, 0.3, foldin_fraction=foldin_fraction, seed=seed)
         split = split_strong_generalization(x, spec)
         # the draws before the fold-in masks: the user permutation
         rng = np.random.default_rng(spec.seed)
@@ -543,13 +676,16 @@ class TestSplitMatchesOracle:
                            (split.test_foldin, split.test_users)):
             got |= set(zip(rows[part.users].tolist(), part.items.tolist()))
         assert got == want
+        return split
 
 
 class TestSplitFiles:
     @pytest.mark.parametrize("chunk", [1, 2, 5, 8192])
     def test_written_bytes_match_oracle(self, tmp_path, chunk, monkeypatch):
         rng = np.random.default_rng(chunk)
-        u, i = np.nonzero(rng.random((40, 9)) < 0.4)
+        touched = rng.random((40, 9)) < 0.4
+        touched[:, 0] |= ~touched.any(axis=1)  # the files hold only users with a pair
+        u, i = np.nonzero(touched)
         values = rng.choice([1.0, 0.1, 1 / 3, 2.5e-300, 7e22, 3.0], size=u.size)
         x = InteractionMatrix.from_triples(40, 9, u, i, values)
         spec = SplitSpec(0.2, 0.2, seed=1)
