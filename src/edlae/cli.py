@@ -318,8 +318,8 @@ def cmd_train(opts):
 
 
 def cmd_eval(opts):
-    out = _prepare_out_dir(opts.out, opts.force)
     split, _ = dataset.load_split_artifacts(opts.split, ("test",))
+    out = _prepare_out_dir(opts.out, opts.force)
     num_items = split.test_foldin.num_items
     rows = []
     for path in opts.models:

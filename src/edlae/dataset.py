@@ -349,7 +349,7 @@ def load_interactions(path, fmt: str = "csv", binarize: bool = True):
     item_index: dict[str, int] = {}
     users, items, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     header = True
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for first, block in _blocks(handle):
             columns = _block_columns(first, block, header, delim, other)
             if columns is None:

@@ -42,8 +42,6 @@ from .errors import DimensionMismatch, EmptyHoldout
 # Users folded in, scored and ranked at a time: bounds the block of X U, the
 # score block and the temporaries of the top-list selection.
 _BLOCK_ROWS = 256
-# Values of X U (rows times rank) summed at a time by the fold-in product.
-_FOLD_IN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,16 +110,13 @@ def _user_rows(matrix, lo, hi):
 def _fold_in(foldin, u):
     """``X U`` for the fold-in matrix X, with a CSR product's summation order.
 
-    Users are ordered by descending fold-in count (a stable sort) and taken
-    in blocks of about _FOLD_IN_BLOCK values of ``X U``, which stay in cache
-    (one whole (users, k) accumulator is 1.2-1.6x slower on the benchmark's
-    fold-in sets at k = 64 and 384).  Pass j over a block adds the j-th
-    fold-in row of each of its users with more than j items; those users are
-    a prefix of the block, so they are updated without a scatter.  A block
-    takes as many passes as its first user has items, not one per user.  It
-    is summed in one reused block-sized buffer, each pass's rows gathered into
-    a second one, and then copied to its users' rows of the result, the only
-    (users, k) array.
+    ``foldin`` is one scoring block of at most _BLOCK_ROWS users, as
+    _score_blocks hands it; besides the (users, k) result, one accumulator
+    and one step buffer of the same size are held.  Users are ordered by
+    descending fold-in count (a stable sort).  Pass j adds the j-th fold-in
+    row of each user with more than j items; those users are a prefix of the
+    order, so they are updated without a scatter, and the block takes as
+    many passes as its heaviest user has items, not one per user.
     """
     u = np.asarray(u, dtype=np.float64)
     counts = foldin.user_counts()
@@ -134,24 +129,18 @@ def _fold_in(foldin, u):
     # multiply, and with it the buffer of up to 8192 values that numpy's
     # broadcasting multiply allocates on each pass.
     unit_values = bool((foldin.values == 1.0).all())
-    block = max(1, _FOLD_IN_BLOCK // max(u.shape[1], 1))
-    out = np.empty((counts.size, u.shape[1]))
-    buffer = np.empty((min(block, counts.size), u.shape[1]))
-    steps = np.empty_like(buffer)
-    for lo in range(0, counts.size, block):
-        hi = min(lo + block, counts.size)
-        xu = buffer[:hi - lo]
-        xu.fill(0.0)
-        for j in range(int(counts[order[lo]])):
-            users = min(int(active[j]), hi) - lo
-            idx = starts[lo:lo + users] + j
-            # Fold-in items index rows of u, so "clip" never clips; unlike the
-            # default mode it writes into ``step`` without a buffer.
-            step = np.take(u, foldin.items[idx], axis=0, out=steps[:users], mode="clip")
-            if not unit_values:
-                step *= foldin.values[idx, None]
-            xu[:users] += step
-        out[order[lo:hi]] = xu
+    xu = np.zeros((counts.size, u.shape[1]))
+    steps = np.empty_like(xu)
+    for j, users in enumerate(active.tolist()):
+        idx = starts[:users] + j
+        # Fold-in items index rows of u, so "clip" never clips; unlike the
+        # default mode it writes into ``step`` without a buffer.
+        step = np.take(u, foldin.items[idx], axis=0, out=steps[:users], mode="clip")
+        if not unit_values:
+            step *= foldin.values[idx, None]
+        xu[:users] += step
+    out = np.empty_like(xu)
+    out[order] = xu
     return out
 
 

@@ -99,7 +99,7 @@ def read_record(path, header=None, file=None) -> dict[str, str]:
     key are ParseErrors naming ``file`` (by default ``path``) and the line."""
     file = os.fspath(path) if file is None else file
     fields = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         if header is not None and (first := handle.readline().rstrip("\n")) != header:
             raise ParseError(f"expected {header!r}, got {first!r}", 1, file)
         for lineno, raw in enumerate(handle, start=1 if header is None else 2):

@@ -89,7 +89,7 @@ def load_interactions(path, fmt="csv", binarize=True):
     delim, other = (",", "\t") if fmt == "csv" else ("\t", ",")
     user_index, item_index, merged = {}, {}, {}
     first_data_line = True
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:

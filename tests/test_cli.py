@@ -596,6 +596,17 @@ class TestEval:
         assert "--models" in err and "'edlae_k2'" in err
         assert not out.exists()
 
+    def test_missing_split_fails_before_out(self, tmp_path, data_csv, capsys):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert main(["eval", "--split", str(tmp_path / "absent"), "--out", str(out), "--models",
+                     str(run / "edlae_k2.model")]) == 1
+        assert "absent" in capsys.readouterr().err
+        assert not out.exists()  # as train, eval reads its split before touching --out
+
 
 def rewrite(split, name, edit):
     """Save ``edit`` of the array in the .npy file ``name`` of ``split``, C-ordered,

@@ -151,6 +151,21 @@ class TestLoadInteractions:
         matrix, users, _ = load_interactions(path)
         assert matrix.nnz == 1 and users == ["u1"]
 
+    @pytest.mark.parametrize("fmt, text", [("csv", "user,item\nu1,i1\nu1,i2\nu2,i1\n"),
+                                           ("tsv", "user\titem\nu1\ti1\t2\nu2\ti1\n")],
+                             ids=["csv", "tsv"])
+    def test_byte_order_mark_before_header(self, tmp_path, fmt, text):
+        # spreadsheet exports often begin with a UTF-8 byte-order mark
+        plain = load_interactions(write(tmp_path / f"a.{fmt}", text), fmt=fmt, binarize=False)
+        marked = load_interactions(write(tmp_path / f"b.{fmt}", "\ufeff" + text), fmt=fmt,
+                                   binarize=False)
+        assert marked[1:] == plain[1:]
+        assert marked[0].to_dense().tobytes() == plain[0].to_dense().tobytes()
+
+    def test_byte_order_mark_without_header(self, tmp_path):
+        matrix, users, items = load_interactions(write(tmp_path / "d.csv", "\ufeffu1,i1\nu2,i1\n"))
+        assert users == ["u1", "u2"] and items == ["i1"] and matrix.nnz == 2
+
     def test_tsv(self, tmp_path):
         path = write(tmp_path / "d.tsv", "u1\ti1\t4\nu2\ti2\t1\n")
         matrix, _, _ = load_interactions(path, fmt="tsv", binarize=False)

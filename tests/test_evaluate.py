@@ -99,11 +99,10 @@ class TestScoreUsersMatchesCsr:
         heavy=st.booleans(),
         binary=st.booleans(),
         scale=st.sampled_from([1.0, 1e-8, 1e8]),
-        block=st.sampled_from([1, 3, 8, evaluate._FOLD_IN_BLOCK]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bit_equal_to_csr_product(self, num_users, num_items, k, density, heavy, binary,
-                                      scale, block, seed):
+                                      scale, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((num_users, num_items)) < density  # some users have no items
         if heavy and num_users:
@@ -113,39 +112,60 @@ class TestScoreUsersMatchesCsr:
         foldin = foldin_matrix(mask, values)
         u = scale * rng.standard_normal((num_items, k))
         v = rng.standard_normal((num_items, k))
-        original = evaluate._FOLD_IN_BLOCK
-        evaluate._FOLD_IN_BLOCK = block  # values of X U per block: 1 to several rows
-        try:
-            got = score_users(LowRankModel(u=u, v=v), foldin)
-        finally:
-            evaluate._FOLD_IN_BLOCK = original
+        got = score_users(LowRankModel(u=u, v=v), foldin)
         want = csr_scores(u, v, foldin)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # also the signs of zeros
 
-    def test_fold_in_holds_one_users_by_rank_array(self):
+    @pytest.mark.parametrize("k", [129, 384])
+    def test_fold_in_bit_equal_at_large_rank(self, k):
+        # one heavy user among light ones, with non-unit values, at ranks
+        # where a block's X U is more than 32,768 values
+        rng = np.random.default_rng(k)
+        users, n = evaluate._BLOCK_ROWS, 500
+        mask = rng.random((users, n)) < 0.02
+        mask[rng.integers(users)] = rng.random(n) < 0.9
+        foldin = foldin_matrix(mask, rng.choice(_FOLDIN_VALUES, size=int(mask.sum())))
+        u = rng.standard_normal((n, k))
+        want = scipy.sparse.csr_matrix((foldin.values, (foldin.users, foldin.items)),
+                                       shape=(users, n)) @ u
+        assert evaluate._fold_in(foldin, u).tobytes() == want.tobytes()
+
+    def test_score_blocks_hold_a_fraction_of_the_whole_x_u(self):
         users, n, k = 20_000, 300, 64
         rng = np.random.default_rng(5)
         mask = rng.random((users, n)) < 0.01
         foldin = foldin_matrix(mask, rng.choice(_FOLDIN_VALUES, size=int(mask.sum())))
-        u = rng.standard_normal((n, k))
+        model = LowRankModel(u=rng.standard_normal((n, k)), v=rng.standard_normal((n, k)))
         tracemalloc.start()
         try:
-            xu = evaluate._fold_in(foldin, u)
+            for _ in evaluate._score_blocks(model, foldin):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        want = scipy.sparse.csr_matrix((foldin.values, (foldin.users, foldin.items)),
-                                       shape=(users, n)) @ u
-        assert xu.tobytes() == want.tobytes()
-        assert peak < 1.5 * xu.nbytes
+        assert peak < 0.25 * users * k * 8  # bytes of the whole set's X U
+
+    def test_fold_in_sees_at_most_one_scoring_block(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        model, foldin, holdout = model_case(rng, 3 * evaluate._BLOCK_ROWS + 5, 40, 8, 2, 0.5)
+        fold_in, sizes = evaluate._fold_in, []
+
+        def spy(rows, u):
+            sizes.append(rows.num_users)
+            return fold_in(rows, u)
+
+        monkeypatch.setattr(evaluate, "_fold_in", spy)
+        score_users(model, foldin)
+        evaluate.model_metrics(model, foldin, holdout)
+        assert sizes == 2 * ([evaluate._BLOCK_ROWS] * 3 + [5])
 
     def test_fold_in_reuses_its_step_buffer(self):
         # 800 users of about 16 unit-valued fold-in items, as in a validation
-        # fold-in: one block covers every user, so the result, the block
-        # buffer and the step buffer are three result sizes; the rest is
-        # per-user index arrays, and no pass allocates a temporary.
+        # fold-in: the result, the accumulator and the step buffer are three
+        # result sizes; the rest is per-user index arrays, and no pass
+        # allocates a temporary.
         users, n, k = 800, 600, 16
         rng = np.random.default_rng(6)
         mask = rng.random((users, n)) < 16 / n

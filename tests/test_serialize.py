@@ -196,6 +196,13 @@ class TestRecord:
         path.write_text("# job\n\n  test-fraction = 0.2 # share\nout=x#1\n", encoding="utf-8")
         assert read_record(path) == {"test_fraction": "0.2", "out": "x#1"}
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "r.cfg"
+        path.write_text("\ufeffv1\nseed = 3\n", encoding="utf-8")
+        assert read_record(path, header="v1") == {"seed": "3"}
+        path.write_text("\ufeffseed = 3\n", encoding="utf-8")
+        assert read_record(path) == {"seed": "3"}
+
     @pytest.mark.parametrize("text, error", [
         ("a = 1\nb\n", "r.cfg, line 2: expected 'key = value', got 'b'"),
         ("a = 1\n = 2\n", "r.cfg, line 2: expected 'key = value', got '= 2'"),
