@@ -2,7 +2,8 @@
 
 Every command records its resolved configuration into the output directory
 once its artifacts are written, and refuses to silently overwrite a previous
-run (pass --force); a failed run leaves no record and can be rerun.  A
+run (pass --force) before it reads any input; the directory is made with the
+command's first write, and a failed run leaves no record and can be rerun.  A
 command's options are one table, ``OPTIONS``, from which its flags, its
 config-file keys and its record are all read.  An option may come from a
 `key = value` config file (--config), keyed by its flag's name with ``_`` for
@@ -156,7 +157,7 @@ OPTIONS = {
     ),
     "train": (
         ("split", str, _REQUIRED),
-        ("family", _choice("edlae", "ridge", "both"), "edlae"),
+        ("family", _choice(*closed_form.ZERO_DIAGONAL, "both"), "edlae"),
         ("ks", _ranks, [8]),
         ("lambdas", _floats_in(0.0, float("inf")), [1.0]),
         ("ps", _floats_in(0.0, 1.0), [0.5]),
@@ -212,14 +213,14 @@ def _options(args):
 
 
 def _prepare_out_dir(out, force):
+    """Check ``out`` before any input is read; the command makes it just
+    before its first write, so a failed run leaves no empty directory."""
     if out is None:
         raise ConfigError("an output directory is required (--out)")
     if os.path.exists(os.path.join(out, RESOLVED_CONFIG)) and not force:
         raise ConfigError(
             f"{out} already holds a run ({RESOLVED_CONFIG} present); rerun with --force to overwrite"
         )
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _record_run(out, opts):
@@ -230,13 +231,14 @@ def _record_run(out, opts):
 
 
 def cmd_ingest(opts):
+    out = opts.out
+    _prepare_out_dir(out, opts.force)
     spec = dataset.SplitSpec(
         validation_fraction=opts.validation_fraction,
         test_fraction=opts.test_fraction,
         foldin_fraction=opts.foldin_fraction,
         seed=opts.seed,
     )
-    out = _prepare_out_dir(opts.out, opts.force)
     matrix, user_ids, item_ids = dataset.load_interactions(opts.data, fmt=opts.format,
                                                            binarize=opts.binarize)
     split = dataset.split_strong_generalization(matrix, spec)
@@ -265,7 +267,8 @@ def _require_trained_items(train, item_ids):
 
 
 def cmd_train(opts):
-    ks, lambdas, ps = opts.ks, opts.lambdas, opts.ps
+    ks, lambdas, ps, out = opts.ks, opts.lambdas, opts.ps, opts.out
+    _prepare_out_dir(out, opts.force)
     # Training needs scipy (the sparse Gram and LAPACK).  Importing it here,
     # before any library call, keeps its import time and allocations out of
     # the traced library calls (perfbench/tracer.py).
@@ -279,16 +282,16 @@ def cmd_train(opts):
             raise ConfigError(f"rank {k} outside [1, {n}] for this split")
     if 0.0 in lambdas:
         _require_trained_items(split.train, item_ids)
-    out = _prepare_out_dir(opts.out, opts.force)
     g = dataset.gram(split.train)
     # Past G only the validation users are needed: free the training triples.
     foldin, holdout = split.validation_foldin, split.validation_holdout
     del split
-    families = ["edlae", "ridge"] if opts.family == "both" else [opts.family]
+    families = list(closed_form.ZERO_DIAGONAL) if opts.family == "both" else [opts.family]
     # The whole grid is trained before any model is ranked: the chain runs in
     # scipy's BLAS runtime and scoring in numpy's, so the two thread pools
     # take turns once instead of slowing each other at every (lambda, p).
     models = closed_form.train_grid(g, families, ks, lambdas, ps)
+    os.makedirs(out, exist_ok=True)
     fmt = serialize.format_value
     log = ["family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n"]
     # One (family, k) per group of (lambda, p) models, in the log's order.
@@ -318,15 +321,18 @@ def cmd_train(opts):
 
 
 def cmd_eval(opts):
+    out = opts.out
+    _prepare_out_dir(out, opts.force)
     split, _ = dataset.load_split_artifacts(opts.split, ("test",))
-    out = _prepare_out_dir(opts.out, opts.force)
     num_items = split.test_foldin.num_items
-    rows = []
-    for path in opts.models:
-        model = serialize.load_model(path)
+    models = [serialize.load_model(path) for path in opts.models]
+    for path, model in zip(opts.models, models):
         if model.u.shape[0] != num_items:
             raise DimensionMismatch(f"{path}: model covers {model.u.shape[0]} items, split "
                                     f"{opts.split} has {num_items}")
+    os.makedirs(out, exist_ok=True)
+    rows = []
+    for path, model in zip(opts.models, models):
         model_id = _model_id(path)
         for res in evaluate.model_metrics(model, split.test_foldin, split.test_holdout):
             rows.append(
@@ -355,13 +361,12 @@ def cmd_eval(opts):
 
 
 def cmd_verify(opts):
-    m, n = opts.m, opts.n
+    m, n, out = opts.m, opts.n, opts.out
+    if out is not None:
+        _prepare_out_dir(out, opts.force)
     for k in opts.ks:
         if not 1 <= k < min(m, n):
             raise ConfigError(f"--ks: k={k} must be in [1, min(m, n)={min(m, n)})")
-    out = opts.out
-    if out is not None:
-        out = _prepare_out_dir(out, opts.force)
 
     suite = checks.run_invariant_checks(seed=opts.seed)
     for result in suite:
@@ -376,6 +381,7 @@ def cmd_verify(opts):
         f"min gap {report.min_gap:.3e}, failures {len(report.failures())}"
     )
     if out is not None:
+        os.makedirs(out, exist_ok=True)
         jsonl = io.StringIO()
         report.write_jsonl(jsonl)
         serialize.write_atomic(os.path.join(out, "bound_report.jsonl"),

@@ -476,7 +476,14 @@ def split_strong_generalization(x: InteractionMatrix, spec: SplitSpec) -> EvalSp
     eligible = np.flatnonzero(counts >= 2)
     n_val = int(round(spec.validation_fraction * m))
     n_test = int(round(spec.test_fraction * m))
-    if n_val < 1 or n_test < 1 or n_val + n_test > eligible.size:
+    for name, fraction, count in (("validation", spec.validation_fraction, n_val),
+                                  ("test", spec.test_fraction, n_test)):
+        if count < 1:
+            raise InsufficientUsers(
+                f"{name} fraction {fraction:g} of {m} users rounds to 0 {name} users; "
+                "each held-out part needs at least 1"
+            )
+    if n_val + n_test > eligible.size:
         raise InsufficientUsers(
             f"need {n_val} validation + {n_test} test users with >= 2 interactions, "
             f"have {eligible.size} eligible of {m} total"

@@ -7,6 +7,7 @@ error can never drop below the rank-k truncated-SVD error of X.  This
 module trains such models by full-batch gradient descent with hand-written
 backpropagation and checks that bound empirically over many trials, the
 architectures of DEFAULT_ARCHS and the data generators of DEFAULT_GENERATORS.
+Each step builds new parameters and never writes into an earlier step's.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, Divergence
 
 
-def _tanh(z):
-    return np.tanh(z)
-
-
-def _tanh_grad(z, h):
+def _tanh_grad(h):
     return 1.0 - h * h
 
 
@@ -31,20 +28,22 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _relu_grad(z, h):
-    return (z > 0.0).astype(np.float64)
+def _relu_grad(h):
+    return h > 0.0
 
 
 def _linear(z):
     return z
 
 
-def _linear_grad(z, h):
-    return np.ones_like(z)
+def _linear_grad(h):
+    return np.ones_like(h)
 
 
+# Each activation with its derivative, read off the layer's output h = act(z):
+# relu's h > 0 holds exactly where z > 0 does, NaN and -0.0 included.
 ACTIVATIONS = {
-    "tanh": (_tanh, _tanh_grad),
+    "tanh": (np.tanh, _tanh_grad),
     "relu": (_relu, _relu_grad),
     "linear": (_linear, _linear_grad),
 }
@@ -75,7 +74,7 @@ DEFAULT_ARCHS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeepAEParams:
     """Weights and biases of the encoder stack plus the final linear map.
 
@@ -87,14 +86,6 @@ class DeepAEParams:
     biases: list[np.ndarray]
     w_out: np.ndarray
     activation: str
-
-    def copy(self) -> "DeepAEParams":
-        return DeepAEParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.w_out.copy(),
-            self.activation,
-        )
 
 
 def init_params(n: int, k: int, arch: ArchSpec, seed: int) -> DeepAEParams:
@@ -112,14 +103,13 @@ def init_params(n: int, k: int, arch: ArchSpec, seed: int) -> DeepAEParams:
 
 
 def _encode(params: DeepAEParams, x: np.ndarray):
-    """Each encoder layer's pre-activation, and the activations with x first:
-    layer i maps acts[i] to acts[i + 1]."""
+    """The encoder's activations with x first: layer i maps acts[i] to
+    acts[i + 1]."""
     act, _ = ACTIVATIONS[params.activation]
-    pres, acts = [], [x]
+    acts = [x]
     for w, b in zip(params.weights, params.biases):
-        pres.append(acts[-1] @ w + b)
-        acts.append(act(pres[-1]))
-    return pres, acts
+        acts.append(act(acts[-1] @ w + b))
+    return acts
 
 
 def deep_ae_forward(params: DeepAEParams, x: np.ndarray) -> np.ndarray:
@@ -129,7 +119,7 @@ def deep_ae_forward(params: DeepAEParams, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"input has shape {x.shape}, encoder expects {params.weights[0].shape[0]} columns"
         )
-    return _encode(params, x)[1][-1] @ params.w_out
+    return _encode(params, x)[-1] @ params.w_out
 
 
 def squared_error(x: np.ndarray, xhat: np.ndarray) -> float:
@@ -145,7 +135,7 @@ def squared_error(x: np.ndarray, xhat: np.ndarray) -> float:
 def se_and_gradients(params: DeepAEParams, x: np.ndarray):
     """Squared error and its gradient w.r.t. every parameter (backprop)."""
     _, act_grad = ACTIVATIONS[params.activation]
-    pres, acts = _encode(params, x)
+    acts = _encode(params, x)
     diff = acts[-1] @ params.w_out - x
     se = float(np.sum(diff * diff))
 
@@ -155,7 +145,7 @@ def se_and_gradients(params: DeepAEParams, x: np.ndarray):
     g_weights = [None] * len(params.weights)
     g_biases = [None] * len(params.biases)
     for layer in range(len(params.weights) - 1, -1, -1):
-        d_z = d_h * act_grad(pres[layer], acts[layer + 1])
+        d_z = d_h * act_grad(acts[layer + 1])
         g_weights[layer] = acts[layer].T @ d_z
         g_biases[layer] = d_z.sum(axis=0)
         if layer > 0:
@@ -182,7 +172,7 @@ def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
         raise DimensionMismatch(f"bottleneck k must satisfy 1 <= k < min{m, n}, got {k}")
     params = init_params(n, k, arch, seed)
     # the first step's loss is the initial parameters' loss
-    best_se, best_params = np.inf, params.copy()
+    best_se, best_params = np.inf, params
     halvings = 0
     for _ in range(steps):
         # overflow here is expected when the step is too large; the halving
@@ -191,7 +181,7 @@ def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
             se, (gw, gb, gout) = se_and_gradients(params, x)
         if not np.isfinite(se):
             # restart from the best parameters seen with a smaller step
-            params = best_params.copy()
+            params = best_params
             lr *= 0.5
             halvings += 1
             if halvings > _MAX_HALVINGS:
@@ -200,18 +190,14 @@ def train_deep_ae(x: np.ndarray, arch: ArchSpec, k: int, steps: int = 500,
                 )
             continue
         if se < best_se:
-            best_se = se
-            best_params = params.copy()
-        for w, g in zip(params.weights, gw):
-            w -= lr * g
-        for b, g in zip(params.biases, gb):
-            b -= lr * g
-        params.w_out -= lr * gout
+            best_se, best_params = se, params
+        params = DeepAEParams([w - lr * g for w, g in zip(params.weights, gw)],
+                              [b - lr * g for b, g in zip(params.biases, gb)],
+                              params.w_out - lr * gout, params.activation)
     with np.errstate(over="ignore", invalid="ignore"):
         final_se = squared_error(x, deep_ae_forward(params, x))
     if np.isfinite(final_se) and final_se < best_se:
-        best_se = final_se
-        best_params = params.copy()
+        best_se, best_params = final_se, params
     return best_params, best_se
 
 

@@ -15,6 +15,9 @@ it reuses the library's top-list and input-check helpers, so that tests can
 require the two paths to agree bit for bit.  Likewise ``composed_low_rank``
 spells out the training chain stage by stage from the library's public
 stage functions, so that tests can require every trainer to equal it bit
+for bit, and ``in_place_train_deep_ae`` is the deep-AE trainer as it was
+when each step wrote into its parameter arrays (with a backprop that keeps
+each pre-activation), so that tests can require the trainer to equal it bit
 for bit.
 """
 
@@ -24,8 +27,11 @@ import numpy as np
 
 from edlae.closed_form import student_gram, student_projection
 from edlae.dataset import InteractionMatrix
+from edlae.deepae import (
+    _MAX_HALVINGS, DeepAEParams, deep_ae_forward, init_params, squared_error,
+)
 from edlae.evaluate import MetricResult, _aggregate, _check_eval_inputs, _top_lists
-from edlae.errors import DimensionMismatch, EmptyDataset, ParseError
+from edlae.errors import DimensionMismatch, Divergence, EmptyDataset, ParseError
 from edlae.linalg import sym_inverse
 
 
@@ -365,8 +371,6 @@ def fd_gradient(params, x, step=1e-6) -> np.ndarray:
 
     Uses only the public forward pass, independently of the backprop code.
     """
-    from edlae.deepae import deep_ae_forward, squared_error
-
     blocks = list(params.weights) + list(params.biases) + [params.w_out]
     sizes = [b.size for b in blocks]
     grad = np.empty(int(np.sum(sizes)))
@@ -383,6 +387,80 @@ def fd_gradient(params, x, step=1e-6) -> np.ndarray:
             grad[offset + idx] = (up - down) / (2.0 * step)
         offset += flat.size
     return grad
+
+
+# The derivatives as the in-place trainer took them: relu's from the
+# pre-activation z, the others from the output h.
+_IN_PLACE_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z, h: 1.0 - h * h),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, h: (z > 0.0).astype(np.float64)),
+    "linear": (lambda z: z, lambda z, h: np.ones_like(z)),
+}
+
+
+def _in_place_se_and_gradients(params, x):
+    """``deepae.se_and_gradients`` as it was, keeping each layer's
+    pre-activation."""
+    act, act_grad = _IN_PLACE_ACTIVATIONS[params.activation]
+    pres, acts = [], [x]
+    for w, b in zip(params.weights, params.biases):
+        pres.append(acts[-1] @ w + b)
+        acts.append(act(pres[-1]))
+    diff = acts[-1] @ params.w_out - x
+    se = float(np.sum(diff * diff))
+    d_out = 2.0 * diff
+    g_w_out = acts[-1].T @ d_out
+    d_h = d_out @ params.w_out.T
+    g_weights = [None] * len(params.weights)
+    g_biases = [None] * len(params.biases)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        d_z = d_h * act_grad(pres[layer], acts[layer + 1])
+        g_weights[layer] = acts[layer].T @ d_z
+        g_biases[layer] = d_z.sum(axis=0)
+        if layer > 0:
+            d_h = d_z @ params.weights[layer].T
+    return se, (g_weights, g_biases, g_w_out)
+
+
+def _copied(params):
+    return DeepAEParams([w.copy() for w in params.weights], [b.copy() for b in params.biases],
+                        params.w_out.copy(), params.activation)
+
+
+def in_place_train_deep_ae(x, arch, k, steps, lr, seed):
+    """``deepae.train_deep_ae``'s loop as it was when each step wrote into
+    the parameter arrays, so the best parameters seen and each restart were
+    copies: (best params, best squared error), or the same Divergence."""
+    x = np.asarray(x, dtype=np.float64)
+    params = init_params(x.shape[1], k, arch, seed)
+    best_se, best_params = np.inf, _copied(params)
+    halvings = 0
+    for _ in range(steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            se, (gw, gb, gout) = _in_place_se_and_gradients(params, x)
+        if not np.isfinite(se):
+            params = _copied(best_params)
+            lr *= 0.5
+            halvings += 1
+            if halvings > _MAX_HALVINGS:
+                raise Divergence(
+                    f"loss stayed non-finite after {halvings} step halvings; lower the learning rate"
+                )
+            continue
+        if se < best_se:
+            best_se = se
+            best_params = _copied(params)
+        for w, g in zip(params.weights, gw):
+            w -= lr * g
+        for b, g in zip(params.biases, gb):
+            b -= lr * g
+        params.w_out[...] -= lr * gout
+    with np.errstate(over="ignore", invalid="ignore"):
+        final_se = squared_error(x, deep_ae_forward(params, x))
+    if np.isfinite(final_se) and final_se < best_se:
+        best_se = final_se
+        best_params = _copied(params)
+    return best_params, best_se
 
 
 def binary_instance(seed, m=40, n=8, density=0.3) -> np.ndarray:

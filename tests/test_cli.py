@@ -104,6 +104,21 @@ class TestIngest:
         assert main(["ingest", "--data", str(data), "--format", "tsv", "--out", str(out)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, error", [
+        ("u1,i1\nu2\n", "error: line 2: expected user,item[,count], got 'u2'"),
+        (None, "No such file or directory"),
+        ("u1,i1\nu1,i2\nu2,i1\nu2,i3\n", "error: validation fraction 0.1 of 2 users rounds to "
+         "0 validation users; each held-out part needs at least 1"),
+    ], ids=["bad-line", "missing", "two-users"])
+    def test_failed_ingest_leaves_no_out(self, tmp_path, capsys, text, error):
+        data = tmp_path / "interactions.csv"
+        if text is not None:
+            data.write_text(text, encoding="utf-8")
+        out = tmp_path / "split"
+        assert main(["ingest", "--data", str(data), "--out", str(out)]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_split_write_leaves_whole_files(self, tmp_path, data_csv, monkeypatch):
         reference = ingest(tmp_path, data_csv, "reference")
         old = ingest(tmp_path, data_csv, "old", seed=4)
@@ -209,6 +224,26 @@ class TestTrain:
         assert "lonely" in err and "lambda = 0" in err
         assert not out.exists()  # failed before touching --out
         assert main([*args, "--lambdas", "1"]) == 0
+
+    def test_failed_factorization_leaves_no_out(self, tmp_path, capsys):
+        # two items, listed first, that every user holds: at lambda = p = 0,
+        # G + Lambda is singular, and with 16 training users the factorization
+        # meets an exact 0 pivot (16 - (16 / 4)^2) in any rounding
+        rng = np.random.default_rng(0)
+        lines = []
+        for u in range(26):
+            lines += [f"user{u},twin_a", f"user{u},twin_b"]
+            lines += [f"user{u},item{i}"
+                      for i in rng.choice(8, size=int(rng.integers(3, 7)), replace=False)]
+        data = tmp_path / "twins.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        split = ingest(tmp_path, data)
+        assert load_split_artifacts(split, ("train",))[0].train.num_users == 16
+        out = tmp_path / "r"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2",
+                     "--lambdas", "0", "--ps", "0"]) == 2
+        assert "not positive definite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--ks", "--lambdas", "--ps"])
     def test_empty_grid_list_rejected(self, tmp_path, data_csv, capsys, option):
@@ -525,8 +560,8 @@ class TestEval:
                      str(run / "edlae_k2.model"), str(wide)]) == 1
         assert capsys.readouterr().err == (
             f"error: {wide}: model covers 9 items, split {split} has 8\n")
-        assert scored == [8]  # the first model is scored, the second is not
-        assert not (out / "config.resolved.txt").exists()
+        assert scored == []  # every model is loaded and checked before any is scored
+        assert not out.exists()
 
     def test_each_user_ranked_once_per_model(self, tmp_path, data_csv, monkeypatch):
         split = ingest(tmp_path, data_csv)
@@ -566,6 +601,21 @@ class TestEval:
                      "--models", str(bad)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"EDLR\x01", None], ids=["5-bytes", "missing"])
+    def test_unreadable_model_leaves_no_out(self, tmp_path, data_csv, capsys, content):
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        bad = tmp_path / "bad.model"
+        if content is not None:
+            bad.write_bytes(content)
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert main(["eval", "--split", str(split), "--out", str(out), "--models",
+                     str(run / "edlae_k2.model"), str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_run_does_not_block_rerun(self, tmp_path, data_csv):
         split = ingest(tmp_path, data_csv)
@@ -1041,6 +1091,25 @@ class TestVerify:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("command, inputs", [
+        ("ingest", ["--data"]),
+        ("train", ["--split"]),
+        ("eval", ["--split", "--models"]),
+    ])
+    def test_rerun_refusal_comes_before_any_input_is_read(self, tmp_path, capsys, command,
+                                                          inputs):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "config.resolved.txt").write_text(f"command = {command}\n", encoding="utf-8")
+        argv = [command, "--out", str(out)]
+        for flag in inputs:
+            argv += [flag, str(tmp_path / "absent")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out} already holds a run (config.resolved.txt present); "
+            "rerun with --force to overwrite\n")
+        assert sorted(p.name for p in out.iterdir()) == ["config.resolved.txt"]
+
     def test_cli_composes_no_chain_stage_of_its_own(self):
         # cli reaches the chain only through closed_form's public trainers,
         # and reaches into no edlae module past its public names

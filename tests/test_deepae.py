@@ -16,7 +16,7 @@ from edlae.deepae import (
 )
 from edlae.errors import DimensionMismatch, Divergence
 
-from oracles import fd_gradient, truncated_svd
+from oracles import fd_gradient, in_place_train_deep_ae, truncated_svd
 
 
 class TestForward:
@@ -114,6 +114,42 @@ class TestTrainDeepAE:
         x = np.ones((5, 5))
         with pytest.raises(DimensionMismatch):
             train_deep_ae(x, ArchSpec("t", (), "tanh"), 5, steps=1)
+
+
+def assert_same_training(x, arch, k, steps, lr, seed):
+    """train_deep_ae gives the in-place reference's best squared error and
+    parameters bit for bit, or raises its Divergence message."""
+    try:
+        want_params, want_se = in_place_train_deep_ae(x, arch, k, steps, lr, seed)
+    except Divergence as exc:
+        with pytest.raises(Divergence) as raised:
+            train_deep_ae(x, arch, k, steps=steps, lr=lr, seed=seed)
+        assert str(raised.value) == str(exc)
+        return
+    params, se = train_deep_ae(x, arch, k, steps=steps, lr=lr, seed=seed)
+    assert se == want_se
+    for name in ("weights", "biases"):
+        got, want = getattr(params, name), getattr(want_params, name)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert params.w_out.tobytes() == want_params.w_out.tobytes()
+
+
+class TestMatchesInPlaceTrainer:
+    """Each step builds new arrays where the trainer once wrote into its
+    own; the best parameters it keeps, and restarts from, are unchanged."""
+
+    @pytest.mark.parametrize("arch", DEFAULT_ARCHS, ids=lambda a: a.name)
+    def test_default_archs(self, arch):
+        x = np.random.default_rng(14).standard_normal((30, 20))
+        assert_same_training(x, arch, 5, steps=400, lr=5e-4, seed=14)
+
+    def test_step_halvings(self):
+        x = np.random.default_rng(8).standard_normal((10, 6))
+        assert_same_training(x, ArchSpec("lin", (), "linear"), 2, steps=3000, lr=1e6, seed=8)
+
+    def test_divergence(self):
+        x = 1e200 * np.ones((4, 5))
+        assert_same_training(x, ArchSpec("lin", (), "linear"), 2, steps=100, lr=1e200, seed=7)
 
 
 class TestLinearOptimum:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edlae import serialize
-from edlae.closed_form import EdlaeConfig, LowRankModel
+from edlae.closed_form import ZERO_DIAGONAL, EdlaeConfig, LowRankModel
 from edlae.errors import ModelFormatError, ParseError
 from edlae.serialize import load_model, read_record, save_model, write_atomic, write_record
 
@@ -31,6 +31,10 @@ class TestRoundtrip:
         np.testing.assert_array_equal(loaded.u, model.u)
         np.testing.assert_array_equal(loaded.v, model.v)
         assert loaded.config.lam == 2.5 and loaded.config.dropout_p == 0.25
+
+    def test_a_magic_for_every_family(self):
+        # every family the trainers and the CLI know can be saved, and no other
+        assert serialize.MAGIC_BY_KIND.keys() == ZERO_DIAGONAL.keys()
 
     def test_serialization_deterministic(self, tmp_path):
         model = make_model()
