@@ -15,32 +15,26 @@ matrix G = X^T X, with C = (G + Lambda)^-1:
    U = B @ Q.  For edlae the diagonal of U V^T is left free, which makes the
    projection a (highly accurate) approximation rather than exact.
 
-Expanding B^T (G + Lambda) B with C (G + Lambda) = I gives, for either
-family, the O(n^2) form M = (G + Lambda) - S (I + B): for edlae
-(G + Lambda) - diagM(1 / diag C) (I + B), for ridge G - Lambda + Lambda C
-Lambda.  Off the diagonal that is G + S C S, so M is built from C and G alone.
-Read backwards, the same form gives B = S^-1 (G + Lambda - M) - I, and with
-M V = V diag(lambda_j) for the top eigenpairs, U = B V =
-S^-1 (G V + Lambda V - V diag(lambda_j)) - V.  So edlae's chain never holds
-its teacher: C -> M (in C's storage when C is no longer needed) -> top-k
-eigenpairs (in M's storage) -> U from one product G V.  Ridge's S = Lambda
-is 0 at lambda = p = 0, so ridge keeps its teacher, B = I - C Lambda in C's
-storage, and U = B V.  ``full_rank_teacher`` returns B itself, for the
-checks and tests; every model is a ``LowRankModel``.
+With C (G + Lambda) = I, M = (I - S C)(G + Lambda)(I - C S) =
+G + Lambda - 2S + S C S for either family, built from C and G alone.  Since
+C S = I - B, M = (G + Lambda) - S (I + B), so with M V = V diag(lambda_j)
+for the top eigenpairs, U = B V = S^-1 (G V + Lambda V - V diag(lambda_j)) - V.
+So edlae's chain never holds its teacher: C -> M (in C's storage when C is
+no longer needed) -> top-k eigenpairs (in M's storage) -> U from one
+product G V.  Ridge's S = Lambda is 0 at lambda = p = 0, so ridge keeps
+B = I - C Lambda, in C's storage, and U = B V.  ``full_rank_teacher``
+returns B itself, for the checks and tests; every model is a
+``LowRankModel``.
 
-``train_regularized(g, lam_diag, kinds, k)`` composes the chain once, for
-one regularizer diagonal: one C, then each family's student Gram and
-projection.  Every trainer calls it: ``train_grid`` once per (lambda, p),
-and ``baselines.ridge_low_rank`` for ridge at an explicit Lambda.
-``train_grid`` returns the models of a (kind, k, lambda, p) grid as a list
-in that order, the order of ``edlae train``'s log, and
-``train_closed_form`` is its one-point case.  The
-grid shares work: C depends only on (lambda, p), so one inverse serves both
-families, and the leading eigenvectors of M do not depend on k, so one
-top-max(k) eigendecomposition per family serves every rank as column slices
-of V and U.  The n x n buffers are reused in place: the last family builds
-its student Gram (edlae) or teacher (ridge) in C's storage, and the
-eigensolver works in the student Gram's storage.
+``train_regularized(g, lam_diag, kinds, k)`` composes the chain once per
+regularizer diagonal: one C, then each family's student Gram and
+projection.  ``train_grid`` calls it once per (lambda, p), and
+``baselines.ridge_low_rank`` at an explicit Lambda.  The grid shares work:
+C depends only on (lambda, p), so one inverse serves both families, and the
+leading eigenvectors of M do not depend on k, so one top-max(k)
+eigendecomposition per family serves every rank as column slices of V and
+U.  The last family builds its student Gram (edlae) or teacher (ridge) in
+C's storage, and the eigensolver works in the student Gram's storage.
 
 numpy and scipy bundle separate OpenBLAS runtimes whose thread pools slow
 each other when calls alternate between them (see ``linalg``).  The chain's
@@ -150,28 +144,27 @@ def _check_square_match(g, lam_diag):
 
 
 def _regularized_inverse(g, lam_diag):
-    """C = (G + Lambda)^-1: G + Lambda is formed, factorized and inverted in
-    one new buffer.
-
-    Raises NotPositiveDefinite when G + Lambda cannot be factorized, which
-    signals the regularizer is too small.
-    """
-    g, lam_diag = _check_square_match(g, lam_diag)
+    """C = (G + Lambda)^-1 of an already checked G and Lambda: G + Lambda is
+    formed, factorized and inverted in one new buffer.  Raises
+    NotPositiveDefinite as ``sym_inverse`` does."""
     zz = g.copy()
     zz.flat[:: g.shape[0] + 1] += lam_diag
     return sym_inverse(zz, overwrite_a=True)
 
 
-def _teacher(c, lam_diag, zero_diagonal, overwrite_c):
-    """Full-rank teacher B = I - C S and diag S of the family whose
-    ``zero_diagonal`` is given, from the inverse C = (G + Lambda)^-1.  With
-    ``overwrite_c`` B is built in C's storage, so C is no longer available
-    to the caller."""
-    c_diag = np.diag(c).copy()
-    scale = 1.0 / c_diag if zero_diagonal else lam_diag
+def _scale(c, lam_diag, zero_diagonal):
+    """diag S: 1 / diag C for the zero-diagonal family, Lambda for ridge."""
+    return 1.0 / np.diag(c) if zero_diagonal else lam_diag
+
+
+def _teacher(c, scale, zero_diagonal, overwrite_c):
+    """Full-rank teacher B = I - C S, for diag S ``scale``, from the inverse
+    C = (G + Lambda)^-1.  With ``overwrite_c`` B is built in C's storage, so
+    C is no longer available to the caller."""
+    diagonal = 0.0 if zero_diagonal else 1.0 - np.diag(c) * scale
     b = np.multiply(c, -scale[None, :], out=c if overwrite_c else None)
-    np.fill_diagonal(b, 0.0 if zero_diagonal else 1.0 - c_diag * scale)
-    return b, scale
+    np.fill_diagonal(b, diagonal)
+    return b
 
 
 def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") -> np.ndarray:
@@ -180,27 +173,16 @@ def full_rank_teacher(g: np.ndarray, lam_diag: np.ndarray, kind: str = "edlae") 
     ``sym_inverse`` does."""
     zero_diagonal = _zero_diagonal(kind)
     g, lam_diag = _check_square_match(g, lam_diag)
-    return _teacher(_regularized_inverse(g, lam_diag), lam_diag, zero_diagonal,
-                    overwrite_c=True)[0]
-
-
-def _symmetrize(m):
-    """Replace square ``m`` by (m + m^T) / 2 in place, a row block at a time."""
-    n = m.shape[0]
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        mean = m[start:stop, start:] + m[start:, start:stop].T
-        mean *= 0.5
-        m[start:stop, start:] = mean
-        m[start:, start:stop] = mean.T
-    return m
+    c = _regularized_inverse(g, lam_diag)
+    return _teacher(c, _scale(c, lam_diag, zero_diagonal), zero_diagonal, overwrite_c=True)
 
 
 @dataclass(frozen=True)
 class StudentGram:
-    """Student Gram M = B^T (G + Lambda) B of family ``kind``'s teacher
-    B = I - C S, with what its projection needs: ``scale`` (diag S), G and
-    Lambda, and, for ridge only, the teacher B itself."""
+    """Student Gram M = B^T (G + Lambda) B = G + Lambda - 2S + S C S of
+    family ``kind``'s teacher B = I - C S, with what its projection needs:
+    ``scale`` (diag S), G and Lambda, and, for ridge only, the teacher B
+    itself."""
 
     m: np.ndarray
     scale: np.ndarray
@@ -215,25 +197,29 @@ def student_gram(c: np.ndarray, g: np.ndarray, lam_diag: np.ndarray, kind: str =
     """Regularized Gram of the teacher's predictions, B^T (G + Lambda) B, from
     the inverse C = (G + Lambda)^-1 of family ``kind``.
 
-    Evaluated through the closed form (G + Lambda) - S (I + B), as -S B + G
-    with lambda - S added to its diagonal, and symmetrized since that form
-    is symmetric only analytically.  The zero-diagonal family's B is built
-    in M's buffer and scaled into M there, so it never needs a buffer of its
-    own: M is built in one new buffer, or in C's storage with
-    ``overwrite_c``.  Ridge keeps B for its projection (``_teacher_times``),
-    in C's storage with ``overwrite_c``, and builds M in a new buffer.
+    Built straight from C as G + Lambda - 2S + S C S, a row block at a time:
+    C[rows] * (s[rows] s^T) + G[rows], then Lambda - 2S on the diagonal.
+    s_i s_j is s_j s_i in floating point, and C and G are exactly symmetric,
+    so M is too.  The family enters only through S.  The zero-diagonal
+    family never forms B: M is built in one new buffer, or in C's storage
+    with ``overwrite_c``.  Ridge keeps B for its projection
+    (``_teacher_times``): M is built in a new buffer first, then B in C's
+    storage with ``overwrite_c``.
     """
     zero_diagonal = _zero_diagonal(kind)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != np.shape(c):
         raise DimensionMismatch(f"inverse has shape {np.shape(c)}, Gram has {g.shape}")
     c, lam_diag = _check_square_match(c, lam_diag)
-    b, scale = _teacher(c, lam_diag, zero_diagonal, overwrite_c)
-    m = np.multiply(b, -scale[:, None], out=b if zero_diagonal else None)
-    m += g
-    m.flat[:: g.shape[0] + 1] += lam_diag - scale
-    return StudentGram(m=_symmetrize(m), scale=scale, kind=kind, g=g, lam_diag=lam_diag,
-                       teacher=None if zero_diagonal else b)
+    scale = _scale(c, lam_diag, zero_diagonal)
+    m = c if overwrite_c and zero_diagonal else np.empty(c.shape)
+    for start in range(0, len(m), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        np.multiply(c[rows], scale[rows, None] * scale, out=m[rows])
+        m[rows] += g[rows]
+    m.flat[:: len(m) + 1] += lam_diag - 2.0 * scale
+    teacher = None if zero_diagonal else _teacher(c, scale, False, overwrite_c)
+    return StudentGram(m=m, scale=scale, kind=kind, g=g, lam_diag=lam_diag, teacher=teacher)
 
 
 def _teacher_times(student: StudentGram, eig) -> np.ndarray:

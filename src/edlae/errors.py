@@ -10,7 +10,7 @@ class DimensionMismatch(EdlaeError):
 
 
 class NotPositiveDefinite(EdlaeError):
-    """A symmetric factorization failed; the matrix is not positive definite."""
+    """A symmetric matrix is not positive definite to working precision."""
 
 
 class NoConvergence(EdlaeError):

@@ -112,15 +112,31 @@ def _reverse_and_sign_columns(q):
     return q
 
 
+def _cholesky_rcond(work):
+    """Factor the Fortran-ordered ``work`` in place by ``?potrf`` (upper
+    triangle); return ``?pocon``'s reciprocal 1-norm condition number of the
+    matrix it held, or 0.0 if a pivot is not positive.  The 1-norm
+    (``?lange``) is taken first, with no copy."""
+    import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
+
+    lange, potrf, pocon = scipy.linalg.lapack.get_lapack_funcs(("lange", "potrf", "pocon"), (work,))
+    norm = lange("1", work)
+    info = potrf(work, lower=False, clean=False, overwrite_a=True)[1]
+    return pocon(work, norm)[0] if info == 0 else 0.0
+
+
 def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Invert a symmetric positive-definite matrix via Cholesky: LAPACK
     ``?potrf`` factors its lower triangle and ``?potri`` inverts the factor.
 
-    Raises NotPositiveDefinite when the factorization fails, which for
-    regularized Gram matrices signals that the ridge term is too small.
-    The result is exactly symmetric.  With ``overwrite_a`` a C-ordered
-    float64 ``a`` is the workspace, so the inverse is returned in its
-    storage and no n x n copy is made; otherwise ``a`` is left unchanged.
+    Raises NotPositiveDefinite when the reciprocal condition number
+    (``_cholesky_rcond``) is below n * eps: rounding gives a numerically
+    singular matrix a zero pivot or a tiny positive one, so the pivot alone
+    cannot decide.  For regularized Gram matrices this signals that the
+    ridge term is too small.  The result is exactly symmetric.  With
+    ``overwrite_a`` a C-ordered float64 ``a`` is the workspace, so the
+    inverse is returned in its storage and no n x n copy is made; otherwise
+    ``a`` is left unchanged.
     """
     a = _require_symmetric(a)
     if a.shape[0] == 0:
@@ -128,18 +144,15 @@ def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     # LAPACK works on Fortran-ordered arrays.  a.T is one for a C-ordered a,
     # and its upper triangle is a's lower one.
     work = a.T if overwrite_a and a.flags.c_contiguous else np.array(a.T, order="F")
-    import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
-
-    potrf, potri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potri"), (work,))
-    factor, info = potrf(work, lower=False, clean=False, overwrite_a=True)
-    if info == 0:
-        work, info = potri(factor, lower=False, overwrite_c=True)
-    if info != 0:
+    rcond, bound = _cholesky_rcond(work), a.shape[0] * np.finfo(np.float64).eps
+    if not rcond >= bound:  # NaN included
         raise NotPositiveDefinite(
-            "symmetric factorization failed: matrix is not positive definite; "
-            "if this is a regularized Gram matrix, increase lambda"
-        )
-    return _mirror_lower(work.T)
+            f"matrix is not positive definite: reciprocal condition number {rcond:.3g} < n * eps "
+            f"= {bound:.3g}; if this is a regularized Gram matrix, increase lambda")
+    import scipy.linalg
+
+    potri, = scipy.linalg.lapack.get_lapack_funcs(("potri",), (work,))
+    return _mirror_lower(potri(work, lower=False, overwrite_c=True)[0].T)
 
 
 def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:

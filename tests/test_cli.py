@@ -51,6 +51,22 @@ def ingest(tmp_path, data_csv, name="split", seed=3, binarize=True):
     return out
 
 
+def twins_csv(tmp_path, num_users, every, twins_first):
+    """An interactions file in which every ``every``-th user holds the items
+    twin_a and twin_b, listed before (``twins_first``) or after 3 to 6 of
+    item0..item7, so twin_a and twin_b are identical columns of X."""
+    rng = np.random.default_rng(0)
+    lines = []
+    for u in range(num_users):
+        twins = [f"user{u},twin_a", f"user{u},twin_b"] if u % every == 0 else []
+        others = [f"user{u},item{i}"
+                  for i in rng.choice(8, size=int(rng.integers(3, 7)), replace=False)]
+        lines += twins + others if twins_first else others + twins
+    path = tmp_path / "twins.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def fail_replace_onto(monkeypatch, name):
     """Make os.replace fail when its target is ``name``; return the real one."""
     replace = os.replace
@@ -229,20 +245,33 @@ class TestTrain:
         # two items, listed first, that every user holds: at lambda = p = 0,
         # G + Lambda is singular, and with 16 training users the factorization
         # meets an exact 0 pivot (16 - (16 / 4)^2) in any rounding
-        rng = np.random.default_rng(0)
-        lines = []
-        for u in range(26):
-            lines += [f"user{u},twin_a", f"user{u},twin_b"]
-            lines += [f"user{u},item{i}"
-                      for i in rng.choice(8, size=int(rng.integers(3, 7)), replace=False)]
-        data = tmp_path / "twins.csv"
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        split = ingest(tmp_path, data)
+        split = ingest(tmp_path, twins_csv(tmp_path, 26, 1, twins_first=True))
         assert load_split_artifacts(split, ("train",))[0].train.num_users == 16
         out = tmp_path / "r"
         assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2",
                      "--lambdas", "0", "--ps", "0"]) == 2
         assert "not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num_users, every, twins_first, twin_count", [
+        (22, 1, True, 14), (22, 1, False, 14), (28, 1, True, 16), (28, 1, False, 16),
+        (24, 2, False, 8),
+    ], ids=["14-first", "14-last", "16-first", "16-last", "every-other-user-last"])
+    def test_twin_items_fail_in_any_order(self, tmp_path, capsys, num_users, every,
+                                          twins_first, twin_count):
+        # G + Lambda is singular at lambda = p = 0 whatever the order of the
+        # twin items; where they sit decides only whether rounding leaves
+        # Cholesky an exact 0 pivot or a tiny positive one, which the
+        # reciprocal condition number bound rejects as well
+        split = ingest(tmp_path, twins_csv(tmp_path, num_users, every, twins_first))
+        item_ids = [line.split("\t")[0] for line in (split / "items.tsv").read_text().splitlines()]
+        train = load_split_artifacts(split, ("train",))[0].train
+        assert (train.items == item_ids.index("twin_a")).sum() == twin_count
+        out = tmp_path / "r"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2",
+                     "--lambdas", "0", "--ps", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "not positive definite" in err and "reciprocal condition number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--ks", "--lambdas", "--ps"])
@@ -323,6 +352,37 @@ class TestTrain:
         a = (tmp_path / "r1" / "edlae_k2.model").read_bytes()
         b = (tmp_path / "r2" / "edlae_k2.model").read_bytes()
         assert a == b
+
+    def test_blas_thread_count_moves_objectives_only_in_their_last_bits(self, tmp_path):
+        # A grid of 16 models on 300 items, trained at 1 and at 2 BLAS threads:
+        # every model's bytes differ, but the selections and validation nDCG
+        # are equal.  Objectives differed by at most 3.6e-16 relative here
+        # and by at most 7.1e-16 over eight such inputs; the bound is 4e-15.
+        rng = np.random.default_rng(0)
+        pop = rng.permutation(1.0 / np.arange(1, 301))
+        lines = [f"u{u},i{i}" for u in range(1500)
+                 for i in rng.choice(300, size=int(rng.integers(5, 30)), replace=False,
+                                     p=pop / pop.sum())]
+        data = tmp_path / "grid.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        split = ingest(tmp_path, data)
+        src = os.path.dirname(os.path.dirname(edlae.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        logs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "edlae.cli", "train", "--split", str(split),
+                            "--out", str(out), "--family", "both", "--ks", "8,32",
+                            "--lambdas", "2,32", "--ps", "0.25,0.5"],
+                           env=env, check=True, capture_output=True, timeout=300)
+            logs.append([line.split("\t") for line in
+                         (out / "train_log.tsv").read_text().splitlines()[1:]])
+        one, two = logs
+        assert len(one) == 16 and [r[:4] + r[5:] for r in one] == [r[:4] + r[5:] for r in two]
+        for a, b in zip(one, two):
+            assert abs(float(a[4]) - float(b[4])) <= 4e-15 * float(a[4])
 
     def test_scipy_imported_before_the_split_is_read(self, tmp_path, data_csv):
         # In a fresh process: the first library call already finds scipy

@@ -174,18 +174,24 @@ class TestStudentGram:
 
 
     @pytest.mark.parametrize("kind", ["edlae", "ridge"])
-    def test_bit_equal_to_closed_form_of_the_explicit_teacher(self, kind):
-        # (G + Lambda) - S (I + B) evaluated from a formed teacher, as -S B + G
-        # with Lambda - S added to the diagonal, then symmetrized
+    def test_bit_equal_to_the_dense_formula(self, kind):
+        # M = G + Lambda - 2S + S C S, evaluated densely as C (s s^T) + G with
+        # Lambda - 2S added to the diagonal
         g = exact_gram(binary_instance(21, m=120, n=40, density=0.3))
         lam = regularizer(np.diag(g), 2.0, 0.25)
-        teacher, student = teacher_and_student(g, lam, kind)
-        scale = 1.0 / np.diag(sym_inverse(g + np.diag(lam))) if kind == "edlae" else lam
-        want = teacher * -scale[:, None] + g
-        want.flat[::41] += lam - scale
-        want = (want + want.T) * 0.5
+        c = sym_inverse(g + np.diag(lam))
+        scale = 1.0 / np.diag(c) if kind == "edlae" else lam
+        want = c * np.outer(scale, scale) + g
+        want.flat[::41] += lam - 2.0 * scale
+        student = student_gram(c, g, lam, kind)
         assert np.array_equal(student.m, want)
         assert np.array_equal(student.scale, scale)
+
+    def test_ridge_at_zero_regularizer_is_the_gram(self):
+        # S = Lambda = 0 at lambda = p = 0, so M = G exactly
+        g = exact_gram(binary_instance(21, m=120, n=40, density=0.3))
+        lam = np.zeros(40)
+        assert np.array_equal(student_gram(sym_inverse(g), g, lam, "ridge").m, g)
 
     @pytest.mark.parametrize("kind", ["edlae", "ridge"])
     def test_overwrite_builds_in_c(self, kind):
