@@ -1,9 +1,11 @@
 """Command-line entry point: ingest, train, eval, verify.
 
-Every command records its resolved configuration into the output directory
-once its artifacts are written, and refuses to silently overwrite a previous
-run (pass --force) before it reads any input; the directory is made with the
-command's first write, and a failed run leaves no record and can be rerun.  A
+Every command computes, then writes: it checks --out before it reads any
+input, computes all of its results, and only then writes, and its first write
+creates --out.  So a failed run leaves no empty or partial --out.  A run's
+last write records its resolved configuration in --out; a command refuses to
+overwrite such a record unless given --force, and a failed run leaves none,
+so it can be rerun as is.  A
 command's options are one table, ``OPTIONS``, from which its flags, its
 config-file keys and its record are all read.  An option may come from a
 `key = value` config file (--config), keyed by its flag's name with ``_`` for
@@ -213,10 +215,13 @@ def _options(args):
 
 
 def _prepare_out_dir(out, force):
-    """Check ``out`` before any input is read; the command makes it just
-    before its first write, so a failed run leaves no empty directory."""
+    """Check ``out`` before any input is read: it must be a directory or not
+    exist, and may hold a finished run only with ``force``.  The command
+    creates it with its first write, after all of its results are computed."""
     if out is None:
         raise ConfigError("an output directory is required (--out)")
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out: {out} exists and is not a directory")
     if os.path.exists(os.path.join(out, RESOLVED_CONFIG)) and not force:
         raise ConfigError(
             f"{out} already holds a run ({RESOLVED_CONFIG} present); rerun with --force to overwrite"
@@ -291,30 +296,30 @@ def cmd_train(opts):
     # scipy's BLAS runtime and scoring in numpy's, so the two thread pools
     # take turns once instead of slowing each other at every (lambda, p).
     models = closed_form.train_grid(g, families, ks, lambdas, ps)
+    # The objectives are G's last reads: G is freed before any model is ranked.
+    objectives = [closed_form.objective_from_gram(
+        g, closed_form.regularizer(np.diag(g), m.config.lam, m.config.dropout_p), m)
+        for m in models]
+    del g
+    # One score matrix at a time: each is freed once it is ranked.
+    ndcgs = [evaluate.ndcg_at_k(evaluate.score_users(model, foldin), holdout, 100).mean
+             for model in models]
+    # Each run of per_group models is one (family, k): select its first best.
+    per_group = len(lambdas) * len(ps)
+    selected = [max(range(start, start + per_group), key=ndcgs.__getitem__)
+                for start in range(0, len(models), per_group)]
     os.makedirs(out, exist_ok=True)
     fmt = serialize.format_value
     log = ["family\tk\tlambda\tp\tobjective\tval_ndcg100\tselected\n"]
-    # One (family, k) per group of (lambda, p) models, in the log's order.
-    per_group = len(lambdas) * len(ps)
-    for start in range(0, len(models), per_group):
-        group = models[start:start + per_group]
-        # Each score matrix is freed once it is ranked.
-        ndcgs = [evaluate.ndcg_at_k(evaluate.score_users(model, foldin), holdout, 100).mean
-                 for model in group]
-        best = ndcgs.index(max(ndcgs))  # the first of equal scores
-        for i, (model, ndcg) in enumerate(zip(group, ndcgs)):
-            cfg = model.config
-            lam_diag = closed_form.regularizer(np.diag(g), cfg.lam, cfg.dropout_p)
-            objective = closed_form.objective_from_gram(g, lam_diag, model)
-            log.append(f"{model.kind}\t{model.rank}\t{fmt(cfg.lam)}\t{fmt(cfg.dropout_p)}\t"
-                       f"{fmt(objective)}\t{fmt(ndcg)}\t{'yes' if i == best else 'no'}\n")
-        model, cfg = group[best], group[best].config
-        path = os.path.join(out, f"{model.kind}_k{model.rank}.model")
-        serialize.save_model(path, model)
-        print(
-            f"train: {model.kind} k={model.rank} -> lambda={cfg.lam:g} p={cfg.dropout_p:g} "
-            f"val nDCG@100={ndcgs[best]:.4f} ({os.path.basename(path)})"
-        )
+    for i, (model, objective, ndcg) in enumerate(zip(models, objectives, ndcgs)):
+        cfg = model.config
+        log.append(f"{model.kind}\t{model.rank}\t{fmt(cfg.lam)}\t{fmt(cfg.dropout_p)}\t"
+                   f"{fmt(objective)}\t{fmt(ndcg)}\t{'yes' if i in selected else 'no'}\n")
+        if i in selected:
+            path = os.path.join(out, f"{model.kind}_k{model.rank}.model")
+            serialize.save_model(path, model)
+            print(f"train: {model.kind} k={model.rank} -> lambda={cfg.lam:g} "
+                  f"p={cfg.dropout_p:g} val nDCG@100={ndcg:.4f} ({os.path.basename(path)})")
     serialize.write_atomic(os.path.join(out, "train_log.tsv"), "".join(log).encode("utf-8"))
     _record_run(out, opts)
     return 0
@@ -330,11 +335,14 @@ def cmd_eval(opts):
         if model.u.shape[0] != num_items:
             raise DimensionMismatch(f"{path}: model covers {model.u.shape[0]} items, split "
                                     f"{opts.split} has {num_items}")
-    os.makedirs(out, exist_ok=True)
     rows = []
     for path, model in zip(opts.models, models):
         model_id = _model_id(path)
-        for res in evaluate.model_metrics(model, split.test_foldin, split.test_holdout):
+        try:
+            results = evaluate.model_metrics(model, split.test_foldin, split.test_holdout)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for res in results:
             rows.append(
                 {
                     "model_id": model_id,
@@ -352,6 +360,7 @@ def cmd_eval(opts):
             f"{row['mean']:10.4f} {row['stderr']:10.4f}"
         )
     text = "\n".join(table)
+    os.makedirs(out, exist_ok=True)
     print(text)
     serialize.write_atomic(os.path.join(out, "metrics.txt"), (text + "\n").encode("utf-8"))
     jsonl = "".join(json.dumps(row) + "\n" for row in rows)

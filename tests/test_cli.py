@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -192,22 +193,60 @@ class TestTrain:
     def test_ranks_after_the_whole_grid(self, tmp_path, data_csv, monkeypatch):
         # the chain's LAPACK and BLAS calls run in scipy's OpenBLAS and
         # validation scoring in numpy's: no model is scored before the grid
-        # is trained
+        # is trained, and every objective, G's last read, comes before the
+        # first score matrix, by which time G is freed
         split = ingest(tmp_path, data_csv)
-        calls = []
+        calls, grams, gram_alive_at_score = [], [], []
         eig, scored = edlae.closed_form.top_k_eig, edlae.evaluate.score_users
+        objective, gram = edlae.closed_form.objective_from_gram, edlae.dataset.gram
+
+        def spy_gram(*args):
+            result = gram(*args)
+            grams.append(weakref.ref(result))
+            return result
+
+        def spy_score(*args):
+            gram_alive_at_score.append(grams[0]() is not None)
+            calls.append("score")
+            return scored(*args)
+
+        monkeypatch.setattr(edlae.dataset, "gram", spy_gram)
         monkeypatch.setattr(edlae.closed_form, "top_k_eig",
                             lambda *args, **kwargs: calls.append("eig") or eig(*args, **kwargs))
-        monkeypatch.setattr(edlae.evaluate, "score_users",
-                            lambda *args: calls.append("score") or scored(*args))
+        monkeypatch.setattr(edlae.closed_form, "objective_from_gram",
+                            lambda *args: calls.append("objective") or objective(*args))
+        monkeypatch.setattr(edlae.evaluate, "score_users", spy_score)
         assert main([
             "train", "--split", str(split), "--out", str(tmp_path / "run"), "--family", "both",
             "--ks", "1,2", "--lambdas", "0.5,2.0", "--ps", "0.25,0.5",
         ]) == 0
         assert calls.count("eig") == 2 * 2 * 2  # one per (lambda, p, family)
-        assert calls.count("score") == 2 * 2 * 2 * 2  # one per model
+        assert calls.count("objective") == calls.count("score") == 2 * 2 * 2 * 2  # per model
         last_eig = len(calls) - 1 - calls[::-1].index("eig")
         assert "score" not in calls[:last_eig]
+        first_score = calls.index("score")
+        assert "objective" not in calls[first_score:]
+        assert len(grams) == 1 and gram_alive_at_score[0] is False
+
+    def test_failed_ranking_leaves_no_out(self, tmp_path, data_csv, monkeypatch, capsys):
+        # every model is ranked before --out is made, so a failure while
+        # ranking the second (family, k) leaves nothing, not the first's model
+        split = ingest(tmp_path, data_csv)
+        calls = []
+        ndcg = edlae.evaluate.ndcg_at_k
+
+        def fail_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("ranking failed")
+            return ndcg(*args)
+
+        monkeypatch.setattr(edlae.evaluate, "ndcg_at_k", fail_third)
+        out = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(out), "--family", "both",
+                     "--ks", "2", "--lambdas", "0.5,2", "--ps", "0.25"]) == 1
+        assert capsys.readouterr().err == "error: ranking failed\n"
+        assert not out.exists()
 
     def test_rank_validated_before_compute(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
@@ -652,6 +691,27 @@ class TestEval:
                      str(run / "edlae_k2.model")]) == 0
         # eval scores and ranks block by block (model_metrics), never users x items at once
         assert calls == []
+
+    def test_nan_scores_name_the_model_and_leave_no_out(self, tmp_path, data_csv, capsys):
+        # finite factors whose scores are inf - inf: a fold-in user with two
+        # or more items has an X U row of (inf, inf), as 2e308 overflows,
+        # and every item's V row is (1, -1)
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        nan = tmp_path / "nan.model"
+        serialize.save_model(nan, LowRankModel(
+            u=np.full((8, 2), 1e308), v=np.tile([1.0, -1.0], (8, 1)),
+            config=EdlaeConfig(lam=1.0, dropout_p=0.25)))
+        capsys.readouterr()
+        out = tmp_path / "m"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["eval", "--split", str(split), "--out", str(out), "--models",
+                         str(run / "edlae_k2.model"), str(nan)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {nan}: scores contain NaN")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_corrupt_model(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
@@ -1169,6 +1229,29 @@ class TestCommands:
             f"error: {out} already holds a run (config.resolved.txt present); "
             "rerun with --force to overwrite\n")
         assert sorted(p.name for p in out.iterdir()) == ["config.resolved.txt"]
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("ingest", ["--data"]),
+        ("train", ["--split"]),
+        ("eval", ["--split", "--models"]),
+        ("verify", []),
+    ])
+    def test_out_that_is_a_file_fails_before_any_input_is_read(self, tmp_path, capsys,
+                                                               monkeypatch, command, inputs):
+        def read(*args, **kwargs):
+            raise AssertionError("input read before --out was checked")
+
+        for module, name in ((dataset, "load_interactions"), (dataset, "load_split_artifacts"),
+                             (checks, "run_invariant_checks")):
+            monkeypatch.setattr(module, name, read)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        argv = [command, "--out", str(out)]
+        for flag in inputs:
+            argv += [flag, str(tmp_path / "absent")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --out: {out} exists and is not a directory\n"
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_cli_composes_no_chain_stage_of_its_own(self):
         # cli reaches the chain only through closed_form's public trainers,
