@@ -78,6 +78,8 @@ def _check_model(model, foldin):
 def _score_blocks(model, foldin, out=None):
     """Yield ``(lo, scores)`` per block of _BLOCK_ROWS users from ``lo``:
     ``(X U)[lo:hi] @ V.T`` with the block's fold-in entries set to -inf.
+    Raises ValueError if a product is not finite, before the mask: NaN has
+    no rank, +inf ties at the top, and -inf would read as a masked item.
 
     This is the one definition of a score.  ``(X U)[lo:hi]`` is folded in
     from the block's own fold-in triples; a user's row of ``X U`` does not
@@ -95,8 +97,8 @@ def _score_blocks(model, foldin, out=None):
         rows = _user_rows(foldin, lo, hi)
         block = np.matmul(_fold_in(rows, model.u), v_t,
                           out=buffer[:hi - lo] if out is None else out[lo:hi])
+        _check_finite(block)
         block[rows.users, rows.items] = -np.inf
-        _check_no_nan(block)
         yield lo, block
 
 
@@ -151,6 +153,12 @@ def _check_eval_inputs(scores, holdout):
     _check_holdout(scores.shape, holdout)
     _check_no_nan(scores)
     return scores
+
+
+def _check_finite(scores):
+    # max and min propagate NaN and reach any infinity, with no temporary
+    if not (np.isfinite(scores.max(initial=0.0)) and np.isfinite(scores.min(initial=0.0))):
+        raise ValueError("scores contain NaN or an infinity: non-finite scores have no rank")
 
 
 def _check_no_nan(scores):

@@ -9,6 +9,16 @@ they need no n x n temporaries.
 ``scipy.linalg`` is imported by the routines that call LAPACK or BLAS, when
 they run, so importing this module does not load scipy.
 
+``top_k_eig``'s MRRR branch calls ``dsytrd``, ``dstemr`` and ``dormtr``
+through the function pointers that ``scipy.linalg.cython_lapack`` exports
+in ``__pyx_capi__``, by ``ctypes`` (``_lapack``), and not through scipy's
+f2py wrappers: ``lapack.dstemr`` allocates and zero-fills an n x n
+eigenvector array whatever the number of pairs asked for, and scipy wraps no
+``dormtr`` (``dormqr`` on the reflectors' sub-block copies them).  Called
+through the pointers, the routines write into arrays this module allocates,
+one n x k array for the eigenvectors, and run in scipy's OpenBLAS runtime
+like every other LAPACK call here.
+
 numpy and scipy each bundle their own OpenBLAS runtime, with its own thread
 pool, and a pool's workers keep spinning for a while after each call.  A
 LAPACK call made right after a numpy product therefore competes with numpy's
@@ -20,6 +30,7 @@ scipy's runtime, so a chain of LAPACK calls and products stays in one pool.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +39,8 @@ from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
 _SYMMETRY_TOL = 1e-10
 _BLOCK_ROWS = 256
+# top_k_eig computes this many pairs or more by MRRR (see its docstring).
+_MRRR_MIN_K = 128
 
 
 @dataclass(frozen=True)
@@ -155,31 +168,123 @@ def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     return _mirror_lower(potri(work, lower=False, overwrite_c=True)[0].T)
 
 
+@functools.cache
+def _lapack_function(name):
+    """scipy's LAPACK routine ``name`` as a ctypes function of pointers, made
+    from the function pointer that ``scipy.linalg.cython_lapack`` exports in
+    a capsule.  The capsule's name is the routine's C signature, in which
+    every argument is a pointer, so its ``*`` count is the argument count."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    signature = get_name(capsule)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))(
+        get_pointer(capsule, signature))
+
+
+def _lapack(name, *args):
+    """Call LAPACK's ``name`` with ``args`` and its ``info`` last, every
+    argument by reference as Fortran takes it: arrays as they are, and bytes,
+    float and integer scalars as one-element character, double and C int
+    arrays.  Raises NoConvergence naming the routine if ``info`` is not 0."""
+    arrays = [arg if isinstance(arg, np.ndarray) else
+              np.array(arg, dtype="S1" if isinstance(arg, bytes) else
+                       np.float64 if isinstance(arg, float) else np.intc)
+              for arg in args]
+    info = np.zeros((), dtype=np.intc)
+    _lapack_function(name)(*[array.ctypes.data for array in arrays], info.ctypes.data)
+    if info != 0:
+        raise NoConvergence(f"LAPACK {name} failed: info = {int(info)}")
+
+
+def _top_k_mrrr(work, k):
+    """The k largest eigenpairs of the Fortran-ordered ``work``, ascending,
+    by MRRR, with ``work``'s lower triangle as the matrix, destroyed:
+    ``dsytrd`` reduces it in place to tridiagonal T = Q^T A Q, ``dstemr``
+    computes T's eigenpairs n-k+1..n by index into one n x k array, and
+    ``dormtr`` turns them into A's in place by applying Q.  Every workspace
+    is freed before the next routine runs."""
+    n = work.shape[0]
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)  # dstemr uses e[n - 1] as workspace
+    query, iquery = np.empty(1), np.empty(1, dtype=np.intc)
+    _lapack("dsytrd", b"L", n, work, n, d, e, tau, query, -1)
+    _lapack("dsytrd", b"L", n, work, n, d, e, tau, np.empty(int(query[0])), int(query[0]))
+
+    w, vecs = np.empty(n), np.empty((n, k), order="F")
+    found, tryrac = np.zeros((), dtype=np.intc), np.ones((), dtype=np.intc)
+    tridiagonal = (b"V", b"I", n, d, e, 0.0, 0.0, n - k + 1, n, found, w, vecs, n, k,
+                   np.empty(2 * k, dtype=np.intc), tryrac)
+    _lapack("dstemr", *tridiagonal, query, -1, iquery, -1)
+    lwork, liwork = int(query[0]), int(iquery[0])
+    _lapack("dstemr", *tridiagonal, np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc),
+            liwork)
+    if found != k:
+        raise NoConvergence(f"LAPACK dstemr found {int(found)} of {k} eigenpairs: info = 0")
+
+    back = (b"L", b"L", b"N", n, k, work, n, tau, vecs, n)
+    _lapack("dormtr", *back, query, -1)
+    # dormtr's query leaves out the 65 x 64 block-reflector factor that the
+    # dormqr it calls keeps in the same workspace.  Short of it, dormqr
+    # shrinks its block size, and at OpenBLAS's 32 runs unblocked up to
+    # k = 130: 71 against 12 ms at k = 64 and n = 1500.
+    lwork = int(query[0]) + 65 * 64
+    _lapack("dormtr", *back, np.empty(lwork), lwork)
+    return w[:k], vecs
+
+
 def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     """Return the k largest-eigenvalue pairs of a symmetric matrix.
 
-    Only the requested pairs are computed (LAPACK ``?syevr`` through
-    ``scipy.linalg.eigh``), which is backward stable, so every residual
-    ``||A v - lambda v||_2`` is of the order of machine precision times
-    ``||A||``.  Raises NoConvergence if LAPACK reports a failure.
+    Only the requested pairs are computed, by a backward stable method, so
+    every residual ``||A v - lambda v||_2`` is of the order of machine
+    precision times ``||A||``.  Raises NoConvergence if LAPACK reports a
+    failure.
+
+    One reduction, two ways to finish it.  Both branches reduce A to
+    tridiagonal form T = Q^T A Q (``?sytrd``), find T's top k pairs and
+    apply Q to them; they differ only in the tridiagonal solver.  For a
+    subset by index LAPACK's ``?syevr`` uses bisection and inverse iteration
+    (``?stebz`` + ``?stein``), whose re-orthogonalization inside clusters of
+    close eigenvalues grows with k, and it calls MRRR (``?stemr``), which
+    needs none, only for the whole spectrum.  So from k = _MRRR_MIN_K on,
+    this makes the reduction itself and calls ``?stemr`` for the top k pairs
+    by index (``_top_k_mrrr``); below it, it calls subset ``?syevr``
+    through ``scipy.linalg.eigh``.  On the student Grams of 600, 1000 and
+    1500 items MRRR was the faster at every k from 16 to 384: 3% less time
+    at k = 16 and n = 1500, 31% to 51% less at k = 384.  At n = 1500 and
+    k = 384 its eigenvalues matched ``?syevr``'s to 3e-16 of the largest,
+    and its vectors were orthonormal to 1.2e-12.  The branches agree to
+    rounding, not bit for bit, so ranks below _MRRR_MIN_K keep ``?syevr``'s
+    results as they were.
 
     With ``overwrite_a`` the solver works in ``a``'s storage, which it
     destroys, instead of an n x n copy.  A C-ordered ``a`` is passed as its
     Fortran-ordered transpose, so for an exactly symmetric ``a`` LAPACK sees
     the same matrix and the result is bit-identical to the copying path.
-    The eigenvectors are the solver's own (Fortran-ordered) output array,
-    put in descending order and signed in place.
+    The eigenvectors are the solver's own (Fortran-ordered) n x k output
+    array, put in descending order and signed in place.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must be in [1, {n}], got {k}")
-    work = a.T if overwrite_a and a.flags.c_contiguous else a
-    import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
+    if overwrite_a and a.flags.c_contiguous:
+        a = a.T
+    work = np.asarray(a, order="F") if overwrite_a else np.array(a, order="F")
+    if k >= _MRRR_MIN_K:
+        vals, vecs = _top_k_mrrr(work, k)
+    else:
+        import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
 
-    try:
-        vals, vecs = scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1), check_finite=False,
-                                       overwrite_a=overwrite_a)
-    except scipy.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+        try:
+            vals, vecs = scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1),
+                                           check_finite=False, overwrite_a=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SymEigResult(vals[::-1].copy(), _reverse_and_sign_columns(vecs))

@@ -713,6 +713,29 @@ class TestEval:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_infinite_scores_name_the_model_and_leave_no_out(self, tmp_path, data_csv, capsys):
+        # finite factors and a finite X U whose scores overflow: each product
+        # c 1e300 * 1e300 - c 1e300 * 1e300 is +inf, -inf or inf - inf,
+        # depending on how the BLAS fuses it; before the check ran ahead of
+        # the fold-in mask, an infinity was ranked as a score or a mask
+        split = ingest(tmp_path, data_csv)
+        run = tmp_path / "run"
+        assert main(["train", "--split", str(split), "--out", str(run), "--ks", "2"]) == 0
+        huge = tmp_path / "huge.model"
+        serialize.save_model(huge, LowRankModel(
+            u=np.full((8, 2), 1e300), v=np.tile([1e300, -1e300], (8, 1)),
+            config=EdlaeConfig(lam=1.0, dropout_p=0.25)))
+        capsys.readouterr()
+        out = tmp_path / "m"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["eval", "--split", str(split), "--out", str(out), "--models",
+                         str(run / "edlae_k2.model"), str(huge)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {huge}: scores contain NaN or an infinity")
+        assert "non-finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_corrupt_model(self, tmp_path, data_csv, capsys):
         split = ingest(tmp_path, data_csv)
         bad = tmp_path / "bad.model"

@@ -716,6 +716,18 @@ class TestModelMetrics:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
             evaluate.model_metrics(model, foldin, holdout)
 
+    def test_infinity_under_the_fold_in_mask_is_rejected(self):
+        # user 0 folds in item 0, whose score 1e300 * 1e300 overflows to +inf;
+        # masking it to -inf first would hide the overflow
+        model = LowRankModel(u=np.array([[1e300], [1.0], [1.0]]),
+                             v=np.array([[1e300], [1.0], [1.0]]))
+        foldin = interactions(1, 3, [(0, 0)])
+        holdout = interactions(1, 3, [(0, 1)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            evaluate.model_metrics(model, foldin, holdout)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            score_users(model, foldin)
+
     def test_rejects_bad_metrics_before_scoring(self, monkeypatch):
         monkeypatch.setattr(evaluate, "_fold_in", lambda *args: pytest.fail("scored"))
         model = LowRankModel(u=np.ones((2, 1)), v=np.ones((2, 1)))

@@ -1,6 +1,7 @@
 """Tests for the dense symmetric kernel (inversion, top-k eig) and for the
 truncated-SVD oracle the projection tests compare against."""
 
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,11 @@ from oracles import truncated_svd
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return 0.5 * (a + a.T)
+
+
+# top_k_eig's smallest k on its MRRR branch, and a k above it at n = 300
+MRRR_K = linalg._MRRR_MIN_K
+ABOVE = linalg._MRRR_MIN_K + 22
 
 
 class TestSymInverse:
@@ -236,7 +242,7 @@ class TestTopKEig:
         assert np.abs(res.eigenvalues - dense_vals).max() <= 1e-8 * scale
         np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(12), atol=1e-10)
 
-    @pytest.mark.parametrize("k", [1, 7, 40])
+    @pytest.mark.parametrize("k", [1, 7, 40, ABOVE])
     def test_overwrite_is_bit_identical(self, k):
         rng = np.random.default_rng(k)
         a = random_symmetric(rng, 300)
@@ -248,19 +254,34 @@ class TestTopKEig:
         assert np.array_equal(copied.eigenvectors, in_place.eigenvectors)
         assert not np.array_equal(a, kept)  # a was the workspace
 
-    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
+    @staticmethod
+    def overwrite_peaks(monkeypatch, n, k):
+        """tracemalloc peaks of top_k_eig(a, k) on a random n x n ``a``,
+        copying (False) and overwriting (True)."""
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)  # small symmetry-check blocks
-        n = 300
         a = random_symmetric(np.random.default_rng(8), n)
         peaks = {}
         for overwrite in (False, True):
             work = a.copy()
             tracemalloc.start()
-            top_k_eig(work, 10, overwrite_a=overwrite)
+            top_k_eig(work, k, overwrite_a=overwrite)
             peaks[overwrite] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
+        return peaks
+
+    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
+        n = 300
+        peaks = self.overwrite_peaks(monkeypatch, n, 10)
         assert peaks[False] >= 8 * n * n
         assert peaks[True] < 0.5 * 8 * n * n
+
+    def test_overwrite_allocates_no_n2_copy_on_the_mrrr_branch(self, monkeypatch):
+        # scipy's f2py dstemr would allocate an n x n eigenvector array here
+        n, k = 600, MRRR_K
+        peaks = self.overwrite_peaks(monkeypatch, n, k)
+        assert peaks[False] >= 8 * n * n
+        assert peaks[True] < 0.5 * 8 * n * n
+        assert peaks[True] <= 8 * n * k + 8 * 80 * n  # the n x k vectors and the workspaces
 
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
     def test_solver_columns_reversed_and_signed(self, k):
@@ -336,6 +357,64 @@ class TestTopKEig:
         monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(NoConvergence, match="did not converge"):
             top_k_eig(np.eye(4), 2)
+
+    @pytest.mark.parametrize("k", [MRRR_K - 1, MRRR_K], ids=["syevr", "mrrr"])
+    def test_branches_meet_the_contract(self, monkeypatch, k):
+        # k just below and at the threshold: the same contract either side
+        n = 320
+        a = random_symmetric(np.random.default_rng(40 + k), n)
+        branches = []
+        mrrr = linalg._top_k_mrrr
+        monkeypatch.setattr(linalg, "_top_k_mrrr", lambda *args: branches.append(1) or mrrr(*args))
+        res = top_k_eig(a, np.int64(k))  # a numpy integer reaches LAPACK as a C int
+        assert branches == ([1] if k >= MRRR_K else [])
+        vals, vecs = res.eigenvalues, res.eigenvectors
+        dense_vals, dense_vecs = np.linalg.eigh(a)
+        scale = np.abs(dense_vals).max()
+        assert vecs.shape == (n, k) and vecs.flags.f_contiguous
+        assert np.linalg.norm(a @ vecs - vecs * vals, axis=0).max() <= 1e-10 * scale
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-10
+        assert (np.diff(vals) <= 0.0).all()
+        lead = np.argmax(np.abs(vecs), axis=0)
+        assert (vecs[lead, np.arange(k)] >= 0.0).all()
+        assert np.abs(vals - dense_vals[::-1][:k]).max() <= 1e-10 * scale
+        # the same invariant subspace as numpy's: equal orthogonal projectors
+        top = dense_vecs[:, n - k:]
+        assert np.abs(vecs @ vecs.T - top @ top.T).max() <= 1e-9
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstemr", "dormtr"])
+    def test_mrrr_lapack_failure_is_no_convergence(self, monkeypatch, routine):
+        def failing(name):
+            call = lapack_function(name)
+
+            def fail(*pointers):
+                call(*pointers)
+                ctypes.c_int.from_address(pointers[-1]).value = 7  # info
+
+            return fail if name == routine else call
+
+        lapack_function = linalg._lapack_function
+        monkeypatch.setattr(linalg, "_lapack_function", failing)
+        a = random_symmetric(np.random.default_rng(42), MRRR_K + 10)
+        with pytest.raises(NoConvergence, match=f"LAPACK {routine} failed: info = 7"):
+            top_k_eig(a, MRRR_K)
+
+    def test_mrrr_missing_pairs_is_no_convergence(self, monkeypatch):
+        def short(name):
+            call = lapack_function(name)
+
+            def fewer(*pointers):
+                call(*pointers)
+                ctypes.c_int.from_address(pointers[9]).value -= 1  # m, the pairs found
+
+            return fewer if name == "dstemr" else call
+
+        lapack_function = linalg._lapack_function
+        monkeypatch.setattr(linalg, "_lapack_function", short)
+        a = random_symmetric(np.random.default_rng(43), MRRR_K + 10)
+        with pytest.raises(NoConvergence,
+                           match=f"LAPACK dstemr found {MRRR_K - 1} of {MRRR_K} eigenpairs: info = 0"):
+            top_k_eig(a, MRRR_K)
 
     def test_k_out_of_range(self):
         with pytest.raises(DimensionMismatch):
