@@ -12,7 +12,8 @@ was bit-equal to the whole product ``(X U) @ V.T`` at ranks up to 64, but it
 is not in general: at rank 384 about one entry in 7,000 differed by an ulp.
 
 A ranking orders items by descending score, ties by ascending item index,
-which keeps every metric deterministic.  NaN scores are rejected.  Each
+which keeps every metric deterministic.  NaN scores are rejected, and a
+model's scores must be finite before its fold-in items are masked.  Each
 model's scores are ranked once: one top list per row at the largest cutoff
 serves every metric, since a smaller cutoff's list is a prefix of it.  Only
 the first ``cutoff`` items of each ranking are formed: argpartition selects
@@ -265,10 +266,11 @@ def model_metrics(
     """``ranking_metrics(score_users(model, foldin), holdout, metrics)``,
     without the (users x items) score matrix.
 
-    Each block of users is folded in, scored, masked, checked for NaN, ranked
-    and reduced to its per-user metrics before the next is folded in, so only
-    one float64 per user per metric is held for all users.  Dimensions, empty
-    holdouts and ``metrics`` are checked before any scoring.
+    Each block of users is folded in, scored, checked to be finite, masked,
+    ranked and reduced to its per-user metrics before the next is folded
+    in, so only one float64 per user per metric is held for all users.
+    Dimensions, empty holdouts and ``metrics`` are checked before any
+    scoring.
     """
     _check_model(model, foldin)
     _check_holdout((foldin.num_users, model.v.shape[0]), holdout)

@@ -382,35 +382,38 @@ class TestTopKEig:
         top = dense_vecs[:, n - k:]
         assert np.abs(vecs @ vecs.T - top @ top.T).max() <= 1e-9
 
-    @pytest.mark.parametrize("routine", ["dsytrd", "dstemr", "dormtr"])
-    def test_mrrr_lapack_failure_is_no_convergence(self, monkeypatch, routine):
-        def failing(name):
+    @staticmethod
+    def after_each_call(monkeypatch, routine, after):
+        """Make LAPACK's ``routine`` run ``after`` on its argument pointers
+        each time it returns."""
+        lapack_function = linalg._lapack_function
+
+        def patched(name):
             call = lapack_function(name)
 
-            def fail(*pointers):
+            def wrapped(*pointers):
                 call(*pointers)
-                ctypes.c_int.from_address(pointers[-1]).value = 7  # info
+                after(pointers)
 
-            return fail if name == routine else call
+            return wrapped if name == routine else call
 
-        lapack_function = linalg._lapack_function
-        monkeypatch.setattr(linalg, "_lapack_function", failing)
+        monkeypatch.setattr(linalg, "_lapack_function", patched)
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstemr", "dormtr"])
+    def test_mrrr_lapack_failure_is_no_convergence(self, monkeypatch, routine):
+        def fail(pointers):
+            ctypes.c_int.from_address(pointers[-1]).value = 7  # info
+
+        self.after_each_call(monkeypatch, routine, fail)
         a = random_symmetric(np.random.default_rng(42), MRRR_K + 10)
         with pytest.raises(NoConvergence, match=f"LAPACK {routine} failed: info = 7"):
             top_k_eig(a, MRRR_K)
 
     def test_mrrr_missing_pairs_is_no_convergence(self, monkeypatch):
-        def short(name):
-            call = lapack_function(name)
+        def lose_one(pointers):
+            ctypes.c_int.from_address(pointers[9]).value -= 1  # m, the pairs found
 
-            def fewer(*pointers):
-                call(*pointers)
-                ctypes.c_int.from_address(pointers[9]).value -= 1  # m, the pairs found
-
-            return fewer if name == "dstemr" else call
-
-        lapack_function = linalg._lapack_function
-        monkeypatch.setattr(linalg, "_lapack_function", short)
+        self.after_each_call(monkeypatch, "dstemr", lose_one)
         a = random_symmetric(np.random.default_rng(43), MRRR_K + 10)
         with pytest.raises(NoConvergence,
                            match=f"LAPACK dstemr found {MRRR_K - 1} of {MRRR_K} eigenpairs: info = 0"):
