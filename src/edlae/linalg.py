@@ -9,15 +9,16 @@ they need no n x n temporaries.
 ``scipy.linalg`` is imported by the routines that call LAPACK or BLAS, when
 they run, so importing this module does not load scipy.
 
-``top_k_eig``'s MRRR branch calls ``dsytrd``, ``dstemr`` and ``dormtr``
-through the function pointers that ``scipy.linalg.cython_lapack`` exports
-in ``__pyx_capi__``, by ``ctypes`` (``_lapack``), and not through scipy's
-f2py wrappers: ``lapack.dstemr`` allocates and zero-fills an n x n
-eigenvector array whatever the number of pairs asked for, and scipy wraps no
-``dormtr`` (``dormqr`` on the reflectors' sub-block copies them).  Called
-through the pointers, the routines write into arrays this module allocates,
-one n x k array for the eigenvectors, and run in scipy's OpenBLAS runtime
-like every other LAPACK call here.
+``top_k_eig`` finds the top k eigenpairs one way, by subset MRRR: it calls
+``dsytrd``, ``dstemr`` and ``dormtr`` through the function pointers that
+``scipy.linalg.cython_lapack`` exports in ``__pyx_capi__``, by ``ctypes``
+(``_lapack``), and not through scipy's f2py wrappers: ``lapack.dstemr``
+allocates and zero-fills an n x n eigenvector array whatever the number of
+pairs asked for, and scipy wraps no ``dormtr`` (``dormqr`` on the
+reflectors' sub-block copies them).  Called through the pointers, the
+routines write into arrays this module allocates, one n x k array for the
+eigenvectors, and run in scipy's OpenBLAS runtime like every other LAPACK
+call here.
 
 numpy and scipy each bundle their own OpenBLAS runtime, with its own thread
 pool, and a pool's workers keep spinning for a while after each call.  A
@@ -39,8 +40,6 @@ from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
 _SYMMETRY_TOL = 1e-10
 _BLOCK_ROWS = 256
-# top_k_eig computes this many pairs or more by MRRR (see its docstring).
-_MRRR_MIN_K = 128
 
 
 @dataclass(frozen=True)
@@ -246,22 +245,15 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     precision times ``||A||``.  Raises NoConvergence if LAPACK reports a
     failure.
 
-    One reduction, two ways to finish it.  Both branches reduce A to
-    tridiagonal form T = Q^T A Q (``?sytrd``), find T's top k pairs and
-    apply Q to them; they differ only in the tridiagonal solver.  For a
-    subset by index LAPACK's ``?syevr`` uses bisection and inverse iteration
-    (``?stebz`` + ``?stein``), whose re-orthogonalization inside clusters of
-    close eigenvalues grows with k, and it calls MRRR (``?stemr``), which
-    needs none, only for the whole spectrum.  So from k = _MRRR_MIN_K on,
-    this makes the reduction itself and calls ``?stemr`` for the top k pairs
-    by index (``_top_k_mrrr``); below it, it calls subset ``?syevr``
-    through ``scipy.linalg.eigh``.  On the student Grams of 600, 1000 and
-    1500 items MRRR was the faster at every k from 16 to 384: 3% less time
-    at k = 16 and n = 1500, 31% to 51% less at k = 384.  At n = 1500 and
-    k = 384 its eigenvalues matched ``?syevr``'s to 3e-16 of the largest,
-    and its vectors were orthonormal to 1.2e-12.  The branches agree to
-    rounding, not bit for bit, so ranks below _MRRR_MIN_K keep ``?syevr``'s
-    results as they were.
+    One method at every k (``_top_k_mrrr``): ``?sytrd`` reduces A to
+    tridiagonal form T = Q^T A Q, MRRR (``?stemr``) finds T's top k pairs by
+    index, and ``?ormtr`` applies Q to them in place.  MRRR needs no
+    re-orthogonalization inside clusters of close eigenvalues, where the
+    bisection and inverse iteration (``?stebz`` + ``?stein``) that LAPACK's
+    subset drivers run instead do more work as k grows.  On the student
+    Grams of 600, 1000 and 1500 items MRRR was the faster of the two at
+    every k from 16 to 384: 3% less time at k = 16 and n = 1500, 31% to 51%
+    less at k = 384.
 
     With ``overwrite_a`` the solver works in ``a``'s storage, which it
     destroys, instead of an n x n copy.  A C-ordered ``a`` is passed as its
@@ -277,14 +269,5 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     if overwrite_a and a.flags.c_contiguous:
         a = a.T
     work = np.asarray(a, order="F") if overwrite_a else np.array(a, order="F")
-    if k >= _MRRR_MIN_K:
-        vals, vecs = _top_k_mrrr(work, k)
-    else:
-        import scipy.linalg  # here, not at the top: only the LAPACK calls need scipy
-
-        try:
-            vals, vecs = scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1),
-                                           check_finite=False, overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    vals, vecs = _top_k_mrrr(work, k)
     return SymEigResult(vals[::-1].copy(), _reverse_and_sign_columns(vecs))

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from edlae import linalg
 from edlae.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
@@ -18,11 +17,6 @@ from oracles import truncated_svd
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return 0.5 * (a + a.T)
-
-
-# top_k_eig's smallest k on its MRRR branch, and a k above it at n = 300
-MRRR_K = linalg._MRRR_MIN_K
-ABOVE = linalg._MRRR_MIN_K + 22
 
 
 class TestSymInverse:
@@ -242,7 +236,7 @@ class TestTopKEig:
         assert np.abs(res.eigenvalues - dense_vals).max() <= 1e-8 * scale
         np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(12), atol=1e-10)
 
-    @pytest.mark.parametrize("k", [1, 7, 40, ABOVE])
+    @pytest.mark.parametrize("k", [1, 7, 40, 150])
     def test_overwrite_is_bit_identical(self, k):
         rng = np.random.default_rng(k)
         a = random_symmetric(rng, 300)
@@ -254,11 +248,10 @@ class TestTopKEig:
         assert np.array_equal(copied.eigenvectors, in_place.eigenvectors)
         assert not np.array_equal(a, kept)  # a was the workspace
 
-    @staticmethod
-    def overwrite_peaks(monkeypatch, n, k):
-        """tracemalloc peaks of top_k_eig(a, k) on a random n x n ``a``,
-        copying (False) and overwriting (True)."""
+    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
+        # scipy's f2py dstemr would allocate an n x n eigenvector array here
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)  # small symmetry-check blocks
+        n, k = 600, 128
         a = random_symmetric(np.random.default_rng(8), n)
         peaks = {}
         for overwrite in (False, True):
@@ -267,18 +260,6 @@ class TestTopKEig:
             top_k_eig(work, k, overwrite_a=overwrite)
             peaks[overwrite] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        return peaks
-
-    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
-        n = 300
-        peaks = self.overwrite_peaks(monkeypatch, n, 10)
-        assert peaks[False] >= 8 * n * n
-        assert peaks[True] < 0.5 * 8 * n * n
-
-    def test_overwrite_allocates_no_n2_copy_on_the_mrrr_branch(self, monkeypatch):
-        # scipy's f2py dstemr would allocate an n x n eigenvector array here
-        n, k = 600, MRRR_K
-        peaks = self.overwrite_peaks(monkeypatch, n, k)
         assert peaks[False] >= 8 * n * n
         assert peaks[True] < 0.5 * 8 * n * n
         assert peaks[True] <= 8 * n * k + 8 * 80 * n  # the n x k vectors and the workspaces
@@ -287,7 +268,7 @@ class TestTopKEig:
     def test_solver_columns_reversed_and_signed(self, k):
         n = 120
         a = random_symmetric(np.random.default_rng(30 + k), n)
-        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(n - k, n - 1))
+        vals, vecs = linalg._top_k_mrrr(np.array(a, order="F"), k)
         want = vecs[:, ::-1].copy()
         lead = np.argmax(np.abs(want), axis=0)
         want[:, want[lead, np.arange(k)] < 0.0] *= -1.0
@@ -300,10 +281,10 @@ class TestTopKEig:
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)  # small symmetry-check blocks
         n, k = 300, 150
         a = random_symmetric(np.random.default_rng(9), n)
+        linalg._top_k_mrrr(a.T.copy(order="F"), k)  # LAPACK loaded before tracing
         work = a.T.copy(order="F")  # what top_k_eig hands the solver
         tracemalloc.start()
-        scipy.linalg.eigh(work, subset_by_index=(n - k, n - 1), check_finite=False,
-                          overwrite_a=True)
+        linalg._top_k_mrrr(work, k)
         solver = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         work = a.copy()
@@ -350,24 +331,25 @@ class TestTopKEig:
         np.testing.assert_allclose(res.eigenvalues, 0.0, atol=1e-14)
         np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(3), atol=1e-10)
 
-    def test_lapack_failure_is_no_convergence(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("did not converge")
+    # (k, matrix) by test id: random symmetric at n = 320 from the first
+    # ranks to k = n, then n = 1, and index boundaries inside a cluster of
+    # equal eigenvalues, down to a spectrum near the largest double
+    CONTRACT_CASES = {
+        **{str(k): (k, lambda k=k: random_symmetric(np.random.default_rng(40 + k), 320))
+           for k in (1, 2, 127, 128, 320)},
+        "n1-3": (1, lambda: np.array([[3.0]])),
+        "n1-0": (1, lambda: np.zeros((1, 1))),
+        "eye5-2": (2, lambda: np.eye(5)),
+        "ones4-1": (1, lambda: np.ones((4, 4))),
+        "1e300eye5-2": (2, lambda: 1e300 * np.eye(5)),
+    }
 
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
-        with pytest.raises(NoConvergence, match="did not converge"):
-            top_k_eig(np.eye(4), 2)
-
-    @pytest.mark.parametrize("k", [MRRR_K - 1, MRRR_K], ids=["syevr", "mrrr"])
-    def test_branches_meet_the_contract(self, monkeypatch, k):
-        # k just below and at the threshold: the same contract either side
-        n = 320
-        a = random_symmetric(np.random.default_rng(40 + k), n)
-        branches = []
-        mrrr = linalg._top_k_mrrr
-        monkeypatch.setattr(linalg, "_top_k_mrrr", lambda *args: branches.append(1) or mrrr(*args))
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_meets_the_contract(self, case):
+        k, make = self.CONTRACT_CASES[case]
+        a = make()
+        n = a.shape[0]
         res = top_k_eig(a, np.int64(k))  # a numpy integer reaches LAPACK as a C int
-        assert branches == ([1] if k >= MRRR_K else [])
         vals, vecs = res.eigenvalues, res.eigenvectors
         dense_vals, dense_vecs = np.linalg.eigh(a)
         scale = np.abs(dense_vals).max()
@@ -378,9 +360,10 @@ class TestTopKEig:
         lead = np.argmax(np.abs(vecs), axis=0)
         assert (vecs[lead, np.arange(k)] >= 0.0).all()
         assert np.abs(vals - dense_vals[::-1][:k]).max() <= 1e-10 * scale
-        # the same invariant subspace as numpy's: equal orthogonal projectors
-        top = dense_vecs[:, n - k:]
-        assert np.abs(vecs @ vecs.T - top @ top.T).max() <= 1e-9
+        if k == n or dense_vals[n - k] - dense_vals[n - k - 1] > 1e-8 * scale:
+            # a gap at the boundary fixes the invariant subspace: numpy's projector
+            top = dense_vecs[:, n - k:]
+            assert np.abs(vecs @ vecs.T - top @ top.T).max() <= 1e-9
 
     @staticmethod
     def after_each_call(monkeypatch, routine, after):
@@ -405,19 +388,33 @@ class TestTopKEig:
             ctypes.c_int.from_address(pointers[-1]).value = 7  # info
 
         self.after_each_call(monkeypatch, routine, fail)
-        a = random_symmetric(np.random.default_rng(42), MRRR_K + 10)
+        a = random_symmetric(np.random.default_rng(42), 12)
         with pytest.raises(NoConvergence, match=f"LAPACK {routine} failed: info = 7"):
-            top_k_eig(a, MRRR_K)
+            top_k_eig(a, 2)
 
     def test_mrrr_missing_pairs_is_no_convergence(self, monkeypatch):
         def lose_one(pointers):
             ctypes.c_int.from_address(pointers[9]).value -= 1  # m, the pairs found
 
         self.after_each_call(monkeypatch, "dstemr", lose_one)
-        a = random_symmetric(np.random.default_rng(43), MRRR_K + 10)
-        with pytest.raises(NoConvergence,
-                           match=f"LAPACK dstemr found {MRRR_K - 1} of {MRRR_K} eigenpairs: info = 0"):
-            top_k_eig(a, MRRR_K)
+        a = random_symmetric(np.random.default_rng(43), 12)
+        with pytest.raises(NoConvergence, match="LAPACK dstemr found 1 of 2 eigenpairs: info = 0"):
+            top_k_eig(a, 2)
+
+    def test_dormtr_workspace_holds_the_block_reflector_factor(self, monkeypatch):
+        # dormtr's query leaves out dormqr's 65 x 64 block-reflector factor;
+        # given only the queried size, dormqr runs unblocked at small k
+        lworks = []
+
+        def record(pointers):
+            lwork = ctypes.c_int.from_address(pointers[11]).value
+            queried = ctypes.c_double.from_address(pointers[10]).value  # work[0]
+            lworks.append(queried if lwork == -1 else lwork)
+
+        self.after_each_call(monkeypatch, "dormtr", record)
+        top_k_eig(random_symmetric(np.random.default_rng(44), 300), 64)
+        queried, used = lworks
+        assert used >= queried + 65 * 64
 
     def test_k_out_of_range(self):
         with pytest.raises(DimensionMismatch):
