@@ -248,10 +248,11 @@ class TestTopKEig:
         assert np.array_equal(copied.eigenvectors, in_place.eigenvectors)
         assert not np.array_equal(a, kept)  # a was the workspace
 
-    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
-        # scipy's f2py dstemr would allocate an n x n eigenvector array here
+    @staticmethod
+    def overwrite_peaks(monkeypatch, n, k):
+        """tracemalloc peaks of top_k_eig(a, k) on a random n x n ``a``,
+        copying (False) and overwriting (True)."""
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 16)  # small symmetry-check blocks
-        n, k = 600, 128
         a = random_symmetric(np.random.default_rng(8), n)
         peaks = {}
         for overwrite in (False, True):
@@ -260,6 +261,18 @@ class TestTopKEig:
             top_k_eig(work, k, overwrite_a=overwrite)
             peaks[overwrite] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
+        return peaks
+
+    def test_overwrite_allocates_no_n2_copy(self, monkeypatch):
+        n = 300
+        peaks = self.overwrite_peaks(monkeypatch, n, 10)
+        assert peaks[False] >= 8 * n * n
+        assert peaks[True] < 0.5 * 8 * n * n
+
+    def test_overwrite_allocates_no_n2_copy_on_the_mrrr_branch(self, monkeypatch):
+        # scipy's f2py dstemr would allocate an n x n eigenvector array here
+        n, k = 600, 128
+        peaks = self.overwrite_peaks(monkeypatch, n, k)
         assert peaks[False] >= 8 * n * n
         assert peaks[True] < 0.5 * 8 * n * n
         assert peaks[True] <= 8 * n * k + 8 * 80 * n  # the n x k vectors and the workspaces
