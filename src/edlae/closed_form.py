@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDropout
+from .errors import DimensionMismatch, InvalidDropout, NoConvergence, NotPositiveDefinite
 from .linalg import _BLOCK_ROWS, _matmul, sym_inverse, top_k_eig
 
 # The family table: whether a family constrains (and its objective removes)
@@ -292,7 +292,9 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
     columns of its U and V, equal to ``train_closed_form``'s up to rounding
     and bit for bit at k = max(ks).  All n x n buffers of one (lambda, p)
     are freed, and its models sliced, before the next G + Lambda is
-    factorized.
+    factorized.  An error of one (lambda, p)'s chain (NotPositiveDefinite,
+    NoConvergence or ValueError) is raised again as its type, prefixed with
+    ``lambda = ..., p = ...: ``.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_kinds_and_ranks(kinds, ks, len(g))
@@ -304,9 +306,13 @@ def train_grid(g: np.ndarray, kinds, ks, lambdas, ps) -> list[LowRankModel]:
     points = []  # per (lambda, p), in lambda -> p order: its models, kind -> k
     for cfg in configs:
         lam_diag = regularizer(g_diag, cfg.lam, cfg.dropout_p)
-        points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(),
-                                    config=cfg, kind=full.kind)
-                       for full in train_regularized(g, lam_diag, kinds, max(ks)) for k in ks])
+        try:
+            points.append([LowRankModel(u=full.u[:, :k].copy(), v=full.v[:, :k].copy(),
+                                        config=cfg, kind=full.kind)
+                           for full in train_regularized(g, lam_diag, kinds, max(ks))
+                           for k in ks])
+        except (NotPositiveDefinite, NoConvergence, ValueError) as exc:
+            raise type(exc)(f"lambda = {cfg.lam:g}, p = {cfg.dropout_p:g}: {exc}") from exc
     return [model for same_kind_and_k in zip(*points) for model in same_kind_and_k]
 
 

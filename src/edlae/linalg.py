@@ -3,9 +3,12 @@
 Positive-definite inversion and top-k symmetric eigendecomposition.  All
 arithmetic is 64-bit; every routine is a pure function and safe to call
 from multiple threads, except that ``sym_inverse`` and ``top_k_eig`` with
-``overwrite_a=True`` reuse the caller's ``a`` as their workspace.  Checks
-and copies over n x n matrices run in blocks of ``_BLOCK_ROWS`` rows, so
-they need no n x n temporaries.
+``overwrite_a=True`` reuse a C-ordered float64 ``a`` as their workspace.
+Both hand LAPACK ``a.T`` in Fortran order, as a view or a copy, so each
+reads one triangle of ``a`` on every path (``sym_inverse`` the lower,
+``top_k_eig`` the upper) and overwriting matches copying bit for bit.
+Checks and copies over n x n matrices run in blocks of ``_BLOCK_ROWS`` rows,
+so they need no n x n temporaries.
 ``scipy.linalg`` is imported by the routines that call LAPACK or BLAS, when
 they run, so importing this module does not load scipy.
 
@@ -153,8 +156,6 @@ def sym_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     a = _require_symmetric(a)
     if a.shape[0] == 0:
         raise DimensionMismatch("cannot invert an empty matrix")
-    # LAPACK works on Fortran-ordered arrays.  a.T is one for a C-ordered a,
-    # and its upper triangle is a's lower one.
     work = a.T if overwrite_a and a.flags.c_contiguous else np.array(a.T, order="F")
     rcond, bound = _cholesky_rcond(work), a.shape[0] * np.finfo(np.float64).eps
     if not rcond >= bound:  # NaN included
@@ -207,22 +208,21 @@ def _top_k_mrrr(work, k):
     by MRRR, with ``work``'s lower triangle as the matrix, destroyed:
     ``dsytrd`` reduces it in place to tridiagonal T = Q^T A Q, ``dstemr``
     computes T's eigenpairs n-k+1..n by index into one n x k array, and
-    ``dormtr`` turns them into A's in place by applying Q.  Every workspace
-    is freed before the next routine runs."""
+    ``dormtr`` turns them into A's in place by applying Q.  ``dstemr`` gets
+    LAPACK's documented workspace, 18n doubles and 10n ints; the others'
+    depend on the block size and are queried.  Every workspace is freed
+    before the next routine runs."""
     n = work.shape[0]
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)  # dstemr uses e[n - 1] as workspace
-    query, iquery = np.empty(1), np.empty(1, dtype=np.intc)
+    query = np.empty(1)
     _lapack("dsytrd", b"L", n, work, n, d, e, tau, query, -1)
     _lapack("dsytrd", b"L", n, work, n, d, e, tau, np.empty(int(query[0])), int(query[0]))
 
     w, vecs = np.empty(n), np.empty((n, k), order="F")
     found, tryrac = np.zeros((), dtype=np.intc), np.ones((), dtype=np.intc)
-    tridiagonal = (b"V", b"I", n, d, e, 0.0, 0.0, n - k + 1, n, found, w, vecs, n, k,
-                   np.empty(2 * k, dtype=np.intc), tryrac)
-    _lapack("dstemr", *tridiagonal, query, -1, iquery, -1)
-    lwork, liwork = int(query[0]), int(iquery[0])
-    _lapack("dstemr", *tridiagonal, np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc),
-            liwork)
+    _lapack("dstemr", b"V", b"I", n, d, e, 0.0, 0.0, n - k + 1, n, found, w, vecs, n, k,
+            np.empty(2 * k, dtype=np.intc), tryrac, np.empty(18 * n), 18 * n,
+            np.empty(10 * n, dtype=np.intc), 10 * n)
     if found != k:
         raise NoConvergence(f"LAPACK dstemr found {int(found)} of {k} eigenpairs: info = 0")
 
@@ -255,10 +255,10 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     every k from 16 to 384: 3% less time at k = 16 and n = 1500, 31% to 51%
     less at k = 384.
 
-    With ``overwrite_a`` the solver works in ``a``'s storage, which it
-    destroys, instead of an n x n copy.  A C-ordered ``a`` is passed as its
-    Fortran-ordered transpose, so for an exactly symmetric ``a`` LAPACK sees
-    the same matrix and the result is bit-identical to the copying path.
+    With ``overwrite_a`` a C-ordered float64 ``a`` is the solver's
+    workspace, which it destroys, instead of an n x n copy; otherwise ``a``
+    is left unchanged.  Either way LAPACK reads ``a``'s upper triangle, so
+    the result is bit-identical to the copying path.
     The eigenvectors are the solver's own (Fortran-ordered) n x k output
     array, put in descending order and signed in place.
     """
@@ -266,8 +266,6 @@ def top_k_eig(a: np.ndarray, k: int, overwrite_a: bool = False) -> SymEigResult:
     n = a.shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k must be in [1, {n}], got {k}")
-    if overwrite_a and a.flags.c_contiguous:
-        a = a.T
-    work = np.asarray(a, order="F") if overwrite_a else np.array(a, order="F")
+    work = a.T if overwrite_a and a.flags.c_contiguous else np.array(a.T, order="F")
     vals, vecs = _top_k_mrrr(work, k)
     return SymEigResult(vals[::-1].copy(), _reverse_and_sign_columns(vecs))

@@ -313,6 +313,27 @@ class TestTrain:
         assert "not positive definite" in err and "reciprocal condition number" in err
         assert not out.exists()
 
+    def test_singular_grid_point_is_named(self, tmp_path, capsys):
+        # the twin items make G + Lambda singular at lambda = p = 0 only
+        split = ingest(tmp_path, twins_csv(tmp_path, 26, 1, twins_first=True))
+        out = tmp_path / "r"
+        assert main(["train", "--split", str(split), "--out", str(out), "--ks", "2",
+                     "--lambdas", "1,0", "--ps", "0"]) == 2
+        assert "lambda = 0, p = 0: matrix is not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_grid_point_is_named(self, tmp_path, data_csv, capsys):
+        # lambda = 1e200 passes the parser, then overflows the student Gram
+        split = ingest(tmp_path, data_csv)
+        out = tmp_path / "r"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--split", str(split), "--out", str(out), "--ks", "2",
+                         "--lambdas", "2,1e200"])
+        assert code == 1
+        assert "lambda = 1e+200, p = 0.5: matrix contains non-finite values" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", ["--ks", "--lambdas", "--ps"])
     def test_empty_grid_list_rejected(self, tmp_path, data_csv, capsys, option):
         split = ingest(tmp_path, data_csv)

@@ -19,6 +19,15 @@ def random_symmetric(rng, n):
     return 0.5 * (a + a.T)
 
 
+def nearly_symmetric(n):
+    """An SPD n x n matrix with one off-diagonal entry moved by 1e-12 of its
+    largest: inside _SYMMETRY_TOL, so both kernels accept it, but its two
+    triangles differ."""
+    a = random_symmetric(np.random.default_rng(n), n) + n * np.eye(n)
+    a[n - 1, 0] += 1e-12 * np.abs(a).max()
+    return a
+
+
 class TestSymInverse:
     def test_identity(self):
         np.testing.assert_allclose(sym_inverse(np.eye(2)), np.eye(2), atol=1e-14)
@@ -102,6 +111,7 @@ class TestSymInverse:
         fortran = np.asfortranarray(a)
         sym_inverse(a)
         sym_inverse(fortran, overwrite_a=True)  # not C-ordered: copied, not reused
+        top_k_eig(fortran, 5, overwrite_a=True)  # the same rule
         assert np.array_equal(a, kept) and np.array_equal(fortran, kept)
 
     def test_overwrite_reuses_storage(self):
@@ -112,6 +122,10 @@ class TestSymInverse:
         inv = sym_inverse(a, overwrite_a=True)
         assert np.shares_memory(inv, a)
         np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-14)
+
+    def test_overwrite_is_bit_identical_when_nearly_symmetric(self):
+        a = nearly_symmetric(50)
+        assert np.array_equal(sym_inverse(a), sym_inverse(a.copy(), overwrite_a=True))
 
     def test_odd_n_with_small_blocks(self, monkeypatch):
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 4)
@@ -247,6 +261,15 @@ class TestTopKEig:
         assert np.array_equal(copied.eigenvalues, in_place.eigenvalues)
         assert np.array_equal(copied.eigenvectors, in_place.eigenvectors)
         assert not np.array_equal(a, kept)  # a was the workspace
+
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    def test_overwrite_is_bit_identical_when_nearly_symmetric(self, k):
+        # copying and overwriting read the same triangle of a
+        a = nearly_symmetric(50)
+        copied = top_k_eig(a, k)
+        in_place = top_k_eig(a.copy(), k, overwrite_a=True)
+        assert np.array_equal(copied.eigenvalues, in_place.eigenvalues)
+        assert np.array_equal(copied.eigenvectors, in_place.eigenvectors)
 
     @staticmethod
     def overwrite_peaks(monkeypatch, n, k):
@@ -428,6 +451,24 @@ class TestTopKEig:
         top_k_eig(random_symmetric(np.random.default_rng(44), 300), 64)
         queried, used = lworks
         assert used >= queried + 65 * 64
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (10, 3), (600, 64), (1000, 1000),
+                                      (1500, 384)])
+    def test_dstemr_query_within_the_documented_workspace(self, monkeypatch, n, k):
+        # _top_k_mrrr passes dstemr LAPACK's documented 18n doubles and 10n
+        # ints without asking; a build whose query wants more fails here
+        used = []
+        self.after_each_call(monkeypatch, "dstemr", lambda pointers: used.append(
+            [ctypes.c_int.from_address(pointers[i]).value for i in (17, 19)]))  # lwork, liwork
+        top_k_eig(np.diag(np.arange(n, dtype=np.float64)), k)
+        assert used == [[18 * n, 10 * n]]
+        query, iquery = np.empty(1), np.empty(1, dtype=np.intc)
+        d, e = np.random.default_rng(n).standard_normal((2, n))
+        linalg._lapack("dstemr", b"V", b"I", n, d, e, 0.0, 0.0, n - k + 1, n,
+                       np.zeros((), dtype=np.intc), np.empty(n), np.empty((n, k), order="F"), n, k,
+                       np.empty(2 * k, dtype=np.intc), np.ones((), dtype=np.intc),
+                       query, -1, iquery, -1)
+        assert query[0] <= 18 * n and iquery[0] <= 10 * n
 
     def test_k_out_of_range(self):
         with pytest.raises(DimensionMismatch):
